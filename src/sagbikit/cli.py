@@ -11,10 +11,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .engine import GeneratorFamily, sagbi_by_degree, sagbi_general
-from .formats import ParseError, matrix_to_csv, parse_polynomial, poly_to_json, poly_to_text
+from .formats import ParseError, parse_polynomial, poly_to_text
 from .hilbert import h_vector, krull_dim_monomial, semigroup_hilbert, subalgebra_hilbert
 from .matchings import (enumerate_vertices_exhaustive, enumerate_vertices_random,
                         full_support, sagbi_defect)
@@ -28,17 +27,6 @@ from .universal import VerificationError, diagonal_matching, verify_universal
 
 class UsageError(ValueError):
     pass
-
-
-@dataclass
-class Job:
-    ring: RingContext
-    matrix: MatrixRing | None
-    generators: list
-    order_spec: str
-    grading: str
-    fmt: str
-    workers: int
 
 
 def _default_workers() -> int:
@@ -372,20 +360,29 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(args):
+def _explicit_options(argv) -> set[str]:
+    """Destinations given on the command line: parse once more with every
+    subcommand default suppressed, so only explicit flags set a value."""
+    ap = build_parser()
+    for action in ap.parse_args(argv)._parser._actions:
+        action.default = argparse.SUPPRESS
+    return set(vars(ap.parse_args(argv)))
+
+
+def _apply_config(args, argv):
     """Fill defaults from a JSON config file; explicit flags win."""
     if not getattr(args, "config", None):
         return args
-    ap = args._parser
     with open(args.config) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
+    explicit = _explicit_options(argv)
     for key, value in data.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise UsageError(f"config key {key!r} is not a {args.command} option")
-        if getattr(args, attr) == ap.get_default(attr):
+        if attr not in explicit:
             setattr(args, attr, value)
     return args
 
@@ -394,7 +391,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        args = _apply_config(args)
+        args = _apply_config(args, argv)
         if getattr(args, "workers", None) is None and args.command == "matchings":
             args.workers = _default_workers()
         return args.func(args)

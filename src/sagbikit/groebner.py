@@ -1,14 +1,23 @@
 """Buchberger machinery and binomial kernels of monomial maps.
 
-The toric kernel (relations among a list of monomials) is computed by
-elimination: a Groebner basis of the ideal (Y_u - X^{m_u}) under a
-block order with the X variables first, intersected with the Y
-subring.  When the exponent vectors are linearly independent the
-kernel is zero and the elimination is skipped.
+`buchberger` and `normal_form` work on general polynomials.  The toric
+kernel (relations among a list of monomials) is the part free of the X
+variables of the ideal (Y_u - X^{m_u}) under a block order with the X
+variables first.  That ideal, its S-polynomials and their remainders
+are all pure differences x^a - x^b, so the kernel runs a Buchberger on
+binomials alone (Sturmfels, Groebner Bases and Convex Polytopes, 1996,
+ch. 4 and 12): an element is a (lead, trail) exponent pair with no
+coefficients, an S-pair is two shifted monomials, a monomial reduces to
+a monomial, and a remainder is zero exactly when the two reduced
+monomials agree.  Exponent vectors are packed into integers with a
+guard bit per variable, so divisibility is a single integer test.
+When the exponent vectors are linearly independent the kernel is zero
+and no basis is computed.
 """
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import dataclass
 
 from .hilbert import krull_dim_monomial
@@ -27,19 +36,15 @@ def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def normal_form(f: Polynomial, basis: list[Polynomial], order: MonomialOrder) -> Polynomial:
-    """Full remainder of f on division by the basis (head and tail reduced)."""
-    if not basis:
-        return f
+def _remainder(f: Polynomial, reducers, key) -> Polynomial:
+    """Full remainder of f by reducers, a list of (lead exponent, g)."""
     ring = f.ring
-    key = order.key
-    leads = [(max(g.terms, key=key), g) for g in basis]
     work = dict(f.terms)
     remainder: dict[tuple[int, ...], object] = {}
     while work:
         lead = max(work, key=key)
         c = work.pop(lead)
-        for lt_g, g in leads:
+        for lt_g, g in reducers:
             if _divides(lt_g, lead):
                 shift = tuple(x - y for x, y in zip(lead, lt_g))
                 factor = ring.cmul(c, ring.cinv(g.terms[lt_g]))
@@ -60,6 +65,14 @@ def normal_form(f: Polynomial, basis: list[Polynomial], order: MonomialOrder) ->
     return res
 
 
+def normal_form(f: Polynomial, basis: list[Polynomial], order: MonomialOrder) -> Polynomial:
+    """Full remainder of f on division by the basis (head and tail reduced)."""
+    if not basis:
+        return f
+    key = order.key
+    return _remainder(f, [(max(g.terms, key=key), g) for g in basis], key)
+
+
 def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     lf, cf = leading_term(order, f)
     lg, cg = leading_term(order, g)
@@ -75,16 +88,19 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder) -> list[Polynomial]
 
     Pair management follows Gebauer-Moeller: new pairs are pruned by the
     lcm-divisibility and coprimality criteria, and old pairs subsumed by
-    the new leading term are dropped.
+    the new leading term are dropped.  Each element's leading exponent
+    is found once, when it joins the basis.
     """
     key = order.key
     basis: list[Polynomial] = []
     leads: list[tuple[int, ...]] = []
+    reducers: list[tuple[tuple[int, ...], Polynomial]] = []
     pairs: list = []  # heap of (deg lcm, key(lcm), i, j, lcm)
 
     def add_element(f: Polynomial):
         basis.append(f)
         leads.append(max(f.terms, key=key))
+        reducers.append((leads[-1], f))
         t = len(basis) - 1
         lt = leads[t]
         cand = [(i, _lcm(leads[i], lt)) for i in range(t)]
@@ -121,7 +137,7 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder) -> list[Polynomial]
     while pairs:
         _, _, i, j, L = heapq.heappop(pairs)
         s = _spoly(basis[i], basis[j], order)
-        r = normal_form(s, basis, order)
+        r = _remainder(s, reducers, key)
         if not r.is_zero():
             add_element(make_monic(order, r)[0])
 
@@ -135,15 +151,156 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder) -> list[Polynomial]
                 minimal = False
                 break
         if minimal:
-            keep.append(f)
+            keep.append((li, f))
     reduced = []
-    for i, f in enumerate(keep):
+    for i, (_, f) in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
-        r = normal_form(f, others, order) if others else f
+        r = _remainder(f, others, key) if others else f
         if not r.is_zero():
             reduced.append(make_monic(order, r)[0])
     reduced.sort(key=lambda g: key(max(g.terms, key=key)))
     return reduced
+
+
+_FIELD = 16  # bits per packed exponent (struct code H); the top bit is a guard
+
+
+class _BinomialBasis:
+    """Buchberger on pure differences x^lead - x^trail, coefficient-free.
+
+    An exponent vector is packed into one integer, _FIELD bits per
+    variable.  Packed exponents keep every guard bit clear, so for
+    a, b packed, ((b | G) - a) & G == G holds exactly when a divides b
+    (G is the guard mask), and x^(m - lead + trail) is m - lead + trail.
+    An exponent that reaches 2**(_FIELD - 1) raises OverflowError.
+
+    Pairs are selected and pruned as in `buchberger`; in addition an
+    element whose lead a later lead divides takes part in no new pair
+    and in no reduction (Gebauer-Moeller).
+    """
+
+    def __init__(self, order: MonomialOrder):
+        self.order = order
+        self.nvars = order.nvars
+        self.fields = struct.Struct(f"<{self.nvars}H")
+        ones = self._pack((1,) * self.nvars)
+        self.guard = ones << (_FIELD - 1)
+        self.values = self.guard - ones
+        self.leads: list[int] = []
+        self.trails: list[int] = []
+        self.live: list[int] = []  # elements whose leads no later lead divides
+        self.elems: list[tuple[int, int]] = []  # (lead, trail) of the live ones
+        self.pairs: list = []  # heap of (deg lcm, key(lcm), i, j, packed lcm)
+
+    def _pack(self, exp: tuple[int, ...]) -> int:
+        if len(exp) != self.nvars:
+            raise ValueError("exponent length mismatch")
+        if any(e < 0 or e >> (_FIELD - 1) for e in exp):
+            raise OverflowError(f"exponent out of range 0..{(1 << (_FIELD - 1)) - 1}: {exp}")
+        return int.from_bytes(self.fields.pack(*exp), "little")
+
+    def _unpack(self, m: int) -> tuple[int, ...]:
+        return self.fields.unpack(m.to_bytes(2 * self.nvars, "little"))
+
+    def _divides(self, a: int, b: int) -> bool:
+        G = self.guard
+        return ((b | G) - a) & G == G
+
+    def _lcm(self, a: int, b: int) -> int:
+        G = self.guard
+        ge = ((a | G) - b) & G          # guard bits of the fields with a_i >= b_i
+        sel = ge - (ge >> (_FIELD - 1))  # value bits of those fields
+        return (a & sel) | (b & (self.values ^ sel))
+
+    def _shift(self, m: int, lead: int, trail: int) -> int:
+        """x^m / x^lead * x^trail, for x^lead dividing x^m."""
+        m = m - lead + trail
+        if m & self.guard:
+            raise OverflowError("binomial exponent exceeds the packed field width")
+        return m
+
+    def _reduce(self, m: int) -> int:
+        """Normal form of the monomial x^m: always a single monomial."""
+        G = self.guard
+        elems = self.elems
+        while True:
+            mg = m | G
+            for lead, trail in elems:
+                if (mg - lead) & G == G:
+                    m = self._shift(m, lead, trail)
+                    break
+            else:
+                return m
+
+    def _key(self, m: int):
+        return self.order.key(self._unpack(m))
+
+    def add(self, a: tuple[int, ...], b: tuple[int, ...]):
+        """Add x^a - x^b to the generators; a must differ from b."""
+        self._add(self._pack(a), self._pack(b))
+
+    def _add(self, a: int, b: int):
+        if a == b:
+            raise ValueError("zero binomial")
+        lt, tr = (a, b) if self._key(a) > self._key(b) else (b, a)
+        leads = self.leads
+        t = len(leads)
+        leads.append(lt)
+        self.trails.append(tr)
+        G = self.guard
+        # chain criterion: keep the pair (i, t) only if no other new pair
+        # has an lcm strictly dividing its lcm, and only the first of equal
+        # lcms; a strict divisor is also a smaller integer
+        first: dict[int, int] = {}
+        for i in self.live:
+            first.setdefault(self._lcm(leads[i], lt), i)
+        ordered = sorted(first)
+        survivors = []
+        for k, L in enumerate(ordered):
+            LG = L | G
+            for L2 in ordered[:k]:
+                if (LG - L2) & G == G:
+                    break
+            else:
+                i = first[L]
+                # coprime criterion: the lcm of coprime leads is their product
+                if L != leads[i] + lt:
+                    survivors.append((i, L))
+        # drop old pairs strictly refined by the new element
+        pairs = [e for e in self.pairs
+                 if ((e[4] | G) - lt) & G != G
+                 or self._lcm(leads[e[2]], lt) == e[4] or self._lcm(leads[e[3]], lt) == e[4]]
+        if len(pairs) < len(self.pairs):
+            heapq.heapify(pairs)
+        for i, L in survivors:
+            e = self._unpack(L)
+            heapq.heappush(pairs, (sum(e), self.order.key(e), i, t, L))
+        self.pairs = pairs
+        self.live = [i for i in self.live if ((leads[i] | G) - lt) & G != G] + [t]
+        self.elems = [(leads[i], self.trails[i]) for i in self.live]
+
+    def complete(self):
+        """Reduce S-pairs until the elements form a Groebner basis."""
+        while self.pairs:
+            _, _, i, j, L = heapq.heappop(self.pairs)
+            a = self._reduce(self._shift(L, self.leads[i], self.trails[i]))
+            b = self._reduce(self._shift(L, self.leads[j], self.trails[j]))
+            if a != b:
+                self._add(a, b)
+
+    def contains(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+        """Ideal membership of x^a - x^b; needs a completed basis."""
+        return self._reduce(self._pack(a)) == self._reduce(self._pack(b))
+
+    def reduced(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The reduced Groebner basis as (lead, trail) exponent pairs,
+        ascending in the lead; needs a completed basis."""
+        out = []
+        for lt, tr in self.elems:
+            if not any(lj != lt and self._divides(lj, lt) for lj, _ in self.elems):
+                out.append((self._unpack(lt), self._unpack(self._reduce(tr))))
+        out.sort(key=lambda pair: self.order.key(pair[0]))
+        return out
 
 
 @dataclass(frozen=True)
@@ -187,31 +344,20 @@ def toric_kernel(monomials: list[tuple[int, ...]], ring: RingContext) -> list[Bi
         return []
 
     nx = ring.nvars
-    combined = RingContext(
-        tuple(f"x{i}" for i in range(nx)) + tuple(f"y{u}" for u in range(p)),
-        0,
-        ring.grading + tuple(ring.degree(m) for m in monomials))
     order = weight_order((1,) * nx + (0,) * p, degrevlex_order(nx + p))
-    gens = []
+    basis = _BinomialBasis(order)
     for u, m in enumerate(monomials):
-        e_y = [0] * (nx + p)
-        e_y[nx + u] = 1
-        e_x = list(m) + [0] * p
-        gens.append(Polynomial(combined, {tuple(e_y): 1, tuple(e_x): -1}))
-    basis = buchberger(gens, order)
+        e_y = [0] * p
+        e_y[u] = 1
+        basis.add(m + (0,) * p, (0,) * nx + tuple(e_y))
+    basis.complete()
 
     out = []
-    for g in basis:
-        if any(any(e[:nx]) for e in g.terms):
+    for lead, trail in basis.reduced():
+        if any(lead[:nx]):
             continue
-        if len(g.terms) != 2:
-            raise AssertionError("toric eliminant is not binomial")
-        (e1, c1), (e2, c2) = sorted(g.terms.items(), key=lambda t: order.key(t[0]),
-                                    reverse=True)
-        if c1 != 1 or c2 != -1:
-            raise AssertionError("toric binomial has non-unit coefficients")
-        plus = tuple(e1[nx:])
-        minus = tuple(e2[nx:])
+        plus = lead[nx:]
+        minus = trail[nx:]
         psi_plus = [0] * nx
         psi_minus = [0] * nx
         for u in range(p):
@@ -230,21 +376,16 @@ def _minimalize_binomials(binoms: list[Binomial], weights: list[int]) -> list[Bi
     """Greedy degree-ascending pass keeping only needed generators.
 
     The input generates a weighted-homogeneous ideal, so a generator is
-    redundant exactly when it reduces to zero against the earlier kept
-    ones (graded Nakayama).
+    redundant exactly when it lies in the ideal of the earlier kept ones
+    (graded Nakayama).  The kept ones grow one live Groebner basis.
     """
     if len(binoms) <= 1:
         return binoms
-    p = len(weights)
-    yring = RingContext(tuple(f"y{u}" for u in range(p)), 0, tuple(weights))
-    order = degrevlex_order(p)
+    basis = _BinomialBasis(degrevlex_order(len(weights)))
     kept: list[Binomial] = []
-    kept_polys: list[Polynomial] = []
-    gb: list[Polynomial] = []
     for b in binoms:
-        poly = Polynomial(yring, {b.plus: 1, b.minus: -1})
-        if not gb or not normal_form(poly, gb, order).is_zero():
+        if not kept or not basis.contains(b.plus, b.minus):
             kept.append(b)
-            kept_polys.append(poly)
-            gb = buchberger(kept_polys, order)
+            basis.add(b.plus, b.minus)
+            basis.complete()
     return kept

@@ -8,7 +8,6 @@ means the ambient degree divided by the gcd of the generator degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd
 from typing import Iterable, Literal, Sequence
 
@@ -137,7 +136,8 @@ def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
     """H(K[F], k) by Gaussian elimination on degree-k products of generators.
 
     Rows are reduced in order-descending leading monomial so each new
-    pivot is an initial monomial of the subalgebra.
+    pivot is an initial monomial of the subalgebra.  The elimination runs
+    in the generators' own field, Q or GF(p).
     """
     polys = list(polys)
     if not polys:
@@ -153,24 +153,27 @@ def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
         degrees, _ = normalized_degrees(degrees)
     values = [1]
     key = order.key
+    p = ring.characteristic
     for k in range(1, k_max + 1):
         rows = _product_rows(polys, degrees, k)
         rows.sort(key=lambda f: key(max(f.terms, key=key)), reverse=True)
         pivots: dict[tuple[int, ...], dict] = {}
         rank = 0
         for f in rows:
-            row = {e: Fraction(c) for e, c in f.terms.items()}
+            row = dict(f.terms)
             while row:
                 lead = max(row, key=key)
                 piv = pivots.get(lead)
                 if piv is None:
-                    lc = row[lead]
-                    pivots[lead] = {e: c / lc for e, c in row.items()}
+                    inv = ring.cinv(row[lead])
+                    pivots[lead] = {e: ring.cmul(c, inv) for e, c in row.items()}
                     rank += 1
                     break
                 factor = row[lead]
                 for e, c in piv.items():
                     v = row.get(e, 0) - factor * c
+                    if p:
+                        v %= p
                     if v:
                         row[e] = v
                     else:

@@ -3,8 +3,9 @@
 Each oracle takes a route disjoint from the implementation it checks:
 dimension counts come from the hook content formula, product counts from
 exhaustive multiset enumeration, coherence from a Caratheodory search
-for zero in the convex hull of difference vectors, and determinants from
-cofactor expansion.
+for zero in the convex hull of difference vectors, determinants from
+cofactor expansion, and subalgebra Hilbert values over GF(p) from the
+mod-p rank of a dense coefficient matrix.
 """
 from __future__ import annotations
 
@@ -131,3 +132,53 @@ def cofactor_det(rows: list[list[int]]) -> int:
         sub = [r[:j] + r[j + 1:] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * cofactor_det(sub)
     return total
+
+
+def _multiply_mod_p(f: dict, g: dict, p: int) -> dict:
+    out: dict = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = (out.get(e, 0) + c1 * c2) % p
+    return {e: c for e, c in out.items() if c}
+
+
+def rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank over GF(p) of a dense integer matrix (row reduction)."""
+    rows = [[v % p for v in r] for r in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def subalgebra_values_mod_p(gens: list[dict], degrees: list[int], p: int,
+                            k_max: int) -> list[int]:
+    """H(k) of the GF(p)-algebra generated by gens (dicts exponent -> int):
+    the mod-p rank of all products of generator multisets of degree k."""
+    values = [1]
+    for k in range(1, k_max + 1):
+        products = []
+        for count in range(1, k // min(degrees) + 1):
+            for combo in combinations_with_replacement(range(len(gens)), count):
+                if sum(degrees[i] for i in combo) != k:
+                    continue
+                prod = gens[combo[0]]
+                for i in combo[1:]:
+                    prod = _multiply_mod_p(prod, gens[i], p)
+                products.append(prod)
+        support = sorted({e for prod in products for e in prod})
+        rows = [[prod.get(e, 0) for e in support] for prod in products]
+        values.append(rank_mod_p(rows, p) if rows else 0)
+    return values

@@ -99,3 +99,32 @@ def test_hilbert_semigroup(capsys):
                                  "--kmax", "4"])
     assert code == 0
     assert "4\t4116" in out and "dim\t10" in out
+
+
+def test_config_does_not_override_explicit_default_valued_flag(capsys, tmp_path):
+    # --order degrevlex equals the default but is explicit, so it wins
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"order": "lex", "round-bound": 3}))
+    code, out, _ = _run(capsys, ["sagbi", "--vars", "x,y", "--gen", "x+y",
+                                 "--gen", "y", "--order", "degrevlex",
+                                 "--config", str(cfg)])
+    assert code == 0
+    assert '"order": "degrevlex"' in out
+    assert '"round_bound": 3' in out
+    code, out, _ = _run(capsys, ["sagbi", "--vars", "x,y", "--gen", "x+y",
+                                 "--gen", "y", "--config", str(cfg)])
+    assert code == 0
+    assert '"order": "lex"' in out
+
+
+def test_config_gen_list_yields_to_explicit_gen(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gen": ["x", "y", "x*y"]}))
+    code, out, _ = _run(capsys, ["sagbi", "--vars", "x,y", "--gen", "x+y",
+                                 "--order", "lex", "--config", str(cfg)])
+    assert code == 0
+    assert "#SAGBI\t1" in out
+    code, out, _ = _run(capsys, ["sagbi", "--vars", "x,y", "--order", "lex",
+                                 "--config", str(cfg)])
+    assert code == 0
+    assert "#SAGBI\t3" in out

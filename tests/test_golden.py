@@ -1,0 +1,67 @@
+"""Golden CLI transcripts: stdout must stay byte-identical.
+
+Each case is a README example (with small parameters where the README
+one is slow) plus the G(2,6) Pluecker relations job.  The transcripts in
+tests/golden/ were captured before the binomial toric kernel replaced
+the coefficient elimination.  To re-capture after a deliberate output
+change, run `PYTHONPATH=src python tests/test_golden.py` and review the diff.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from sagbikit.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "sagbi-3x3-diag": ["sagbi", "--matrix", "3x3", "--minors", "2", "--order", "diag"],
+    "relations-3x3-diag": ["relations", "--matrix", "3x3", "--minors", "2",
+                           "--order", "diag"],
+    "relations-segre": ["relations", "--vars", "y1,y2,z1,z2", "--gen", "y1*z1",
+                        "--gen", "y1*z2", "--gen", "y2*z1", "--gen", "y2*z2",
+                        "--order", "degrevlex"],
+    "matchings-3x3": ["matchings", "--matrix", "3x3", "--minors", "2",
+                      "--workers", "1"],
+    "matchings-3x7-random": ["matchings", "--matrix", "3x7", "--minors", "3",
+                             "--mode", "random", "--trials", "40", "--stall", "20",
+                             "--seed", "11", "--kmax", "3", "--workers", "1"],
+    "verify-a233": ["verify", "--case", "A233"],
+    "verify-g36": ["verify", "--case", "G36"],
+    "verify-g37-sampled": ["verify", "--case", "G37_sampled", "--count", "50",
+                           "--seed", "11"],
+    "hilbert-3x6-semigroup": ["hilbert", "--matrix", "3x6", "--minors", "3",
+                              "--order", "diag", "--kind", "semigroup",
+                              "--kmax", "5"],
+    "relations-2x6-diag": ["relations", "--matrix", "2x6", "--minors", "2",
+                           "--order", "diag"],
+}
+
+
+def _transcript(argv) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_transcript(name):
+    code, out = _transcript(CASES[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        code, out = _transcript(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit {code}")
+        (GOLDEN / f"{name}.out").write_text(out)
+        print(f"wrote {name}.out")

@@ -1,13 +1,18 @@
 import random
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_product_values
 from sagbikit.formats import parse_polynomial
-from sagbikit.groebner import Binomial, buchberger, normal_form, toric_kernel
+from sagbikit.groebner import (Binomial, _BinomialBasis, _divides, _lcm, buchberger,
+                               normal_form, toric_kernel)
 from sagbikit.minors import MatrixRing, diagonal_order, minors
-from sagbikit.orders import degrevlex_order, leading_exponent, lex_order
+from sagbikit.orders import degrevlex_order, leading_exponent, lex_order, weight_order
+from sagbikit.relations import elimination_kernel
 from sagbikit.rings import Polynomial, RingContext
 
 
@@ -147,3 +152,104 @@ def test_toric_kernel_completeness_random_small():
         brute = brute_product_values(monomials, degrees, 5)
         assert quotient == brute
         done += 1
+
+
+def _same_ideal_as_elimination(monomials, ring):
+    """toric_kernel and the coefficient elimination give one ideal."""
+    kernel = toric_kernel(monomials, ring)
+    p0, elim = elimination_kernel([Polynomial(ring, {m: 1}) for m in monomials])
+    mine = [Polynomial(p0, {b.plus: 1, b.minus: -1}) for b in kernel]
+    order = degrevlex_order(p0.nvars)
+    assert buchberger(mine, order) == buchberger(elim, order)
+    return kernel
+
+
+@st.composite
+def _monomial_family(draw):
+    nv = draw(st.integers(1, 4))
+    exp = st.lists(st.integers(0, 3), min_size=nv, max_size=nv).filter(any).map(tuple)
+    return nv, draw(st.lists(exp, min_size=1, max_size=5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_monomial_family())
+def test_toric_kernel_matches_elimination_oracle(case):
+    nv, monomials = case
+    _same_ideal_as_elimination(monomials, RingContext([f"x{i}" for i in range(nv)]))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_toric_kernel_grassmannian_2n_matches_elimination(n):
+    M = MatrixRing(2, n)
+    order = diagonal_order(M)
+    inits = [leading_exponent(order, mi.polynomial) for mi in minors(2, M)]
+    kernel = _same_ideal_as_elimination(inits, M.ring)
+    # one Pluecker quadric per 4-subset of columns
+    assert len(kernel) == comb(n, 4)
+
+
+_ORDERS = {
+    "degrevlex": lambda n: degrevlex_order(n),
+    "lex": lambda n: lex_order(n),
+    "elimination": lambda n: weight_order((1,) + (0,) * (n - 1), degrevlex_order(n)),
+}
+
+
+@st.composite
+def _binomial_family(draw):
+    nv = draw(st.integers(2, 4))
+    exp = st.lists(st.integers(0, 2), min_size=nv, max_size=nv).map(tuple)
+    pairs = draw(st.lists(st.tuples(exp, exp).filter(lambda ab: ab[0] != ab[1]),
+                          min_size=1, max_size=4))
+    return nv, pairs, draw(st.sampled_from(sorted(_ORDERS)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_binomial_family())
+def test_binomial_basis_equals_general_buchberger(case):
+    nv, pairs, order_name = case
+    order = _ORDERS[order_name](nv)
+    basis = _BinomialBasis(order)
+    for a, b in pairs:
+        basis.add(a, b)
+    basis.complete()
+    ring = RingContext([f"x{i}" for i in range(nv)])
+    mine = [Polynomial(ring, {lead: 1, trail: -1}) for lead, trail in basis.reduced()]
+    general = buchberger([Polynomial(ring, {a: 1, b: -1}) for a, b in pairs], order)
+    assert mine == general
+
+
+def test_packed_divisibility_and_lcm_agree_with_tuples():
+    rng = random.Random(5)
+    top = (1 << 15) - 1
+    basis = _BinomialBasis(degrevlex_order(4))
+    values = [0, 1, 2, top - 1, top]
+    cases = [((0, 0, 0, 0), (0, 0, 0, 0)), ((top,) * 4, (top,) * 4),
+             ((top, 0, 1, 2), (top, 0, 1, 2)), ((1, 0, 0, 0), (0, top, top, top))]
+    for _ in range(500):
+        a = tuple(rng.choice(values) if rng.random() < 0.5 else rng.randint(0, top)
+                  for _ in range(4))
+        b = tuple(rng.choice(values) if rng.random() < 0.5 else rng.randint(0, top)
+                  for _ in range(4))
+        cases += [(a, b), (a, a), (a, tuple(max(x, y) for x, y in zip(a, b)))]
+    for a, b in cases:
+        pa, pb = basis._pack(a), basis._pack(b)
+        assert basis._unpack(pa) == a
+        assert basis._divides(pa, pb) == _divides(a, b)
+        assert basis._unpack(basis._lcm(pa, pb)) == _lcm(a, b)
+
+
+def test_packed_exponents_out_of_range_raise():
+    basis = _BinomialBasis(degrevlex_order(2))
+    for bad in [(1 << 15, 0), (0, -1), (1 << 16, 1)]:
+        with pytest.raises(OverflowError):
+            basis._pack(bad)
+    # x - y^32767 under lex: reducing x*y would need y^32768
+    basis = _BinomialBasis(lex_order(2))
+    basis.add((1, 0), (0, (1 << 15) - 1))
+    basis.complete()
+    with pytest.raises(OverflowError):
+        basis.contains((1, 1), (0, 0))
+    R = RingContext(["x", "y"])
+    with pytest.raises(OverflowError):
+        toric_kernel([(40000, 0), (0, 1), (40000, 1)], R)

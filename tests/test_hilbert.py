@@ -2,8 +2,10 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_product_values, schur_rectangle_dim
+from oracles import brute_product_values, schur_rectangle_dim, subalgebra_values_mod_p
 from sagbikit.formats import parse_polynomial
 from sagbikit.hilbert import (expand_series, h_vector, krull_dim_monomial,
                               semigroup_hilbert, subalgebra_hilbert)
@@ -156,3 +158,33 @@ def test_mixed_degree_grading_conventions():
     amb = semigroup_hilbert(exps, 8, R, grading="ambient").values
     assert norm == [1, 1, 2, 2, 3]
     assert amb == [1, 0, 1, 0, 2, 0, 2, 0, 3]
+
+
+def test_subalgebra_over_gf2_ranks_mod_2():
+    # K[x+y, y+z, x+z] = K[x+y, y+z] in characteristic 2
+    R = RingContext(["x", "y", "z"], 2)
+    gens = [parse_polynomial(R, t) for t in ("x+y", "y+z", "x+z")]
+    assert subalgebra_hilbert(gens, 3, degrevlex_order(3)).values == [1, 2, 3, 4]
+
+
+@st.composite
+def _homogeneous_family_mod_p(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    nv = draw(st.integers(2, 3))
+    deg = draw(st.integers(1, 2))
+    monomial = st.lists(st.integers(0, deg), min_size=nv, max_size=nv).filter(
+        lambda e: sum(e) == deg).map(tuple)
+    gens = draw(st.lists(
+        st.dictionaries(monomial, st.integers(1, p - 1), min_size=1, max_size=3),
+        min_size=1, max_size=4))
+    return p, nv, gens
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_homogeneous_family_mod_p())
+def test_subalgebra_hilbert_matches_mod_p_rank_oracle(case):
+    p, nv, gens = case
+    ring = RingContext([f"x{i}" for i in range(nv)], p)
+    polys = [Polynomial(ring, g) for g in gens]
+    values = subalgebra_hilbert(polys, 3, degrevlex_order(nv)).values
+    assert values == subalgebra_values_mod_p(gens, [1] * len(gens), p, 3)
