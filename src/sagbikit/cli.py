@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from math import prod
 
 from .engine import GeneratorFamily, sagbi_by_degree, sagbi_general
 from .formats import ParseError, parse_polynomial, poly_to_text
@@ -65,6 +66,9 @@ def _build_generators(args, ring: RingContext, matrix: MatrixRing | None):
     if args.minors:
         if matrix is None:
             raise UsageError("--minors needs a --matrix ring")
+        if not 1 <= args.minors <= min(matrix.m, matrix.n):
+            raise UsageError(f"--minors {args.minors} is out of range for a "
+                             f"{matrix.m}x{matrix.n} matrix")
         return [mi.polynomial for mi in minors(args.minors, matrix)]
     texts = []
     if args.gens_file:
@@ -80,6 +84,8 @@ def _build_generators(args, ring: RingContext, matrix: MatrixRing | None):
             raise UsageError(f"generator {i + 1}: {exc}")
         if f.is_zero():
             raise UsageError(f"generator {i + 1} is zero")
+        if f.degree() == 0:
+            raise UsageError(f"generator {i + 1} is constant")
         out.append(f)
     if not out:
         raise UsageError("empty generator list")
@@ -108,8 +114,15 @@ def _build_order(spec: str, ring: RingContext, matrix: MatrixRing | None):
         w = [int(v) for v in rest.split(",")]
         if len(w) != n:
             raise UsageError(f"weight length {len(w)} != {n} variables")
+        if min(w) < 0:
+            raise UsageError("weight entries must be nonnegative")
         return weight_order(w, lex_order(n))
     raise UsageError(f"unknown order {spec!r}")
+
+
+def _check_kmax(args):
+    if args.kmax < 0:
+        raise UsageError(f"--kmax must be nonnegative, got {args.kmax}")
 
 
 def _emit(lines):
@@ -172,9 +185,14 @@ def cmd_matchings(args) -> int:
     ring, matrix = _build_ring(args)
     if matrix is None:
         raise UsageError("matchings needs a --matrix ring")
+    _check_kmax(args)
     gens = _build_generators(args, ring, matrix)
     group = full_group(matrix.m, matrix.n)
     if args.mode == "exhaustive":
+        space = prod(len(f.terms) for f in gens)
+        if space > args.cap:
+            raise UsageError(f"selection space {space} exceeds --cap {args.cap}; "
+                             "raise --cap or use --mode random")
         catalog = enumerate_vertices_exhaustive(gens, group, cap=args.cap,
                                                 workers=args.workers)
     else:
@@ -260,6 +278,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    _check_kmax(args)
     ring, matrix = _build_ring(args)
     gens = _build_generators(args, ring, matrix)
     order = _build_order(args.order, ring, matrix)

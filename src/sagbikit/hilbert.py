@@ -4,10 +4,19 @@ Two independent routes: exact linear algebra on products of generators
 (subalgebra route) and deduplicated semigroup enumeration (monomial
 route).  Degrees can be taken ambient or normalized, where normalized
 means the ambient degree divided by the gcd of the generator degrees.
+
+The monomial route builds the sums level by level.  Each sum t carries
+the index mu(t): the least j such that t is a sum of generators 0..j
+only.  A sum of level k with mu = j is s + g_j for some s of level
+k - d_j with mu(s) <= j (drop one g_j from a representation whose
+largest index is j), so each generator extends only the sums whose mu
+is at most its own index, and the first generator to reach a sum is
+its mu.  This is exact for every degree vector and both gradings.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb, gcd
 from typing import Iterable, Literal, Sequence
 
@@ -54,25 +63,53 @@ def normalized_degrees(degrees: Sequence[int]) -> tuple[list[int], int]:
 def semigroup_hilbert(exps: Iterable[tuple[int, ...]], k_max: int,
                       ring: RingContext,
                       grading: Grading = "normalized") -> HilbertData:
-    """H(K[T], k) = number of distinct degree-k sums of the given exponents."""
+    """H(K[T], k) = number of distinct degree-k sums of the given exponents.
+
+    A level is a flat list of packed sums ordered by mu (the least
+    generator index that reaches the sum, see the module docstring) with
+    prefix counts ends[j] = number of sums with mu <= j.  Generator j
+    extends the prefix src[:ends[j]] of level k - d_j; what the level has
+    not seen yet has mu = j and is appended.  The last level is only
+    counted, and a level more than max(degrees) below the current one is
+    dropped.
+    """
     exps = [tuple(e) for e in exps]
     if not exps:
         raise ValueError("empty exponent list")
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
     degrees = [ring.degree(e) for e in exps]
     if any(d < 1 for d in degrees):
         raise ValueError("constant monomial in generator list")
     if grading == "normalized":
         degrees, _ = normalized_degrees(degrees)
     packed = list(zip(_pack_all(exps, k_max), degrees))
-    levels: list[set[int]] = [set() for _ in range(k_max + 1)]
-    levels[0].add(0)
+    d_max = max(degrees)
+    # level 0 holds the empty sum, which every generator may extend
+    levels: list[tuple[list[int], list[int]] | None] = [([0], [1] * len(packed))]
+    values = [1]
     for k in range(1, k_max + 1):
-        target = levels[k]
-        for g, d in packed:
+        if k > d_max:
+            levels[k - d_max - 1] = None
+        seen: set[int] = set()
+        if k == k_max:
+            for j, (g, d) in enumerate(packed):
+                if d <= k:
+                    src, src_ends = levels[k - d]
+                    seen.update(map(g.__add__, islice(src, src_ends[j])))
+            values.append(len(seen))
+            break
+        flat: list[int] = []
+        ends: list[int] = []
+        for j, (g, d) in enumerate(packed):
             if d <= k:
-                source = levels[k - d]
-                target.update(v + g for v in source)
-    values = [len(lv) for lv in levels]
+                src, src_ends = levels[k - d]
+                fresh = set(map(g.__add__, islice(src, src_ends[j]))) - seen
+                seen.update(fresh)
+                flat.extend(fresh)
+            ends.append(len(flat))
+        levels.append((flat, ends))
+        values.append(len(flat))
     return HilbertData(values=values, dim=krull_dim_monomial(exps),
                        grading=grading)
 
@@ -142,6 +179,8 @@ def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
     polys = list(polys)
     if not polys:
         raise ValueError("empty generator list")
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
     ring = polys[0].ring
     for f in polys:
         if f.is_zero() or not f.is_homogeneous():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import prod
 
 from .lp import strict_feasible
@@ -310,13 +311,27 @@ def extend_matching(matching: Matching, g: Polynomial) -> list[Matching]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _matrix_ring(m: int, n: int, characteristic: int) -> MatrixRing:
+    return MatrixRing(m, n, characteristic)
+
+
+@lru_cache(maxsize=None)
+def _sub_minor(m: int, n: int, characteristic: int, rows, cols) -> Minor:
+    """Minor of the m x n matrix ring, shared between restrictions (Minor
+    is frozen and no caller mutates its Polynomial)."""
+    return Minor(rows, cols,
+                 minor_polynomial(_matrix_ring(m, n, characteristic), rows, cols))
+
+
 def restrict_matching(matching: Matching, minor_infos: list[Minor],
                       M: MatrixRing, columns) -> tuple[list[Minor], Matching]:
     """Induced matching on the minors supported inside a column subset."""
     columns = sorted(columns)
     colset = set(columns)
     colmap = {c: i for i, c in enumerate(columns)}
-    Msub = MatrixRing(M.m, len(columns), M.ring.characteristic)
+    char = M.ring.characteristic
+    Msub = _matrix_ring(M.m, len(columns), char)
 
     def remap(exp):
         out = [0] * Msub.ring.nvars
@@ -335,8 +350,7 @@ def restrict_matching(matching: Matching, minor_infos: list[Minor],
         if not set(minor.cols) <= colset:
             continue
         cols2 = tuple(colmap[c] for c in minor.cols)
-        sub_minors.append(Minor(minor.rows, cols2,
-                                minor_polynomial(Msub, minor.rows, cols2)))
+        sub_minors.append(_sub_minor(M.m, len(columns), char, minor.rows, cols2))
         selection.append(remap(s))
     witness = None
     if matching.witness is not None:

@@ -1,16 +1,18 @@
 """Independent oracles used by the test suite.
 
 Each oracle takes a route disjoint from the implementation it checks:
-dimension counts come from the hook content formula, product counts from
-exhaustive multiset enumeration, coherence from a Caratheodory search
-for zero in the convex hull of difference vectors, determinants from
-cofactor expansion, and subalgebra Hilbert values over GF(p) from the
-mod-p rank of a dense coefficient matrix.
+dimension counts come from the hook content formula, product counts and
+semigroup Hilbert values from exhaustive multiset enumeration, coherence
+from a Caratheodory search for zero in the convex hull of difference
+vectors, determinants from cofactor expansion, and subalgebra Hilbert
+values over GF(p) from the mod-p rank of a dense coefficient matrix.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
+from math import gcd
 
 
 def schur_rectangle_dim(m: int, k: int, n: int) -> int:
@@ -48,6 +50,18 @@ def brute_product_values(exps: list[tuple[int, ...]], degrees: list[int],
                 seen.add(tuple(total))
         values[k] = len(seen)
     return values
+
+
+def semigroup_values_bruteforce(exps: list[tuple[int, ...]], weights: list[int],
+                                k_max: int, grading: str = "normalized") -> list[int]:
+    """H(k) of the monomial algebra generated by x^e for e in exps.  A
+    generator's degree is its weights-weighted exponent sum, divided by
+    the gcd of all of them under the normalized grading."""
+    degrees = [sum(w * v for w, v in zip(weights, e)) for e in exps]
+    if grading == "normalized":
+        g = reduce(gcd, degrees)
+        degrees = [d // g for d in degrees]
+    return brute_product_values(exps, degrees, k_max)
 
 
 def _solve_convex_zero(ds: list[tuple[int, ...]]) -> bool:

@@ -128,3 +128,23 @@ def test_config_gen_list_yields_to_explicit_gen(capsys, tmp_path):
                                  "--config", str(cfg)])
     assert code == 0
     assert "#SAGBI\t3" in out
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["hilbert", "--matrix", "3x3", "--minors", "2", "--kind", "semigroup",
+      "--kmax", "-1"], "--kmax"),
+    (["matchings", "--matrix", "3x7", "--minors", "3", "--workers", "1"],
+     "exceeds --cap"),
+    (["sagbi", "--matrix", "3x3", "--minors", "5"], "--minors 5"),
+    (["hilbert", "--vars", "x,y", "--gen", "x", "--gen", "1",
+      "--kind", "semigroup"], "generator 2 is constant"),
+    (["sagbi", "--vars", "x,y", "--gen", "x", "--order", "weight:-1,1"],
+     "nonnegative"),
+], ids=["negative-kmax", "cap-exceeded", "minors-too-large", "constant-generator",
+        "negative-weight"])
+def test_bad_input_is_one_line_usage_error(capsys, argv, needle):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and needle in err
+    assert err.count("\n") == 1

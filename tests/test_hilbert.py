@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_product_values, schur_rectangle_dim, subalgebra_values_mod_p
+from oracles import (brute_product_values, schur_rectangle_dim, semigroup_values_bruteforce,
+                     subalgebra_values_mod_p)
 from sagbikit.formats import parse_polynomial
 from sagbikit.hilbert import (expand_series, h_vector, krull_dim_monomial,
                               semigroup_hilbert, subalgebra_hilbert)
@@ -188,3 +189,35 @@ def test_subalgebra_hilbert_matches_mod_p_rank_oracle(case):
     polys = [Polynomial(ring, g) for g in gens]
     values = subalgebra_hilbert(polys, 3, degrevlex_order(nv)).values
     assert values == subalgebra_values_mod_p(gens, [1] * len(gens), p, 3)
+
+
+@st.composite
+def _monomial_family(draw):
+    nv = draw(st.integers(1, 4))
+    weights = draw(st.sampled_from([[1] * nv, [1 + v % 2 for v in range(nv)]]))
+    # degrees 1 to 3, so that k_max <= 5 reaches sums of several generators
+    exponent = st.lists(st.integers(0, 2), min_size=nv, max_size=nv).filter(
+        lambda e: 1 <= sum(w * v for w, v in zip(weights, e)) <= 3)
+    exps = draw(st.lists(exponent.map(tuple), min_size=1, max_size=6))
+    # duplicates and doubled copies make several generators reach one sum
+    for i in draw(st.lists(st.integers(0, len(exps) - 1), max_size=2)):
+        exps.append(draw(st.sampled_from([exps[i], tuple(2 * v for v in exps[i])])))
+    grading = draw(st.sampled_from(["normalized", "ambient"]))
+    return weights, exps, grading, draw(st.integers(0, 5))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_monomial_family())
+def test_semigroup_hilbert_matches_bruteforce_oracle(case):
+    weights, exps, grading, k_max = case
+    ring = RingContext([f"x{i}" for i in range(len(weights))], 0, weights)
+    values = semigroup_hilbert(exps, k_max, ring, grading).values
+    assert values == semigroup_values_bruteforce(exps, weights, k_max, grading)
+
+
+def test_negative_k_max_rejected():
+    R = RingContext(["x", "y"])
+    with pytest.raises(ValueError):
+        semigroup_hilbert([(1, 0)], -1, R)
+    with pytest.raises(ValueError):
+        subalgebra_hilbert([parse_polynomial(R, "x")], -1, lex_order(2))
