@@ -40,6 +40,13 @@ def _default_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _int_list(text: str, what: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{what} expects comma-separated integers, got {text!r}")
+
+
 def _build_ring(args) -> tuple[RingContext, MatrixRing | None]:
     if args.matrix and args.vars:
         raise UsageError("--matrix and --vars are mutually exclusive")
@@ -48,14 +55,20 @@ def _build_ring(args) -> tuple[RingContext, MatrixRing | None]:
             m, n = (int(v) for v in args.matrix.lower().split("x"))
         except ValueError:
             raise UsageError(f"--matrix expects MxN, got {args.matrix!r}")
-        M = MatrixRing(m, n, args.char)
+        try:
+            M = MatrixRing(m, n, args.char)
+        except ValueError as exc:
+            raise UsageError(f"--matrix {args.matrix}: {exc}")
         return M.ring, M
     if args.vars:
         names = [v.strip() for v in args.vars.split(",") if v.strip()]
         grading = None
         if getattr(args, "var_degrees", None):
-            grading = [int(v) for v in args.var_degrees.split(",")]
-        return RingContext(names, args.char, grading), None
+            grading = _int_list(args.var_degrees, "--var-degrees")
+        try:
+            return RingContext(names, args.char, grading), None
+        except ValueError as exc:
+            raise UsageError(str(exc))
     raise UsageError("a ring is required: --matrix MxN or --vars a,b,c")
 
 
@@ -106,12 +119,15 @@ def _build_order(spec: str, ring: RingContext, matrix: MatrixRing | None):
     if kind in ("lex", "degrevlex"):
         perm = None
         if rest:
-            perm = [int(v) - 1 for v in rest.split(",")]
-        return lex_order(n, perm) if kind == "lex" else degrevlex_order(n, perm)
+            perm = [v - 1 for v in _int_list(rest, f"order {kind!r}")]
+        try:
+            return lex_order(n, perm) if kind == "lex" else degrevlex_order(n, perm)
+        except ValueError:
+            raise UsageError(f"order {spec!r}: entries must be a permutation of 1..{n}")
     if kind == "weight":
         if not rest:
             raise UsageError("order 'weight' needs entries, e.g. weight:1,2,3")
-        w = [int(v) for v in rest.split(",")]
+        w = _int_list(rest, "order 'weight'")
         if len(w) != n:
             raise UsageError(f"weight length {len(w)} != {n} variables")
         if min(w) < 0:

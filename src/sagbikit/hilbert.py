@@ -12,12 +12,23 @@ k - d_j with mu(s) <= j (drop one g_j from a representation whose
 largest index is j), so each generator extends only the sums whose mu
 is at most its own index, and the first generator to reach a sum is
 its mu.  This is exact for every degree vector and both gradings.
+
+The subalgebra route packs every exponent vector into one integer by
+the order's linear key, so multiplying monomials adds keys and the
+leading monomial of a row is its largest key.  Its coefficients are
+ints: over Q the generators are cleared of denominators and rows are
+eliminated fraction-free, over GF(p) they are residues.  Its products
+are built level by level with the same least-index rule applied to
+multisets of generators: a product whose largest factor index is j is
+a product of level k - d_j with largest index at most j, times g_j.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
-from math import comb, gcd
+from math import comb, gcd, lcm
+from operator import mul
 from typing import Iterable, Literal, Sequence
 
 from .orders import MonomialOrder
@@ -45,8 +56,6 @@ def _pack_all(exps: list[tuple[int, ...]], k_max: int) -> list[int]:
 @dataclass
 class HilbertData:
     values: list[int]
-    dim: int | None = None
-    numerator: tuple[int, ...] | str | None = None
     grading: Grading = "normalized"
 
 
@@ -110,8 +119,7 @@ def semigroup_hilbert(exps: Iterable[tuple[int, ...]], k_max: int,
             ends.append(len(flat))
         levels.append((flat, ends))
         values.append(len(flat))
-    return HilbertData(values=values, dim=krull_dim_monomial(exps),
-                       grading=grading)
+    return HilbertData(values=values, grading=grading)
 
 
 def krull_dim_monomial(exps: Iterable[tuple[int, ...]]) -> int:
@@ -144,37 +152,82 @@ def krull_dim_monomial(exps: Iterable[tuple[int, ...]]) -> int:
     return rank
 
 
-def _product_rows(polys: list[Polynomial], degrees: list[int], k: int):
-    """Expanded products of generators whose degrees sum to k."""
-    rows = []
+def _times(row: dict[int, int], gen: dict[int, int], p: int) -> dict[int, int]:
+    """Product of two packed polynomials with int coefficients (mod p if p)."""
+    out: dict[int, int] = {}
+    get = out.get
+    for a, x in row.items():
+        for b, y in gen.items():
+            e = a + b
+            out[e] = get(e, 0) + x * y
+    if p:
+        return {e: v % p for e, v in out.items() if v % p}
+    return {e: v for e, v in out.items() if v}
 
-    def rec(idx: int, remaining: int, acc: Polynomial | None):
-        if remaining == 0:
-            rows.append(acc)
-            return
-        if idx == len(polys):
-            return
-        rec(idx + 1, remaining, acc)
-        d = degrees[idx]
-        prod = acc
-        used = 0
-        while remaining - d * (used + 1) >= 0:
-            used += 1
-            prod = polys[idx] if prod is None else prod * polys[idx]
-            rec(idx + 1, remaining - d * used, prod)
 
-    rec(0, k, None)
-    return rows
+def _rank(rows: list[dict[int, int]], p: int) -> int:
+    """Rank of packed rows over Q (ints, fraction-free) or GF(p).
+
+    A row is reduced by the pivot at its leading key until that key has
+    no pivot; it then becomes the pivot there, monic over GF(p) and
+    divided by its content over Q.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = max(row)
+            piv = pivots.get(lead)
+            a = row[lead]
+            if piv is None:
+                if p:
+                    inv = pow(a, -1, p)
+                    pivots[lead] = {e: v * inv % p for e, v in row.items()}
+                else:
+                    g = reduce(gcd, row.values())
+                    g = g if a > 0 else -g
+                    pivots[lead] = {e: v // g for e, v in row.items()}
+                break
+            if not p:
+                # b * row - a * piv, with the common factor g taken out
+                b = piv[lead]
+                g = gcd(a, b)
+                a //= g
+                if b != g:
+                    b //= g
+                    row = {e: v * b for e, v in row.items()}
+            for e, v in piv.items():
+                v = row.get(e, 0) - a * v
+                if p:
+                    v %= p
+                if v:
+                    row[e] = v
+                else:
+                    row.pop(e, None)
+    return len(pivots)
 
 
 def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
                        order: MonomialOrder,
                        grading: Grading = "normalized") -> HilbertData:
-    """H(K[F], k) by Gaussian elimination on degree-k products of generators.
+    """H(K[F], k) = rank of the degree-k products of generators.
 
-    Rows are reduced in order-descending leading monomial so each new
-    pivot is an initial monomial of the subalgebra.  The elimination runs
-    in the generators' own field, Q or GF(p).
+    Exponents are packed by the order's linear key (see
+    `MonomialOrder.linear_key`), with the bound max exponent * k_max that
+    no product of at most k_max generators exceeds, so multiplying
+    monomials adds packed keys and a row's leading monomial is its largest
+    key.  Over Q each generator is cleared of denominators (scaling keeps
+    the rank) and rows are eliminated fraction-free on ints; over GF(p)
+    they are residues and each pivot is made monic once.  Each pivot
+    holds a leading monomial no earlier pivot has, so the pivots' leads
+    are the initial monomials of the degree-k part of the subalgebra.
+
+    Products are built level by level as in `semigroup_hilbert`: level k
+    lists its products ordered by largest factor index, with prefix
+    counts, and generator j multiplies the products of level k - d_j
+    whose factors all have index at most j.  Each product of generators
+    is thus made once, by one multiplication, and a level more than
+    max(degrees) below the current one is freed.
     """
     polys = list(polys)
     if not polys:
@@ -190,34 +243,30 @@ def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
         raise ValueError("constant generator")
     if grading == "normalized":
         degrees, _ = normalized_degrees(degrees)
-    values = [1]
-    key = order.key
     p = ring.characteristic
+    bound = max(max(e) for f in polys for e in f.terms) * max(k_max, 1)
+    c = order.linear_key(bound)
+    gens = []
+    for f in polys:
+        den = 1 if p else lcm(*(v.denominator for v in f.terms.values()))
+        gens.append({sum(map(mul, c, e)): int(v * den) for e, v in f.terms.items()})
+    d_max = max(degrees)
+    # level 0 holds the empty product, which every generator may extend
+    levels: list[tuple[list[dict[int, int]], list[int]] | None] = [
+        ([{0: 1}], [1] * len(gens))]
+    values = [1]
     for k in range(1, k_max + 1):
-        rows = _product_rows(polys, degrees, k)
-        rows.sort(key=lambda f: key(max(f.terms, key=key)), reverse=True)
-        pivots: dict[tuple[int, ...], dict] = {}
-        rank = 0
-        for f in rows:
-            row = dict(f.terms)
-            while row:
-                lead = max(row, key=key)
-                piv = pivots.get(lead)
-                if piv is None:
-                    inv = ring.cinv(row[lead])
-                    pivots[lead] = {e: ring.cmul(c, inv) for e, c in row.items()}
-                    rank += 1
-                    break
-                factor = row[lead]
-                for e, c in piv.items():
-                    v = row.get(e, 0) - factor * c
-                    if p:
-                        v %= p
-                    if v:
-                        row[e] = v
-                    else:
-                        row.pop(e, None)
-        values.append(rank)
+        if k > d_max:
+            levels[k - d_max - 1] = None
+        rows: list[dict[int, int]] = []
+        ends: list[int] = []
+        for j, (g, d) in enumerate(zip(gens, degrees)):
+            if d <= k:
+                src, src_ends = levels[k - d]
+                rows.extend(_times(r, g, p) for r in islice(src, src_ends[j]))
+            ends.append(len(rows))
+        levels.append((rows, ends))
+        values.append(_rank(rows, p))
     return HilbertData(values=values, grading=grading)
 
 

@@ -4,6 +4,8 @@ Three kinds: lex and degrevlex (each over a permutation of the
 variables), and weight orders with a nested tiebreak.  Every order is
 realized by a key function mapping exponents to tuples compared
 lexicographically, so `max(support, key=order.key)` finds leading terms.
+The key is a tuple of integer row dot products, so on exponents with
+bounded entries one linear form (`linear_key`) orders them the same way.
 """
 from __future__ import annotations
 
@@ -40,6 +42,32 @@ class MonomialOrder:
         # weight order: weighted value first, nested order breaks ties
         w = self.weights
         return (sum(a * b for a, b in zip(w, exp)),) + self.tiebreak.key(exp)
+
+    def rows(self) -> list[tuple[int, ...]]:
+        """Integer rows whose dot products with exp give key(exp)."""
+        n = self.nvars
+        if self.kind == "lex":
+            return [tuple(int(i == p) for i in range(n)) for p in self.perm]
+        if self.kind == "degrevlex":
+            return [(1,) * n] + [tuple(-int(i == p) for i in range(n))
+                                 for p in reversed(self.perm)]
+        return [self.weights] + self.tiebreak.rows()
+
+    def linear_key(self, bound: int) -> tuple[int, ...]:
+        """Integers c such that sum(c_i * e_i) orders exponents as key does,
+        for exponents with every entry at most bound.
+
+        A row's dot product lies in [-m, m], m = bound times the largest
+        row sum of absolute values, so the difference of two lies in
+        [-2m, 2m]; the rows combined as digits in base 2m + 1 compare
+        like the key tuples.
+        """
+        rows = self.rows()
+        base = 2 * max(sum(map(abs, r)) for r in rows) * bound + 1
+        c = [0] * self.nvars
+        for r in rows:
+            c = [base * a + b for a, b in zip(c, r)]
+        return tuple(c)
 
     def compare(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
         """-1, 0 or 1 as a <, =, > b."""

@@ -5,7 +5,8 @@ dimension counts come from the hook content formula, product counts and
 semigroup Hilbert values from exhaustive multiset enumeration, coherence
 from a Caratheodory search for zero in the convex hull of difference
 vectors, determinants from cofactor expansion, and subalgebra Hilbert
-values over GF(p) from the mod-p rank of a dense coefficient matrix.
+values from the rank over Q or GF(p) of a dense coefficient matrix of
+products expanded here.
 """
 from __future__ import annotations
 
@@ -148,13 +149,34 @@ def cofactor_det(rows: list[list[int]]) -> int:
     return total
 
 
-def _multiply_mod_p(f: dict, g: dict, p: int) -> dict:
+def _multiply(f: dict, g: dict, p: int = 0) -> dict:
+    """Product of polynomials given as dicts exponent -> coefficient,
+    reduced mod p when p is nonzero."""
     out: dict = {}
     for e1, c1 in f.items():
         for e2, c2 in g.items():
             e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = (out.get(e, 0) + c1 * c2) % p
+            out[e] = out.get(e, 0) + c1 * c2
+    if p:
+        out = {e: c % p for e, c in out.items()}
     return {e: c for e, c in out.items() if c}
+
+
+def _product_matrices(gens: list[dict], degrees: list[int], k_max: int, p: int = 0):
+    """For k = 1..k_max, the dense coefficient rows of all products of
+    generator multisets of degree k (mod p when p is nonzero)."""
+    for k in range(1, k_max + 1):
+        products = []
+        for count in range(1, k // min(degrees) + 1):
+            for combo in combinations_with_replacement(range(len(gens)), count):
+                if sum(degrees[i] for i in combo) != k:
+                    continue
+                prod = gens[combo[0]]
+                for i in combo[1:]:
+                    prod = _multiply(prod, gens[i], p)
+                products.append(prod)
+        support = sorted({e for prod in products for e in prod})
+        yield [[prod.get(e, 0) for e in support] for prod in products]
 
 
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
@@ -177,22 +199,37 @@ def rank_mod_p(rows: list[list[int]], p: int) -> int:
     return rank
 
 
+def rank_rational(rows: list[list]) -> int:
+    """Rank over Q of a dense matrix of Fractions or ints (row reduction)."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pr = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                f = rows[r][col] / pr[col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
+        rank += 1
+    return rank
+
+
 def subalgebra_values_mod_p(gens: list[dict], degrees: list[int], p: int,
                             k_max: int) -> list[int]:
     """H(k) of the GF(p)-algebra generated by gens (dicts exponent -> int):
     the mod-p rank of all products of generator multisets of degree k."""
-    values = [1]
-    for k in range(1, k_max + 1):
-        products = []
-        for count in range(1, k // min(degrees) + 1):
-            for combo in combinations_with_replacement(range(len(gens)), count):
-                if sum(degrees[i] for i in combo) != k:
-                    continue
-                prod = gens[combo[0]]
-                for i in combo[1:]:
-                    prod = _multiply_mod_p(prod, gens[i], p)
-                products.append(prod)
-        support = sorted({e for prod in products for e in prod})
-        rows = [[prod.get(e, 0) for e in support] for prod in products]
-        values.append(rank_mod_p(rows, p) if rows else 0)
-    return values
+    return [1] + [rank_mod_p(rows, p) if rows else 0
+                  for rows in _product_matrices(gens, degrees, k_max, p)]
+
+
+def subalgebra_values_rational(gens: list[dict], degrees: list[int],
+                               k_max: int) -> list[int]:
+    """H(k) of the Q-algebra generated by gens (dicts exponent -> Fraction
+    or int): the rank over Q of all products of generator multisets of
+    degree k."""
+    return [1] + [rank_rational(rows) if rows else 0
+                  for rows in _product_matrices(gens, degrees, k_max)]

@@ -140,8 +140,19 @@ def test_config_gen_list_yields_to_explicit_gen(capsys, tmp_path):
       "--kind", "semigroup"], "generator 2 is constant"),
     (["sagbi", "--vars", "x,y", "--gen", "x", "--order", "weight:-1,1"],
      "nonnegative"),
+    (["hilbert", "--matrix", "0x3", "--minors", "1"], "must be positive"),
+    (["hilbert", "--vars", "x,y", "--var-degrees", "0,1", "--gen", "x"],
+     "must be >= 1"),
+    (["hilbert", "--vars", "x,y", "--gen", "x", "--order", "lex:a,b"],
+     "comma-separated integers"),
+    (["hilbert", "--vars", "x,y", "--gen", "x", "--order", "lex:1,1"],
+     "permutation of 1..2"),
+    (["hilbert", "--vars", "x,y", "--gen", "x", "--order", "weight:1,z"],
+     "comma-separated integers"),
+    (["hilbert", "--vars", "x,y", "--gen", "x", "--char", "4"], "0 or prime"),
 ], ids=["negative-kmax", "cap-exceeded", "minors-too-large", "constant-generator",
-        "negative-weight"])
+        "negative-weight", "empty-matrix", "zero-var-degree", "non-integer-perm",
+        "repeated-perm", "non-integer-weight", "composite-char"])
 def test_bad_input_is_one_line_usage_error(capsys, argv, needle):
     code, out, err = _run(capsys, argv)
     assert code == 2

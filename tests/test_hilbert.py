@@ -1,17 +1,20 @@
 import random
-from math import comb
+from fractions import Fraction
+from functools import reduce
+from itertools import product
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_product_values, schur_rectangle_dim, semigroup_values_bruteforce,
-                     subalgebra_values_mod_p)
+                     subalgebra_values_mod_p, subalgebra_values_rational)
 from sagbikit.formats import parse_polynomial
 from sagbikit.hilbert import (expand_series, h_vector, krull_dim_monomial,
                               semigroup_hilbert, subalgebra_hilbert)
 from sagbikit.minors import MatrixRing, diagonal_order, minors
-from sagbikit.orders import degrevlex_order, lex_order
+from sagbikit.orders import degrevlex_order, lex_order, weight_order
 from sagbikit.rings import Polynomial, RingContext
 from sagbikit.universal import diagonal_matching
 
@@ -29,6 +32,17 @@ def test_single_monomial_algebra():
     f = parse_polynomial(R, "x")
     assert subalgebra_hilbert([f], 5, lex_order(1)).values == [1] * 6
     assert semigroup_hilbert([(1,)], 5, R).values == [1] * 6
+
+
+@pytest.mark.parametrize("order", [
+    lex_order(3), degrevlex_order(3, (2, 0, 1)),
+    weight_order((0, 1, 0), lex_order(3, (1, 2, 0)))], ids=["lex", "degrevlex", "weight"])
+def test_polynomial_ring_has_every_monomial(order):
+    # products of up to 8 variables have exponents 8 times a generator's,
+    # so a packing bound that ignored k_max would merge monomials
+    R = RingContext(["x", "y", "z"])
+    gens = [Polynomial.variable(R, i) for i in range(3)]
+    assert subalgebra_hilbert(gens, 8, order).values == [comb(k + 2, 2) for k in range(9)]
 
 
 def test_g36_degree_two():
@@ -168,27 +182,68 @@ def test_subalgebra_over_gf2_ranks_mod_2():
     assert subalgebra_hilbert(gens, 3, degrevlex_order(3)).values == [1, 2, 3, 4]
 
 
+def _monomials_of_degree(weights, d):
+    return [e for e in product(range(d + 1), repeat=len(weights))
+            if sum(w * v for w, v in zip(weights, e)) == d]
+
+
 @st.composite
-def _homogeneous_family_mod_p(draw):
-    p = draw(st.sampled_from([2, 3, 5]))
-    nv = draw(st.integers(2, 3))
-    deg = draw(st.integers(1, 2))
-    monomial = st.lists(st.integers(0, deg), min_size=nv, max_size=nv).filter(
-        lambda e: sum(e) == deg).map(tuple)
-    gens = draw(st.lists(
-        st.dictionaries(monomial, st.integers(1, p - 1), min_size=1, max_size=3),
-        min_size=1, max_size=4))
-    return p, nv, gens
+def _order(draw, nv):
+    perm = draw(st.permutations(range(nv)))
+    kind = draw(st.sampled_from(["lex", "degrevlex", "weight"]))
+    base = (degrevlex_order if kind == "degrevlex" else lex_order)(nv, perm)
+    if kind != "weight":
+        return base
+    return weight_order(draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv)), base)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(_homogeneous_family_mod_p())
+@st.composite
+def _homogeneous_family(draw, p):
+    """Generators of mixed degrees 1-3, homogeneous for unit or 1/2 variable
+    weights, with coefficients in GF(p), or fractions of either sign when
+    p is 0; an order of any kind, a grading and k_max."""
+    nv = draw(st.integers(1, 3))
+    weights = draw(st.sampled_from([[1] * nv, [1 + v % 2 for v in range(nv)]]))
+    if p:
+        coeff = st.integers(1, p - 1)
+    else:
+        coeff = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        monomial = st.sampled_from(_monomials_of_degree(weights, draw(st.integers(1, 3))))
+        gens.append(draw(st.dictionaries(monomial, coeff, min_size=1, max_size=3)))
+    grading = draw(st.sampled_from(["normalized", "ambient"]))
+    return weights, gens, draw(_order(nv)), grading, draw(st.integers(0, 4))
+
+
+def _degrees(weights, gens, grading):
+    degrees = [sum(w * v for w, v in zip(weights, next(iter(g)))) for g in gens]
+    if grading == "normalized":
+        degrees = [d // reduce(gcd, degrees) for d in degrees]
+    return degrees
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5]).flatmap(
+    lambda p: st.tuples(st.just(p), _homogeneous_family(p))))
 def test_subalgebra_hilbert_matches_mod_p_rank_oracle(case):
-    p, nv, gens = case
-    ring = RingContext([f"x{i}" for i in range(nv)], p)
+    p, (weights, gens, order, grading, k_max) = case
+    ring = RingContext([f"x{i}" for i in range(len(weights))], p, weights)
     polys = [Polynomial(ring, g) for g in gens]
-    values = subalgebra_hilbert(polys, 3, degrevlex_order(nv)).values
-    assert values == subalgebra_values_mod_p(gens, [1] * len(gens), p, 3)
+    values = subalgebra_hilbert(polys, k_max, order, grading).values
+    assert values == subalgebra_values_mod_p(gens, _degrees(weights, gens, grading),
+                                             p, k_max)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_homogeneous_family(0))
+def test_subalgebra_hilbert_matches_rational_rank_oracle(case):
+    weights, gens, order, grading, k_max = case
+    ring = RingContext([f"x{i}" for i in range(len(weights))], 0, weights)
+    polys = [Polynomial(ring, g) for g in gens]
+    values = subalgebra_hilbert(polys, k_max, order, grading).values
+    assert values == subalgebra_values_rational(gens, _degrees(weights, gens, grading),
+                                                k_max)
 
 
 @st.composite

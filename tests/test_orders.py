@@ -148,3 +148,25 @@ def test_weight_selects_agrees_with_weight_order():
         except TieError:
             continue
         assert sel == leading_term(order, f)[0]
+
+
+@pytest.mark.parametrize("kind", range(3))
+def test_linear_key_orders_like_key(kind):
+    rng = random.Random(11 + kind)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        order = _random_orders(rng, n)[kind]
+        if kind == 2 and rng.random() < 0.5:
+            # a nested weight order, with zero weights in the outer vector
+            w = [rng.choice([0, 0, 1, 3]) for _ in range(n)]
+            order = weight_order(w, order)
+        bound = rng.randint(1, 6)
+        c = order.linear_key(bound)
+        for _ in range(20):
+            a = tuple(rng.choice([0, bound, rng.randint(0, bound)]) for _ in range(n))
+            b = tuple(rng.choice([0, bound, rng.randint(0, bound)]) for _ in range(n))
+            la = sum(x * y for x, y in zip(c, a))
+            lb = sum(x * y for x, y in zip(c, b))
+            assert (la > lb) - (la < lb) == order.compare(a, b)
+            assert order.key(a) == tuple(sum(x * y for x, y in zip(r, a))
+                                         for r in order.rows())
