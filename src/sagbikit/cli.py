@@ -158,24 +158,29 @@ def cmd_sagbi(args) -> int:
     ring, matrix = _build_ring(args)
     gens = _build_generators(args, ring, matrix)
     order = _build_order(args.order, ring, matrix)
+    complete = sagbi_general
+    if args.variant in ("deg", "degree"):
+        if args.degree_bound is None:
+            raise UsageError(f"--variant {args.variant} needs --degree-bound")
+        if not all(f.is_homogeneous() for f in gens):
+            raise UsageError(f"--variant {args.variant} needs homogeneous generators")
+        complete = sagbi_by_degree
+    bounds = {"round_bound": args.round_bound, "degree_bound": args.degree_bound}
     if args.relations:
-        result, retract, rels = sagbi_with_relations(
-            gens, order, variant=args.variant,
-            round_bound=args.round_bound, degree_bound=args.degree_bound)
+        result, retract, rels = sagbi_with_relations(gens, order, complete=complete,
+                                                     **bounds)
         rels = minimize_relations(rels)
         ok, witness = verify_relations(result.basis, rels)
         if not ok:
             _emit([f"FAIL relation does not vanish: {poly_to_text(witness)}"])
             return 1
+        bad = retract.mismatch(result.basis)
+        if bad is not None:
+            _emit([f"FAIL retract image of {result.basis.tags()[bad]} does not "
+                   f"reproduce it: {poly_to_text(retract.image(bad))}"])
+            return 1
     else:
-        family = GeneratorFamily(gens, order)
-        if args.variant == "deg":
-            if args.degree_bound is None:
-                raise UsageError("--variant deg needs --degree-bound")
-            result = sagbi_by_degree(family, args.degree_bound)
-        else:
-            result = sagbi_general(family, round_bound=args.round_bound,
-                                   degree_bound=args.degree_bound)
+        result = complete(GeneratorFamily(gens, order), **bounds)
         retract = rels = None
     lines = _job_header("relations" if args.relations else "sagbi", args)
     lines.append(f"# status: {result.status}; rounds: {result.rounds}"

@@ -1,10 +1,17 @@
 """Subduction and the SAGBI completion loop.
 
-The general variant recomputes the binomial kernel of the initial
-monomials each round, subduces every binomial against the frozen
-round-start family, and appends the nonzero remainders.  The
-degree-by-degree variant does the same work filtered by normalized
-degree, advancing one degree at a time.
+One loop serves both variants.  A pass subduces tete-a-tetes (binomial
+generators of the kernel of the initial monomials) against the frozen
+family, then appends every nonzero remainder, made monic; the kernel is
+recomputed only after an append.  The loop's one parameter is a degree
+window.  Without one (`sagbi_general`) a pass, or round, takes every
+tete-a-tete up to the degree bound, and a pass that appends nothing ends
+the run.  With one (`sagbi_by_degree`, homogeneous input) the window
+starts at 1 and a pass takes only the tete-a-tetes inside it not yet
+subduced against the current family; the window grows by one when a pass
+appends nothing or nothing is pending, and the run is complete at the
+first window that holds every tete-a-tete with nothing pending.  A round
+bound stops either variant before a pass that would exceed it.
 
 A bookkeeper with callbacks `on_new_element(binomial, trace, index,
 divisor)` and `on_relation(binomial, trace)` can observe every
@@ -12,12 +19,12 @@ subduction outcome; the defining-ideal module plugs in there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .groebner import Binomial, PresentationRing, toric_kernel
 from .orders import MonomialOrder, leading_exponent, leading_term, make_monic
-from .rings import Polynomial, RingContext
+from .rings import Polynomial
 
 
 @dataclass
@@ -35,13 +42,11 @@ class SubductionTrace:
 class GeneratorFamily:
     """Ordered monic generators with their tags and initial monomials."""
 
-    def __init__(self, polys: list[Polynomial], order: MonomialOrder,
-                 tag_prefix: str = "Y"):
+    def __init__(self, polys: list[Polynomial], order: MonomialOrder):
         if not polys:
             raise ValueError("empty generator family")
         self.ring = polys[0].ring
         self.order = order
-        self.tag_prefix = tag_prefix
         self.members: list[Polynomial] = []
         self.input_divisors: list[object] = []
         self.initials: list[tuple[int, ...]] = []
@@ -63,7 +68,7 @@ class GeneratorFamily:
         d = self.ring.degree(self.initials[-1])
         self.norm_gcd = gcd(self.norm_gcd, d)
         idx = len(self.members) - 1
-        self.presentation.append(f"{self.tag_prefix}{idx + 1}", d)
+        self.presentation.append(f"Y{idx + 1}", d)
         return idx
 
     def __len__(self):
@@ -183,7 +188,6 @@ class SagbiResult:
     status: str  # "complete" or "truncated"
     rounds: int
     comp_degree: int | None = None
-    new_element_log: list[tuple[int, Binomial, int]] = field(default_factory=list)
 
     def max_degree(self) -> int:
         return max(self.basis.normalized_degree(i) for i in range(len(self.basis)))
@@ -197,89 +201,64 @@ class _NullBookkeeper:
         pass
 
 
+def _complete(family: GeneratorFamily, window: int | None, round_bound: int | None,
+              degree_bound: int | None, bookkeeper) -> SagbiResult:
+    """The completion loop; see the module docstring for the window."""
+    bk = bookkeeper or _NullBookkeeper()
+    rounds = 0
+    binomials = None
+    while True:
+        if window is not None and window > degree_bound:
+            return SagbiResult(family, "truncated", rounds)
+        if binomials is None:
+            binomials, done = tete_a_tetes(family), set()
+        limit = degree_bound if window is None else window
+        pending = [b for b in binomials if (b.plus, b.minus) not in done
+                   and (limit is None or family.binomial_degree(b) <= limit)]
+        if window is None or pending:
+            if round_bound is not None and rounds >= round_bound:
+                return SagbiResult(family, "truncated", rounds)
+            rounds += 1
+            fresh = []
+            for b in pending:
+                trace = subduct(family.phi_binomial(b), family, tail=True)
+                done.add((b.plus, b.minus))
+                if trace.remainder.is_zero():
+                    bk.on_relation(b, trace)
+                else:
+                    fresh.append((b, trace))
+            for b, trace in fresh:
+                divisor = trace.monic_divisor
+                idx = family.append(trace.remainder.scale(family.ring.cinv(divisor)))
+                bk.on_new_element(b, trace, idx, divisor)
+            if fresh:
+                binomials = None
+                continue
+            if window is None:
+                status = "truncated" if len(pending) < len(binomials) else "complete"
+                return SagbiResult(family, status, rounds)
+        elif all(family.binomial_degree(b) <= window for b in binomials):
+            return SagbiResult(family, "complete", rounds, comp_degree=window)
+        window += 1
+
+
 def sagbi_general(family: GeneratorFamily, *, round_bound: int | None = None,
                   degree_bound: int | None = None,
                   bookkeeper=None) -> SagbiResult:
     """Round-based SAGBI completion (no grading assumptions)."""
-    bk = bookkeeper or _NullBookkeeper()
-    log: list[tuple[int, Binomial, int]] = []
-    rounds = 0
-    while True:
-        if round_bound is not None and rounds >= round_bound:
-            return SagbiResult(family, "truncated", rounds, new_element_log=log)
-        binomials = tete_a_tetes(family)
-        if degree_bound is not None:
-            skipped = [b for b in binomials
-                       if family.binomial_degree(b) > degree_bound]
-            binomials = [b for b in binomials
-                         if family.binomial_degree(b) <= degree_bound]
-        else:
-            skipped = []
-        fresh: list[tuple[Binomial, SubductionTrace, Polynomial, object]] = []
-        for b in binomials:
-            trace = subduct(family.phi_binomial(b), family, tail=True)
-            if trace.remainder.is_zero():
-                bk.on_relation(b, trace)
-            else:
-                monic = trace.remainder.scale(family.ring.cinv(trace.monic_divisor))
-                fresh.append((b, trace, monic, trace.monic_divisor))
-        rounds += 1
-        if not fresh:
-            status = "truncated" if skipped else "complete"
-            return SagbiResult(family, status, rounds, new_element_log=log)
-        for b, trace, monic, divisor in fresh:
-            idx = family.append(monic)
-            log.append((rounds, b, idx))
-            bk.on_new_element(b, trace, idx, divisor)
+    return _complete(family, None, round_bound, degree_bound, bookkeeper)
 
 
 def sagbi_by_degree(family: GeneratorFamily, degree_bound: int,
-                    bookkeeper=None) -> SagbiResult:
+                    bookkeeper=None, *, round_bound: int | None = None) -> SagbiResult:
     """Degree-by-degree SAGBI completion for graded homogeneous input.
 
-    Processes tete-a-tetes in increasing normalized degree; completeness
-    is recognized at the first degree with nothing left to subduce.
+    Completeness is recognized at the first degree with nothing left to
+    subduce, which is reported as the completion degree.
     """
     if not family.is_homogeneous():
         raise ValueError("degree-by-degree variant needs homogeneous generators")
-    bk = bookkeeper or _NullBookkeeper()
-    log: list[tuple[int, Binomial, int]] = []
-    d = 1
-    rounds = 0
-    binomials = tete_a_tetes(family)
-    processed: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    while d <= degree_bound:
-        pending = [b for b in binomials
-                   if family.binomial_degree(b) <= d
-                   and (b.plus, b.minus) not in processed]
-        if not pending:
-            if all(family.binomial_degree(b) <= d for b in binomials):
-                return SagbiResult(family, "complete", rounds, comp_degree=d,
-                                   new_element_log=log)
-            d += 1
-            continue
-        rounds += 1
-        fresh = []
-        for b in pending:
-            trace = subduct(family.phi_binomial(b), family, tail=True)
-            processed.add((b.plus, b.minus))
-            if trace.remainder.is_zero():
-                bk.on_relation(b, trace)
-            else:
-                monic = trace.remainder.scale(family.ring.cinv(trace.monic_divisor))
-                fresh.append((b, trace, monic, trace.monic_divisor))
-        if fresh:
-            for b, trace, monic, divisor in fresh:
-                idx = family.append(monic)
-                log.append((d, b, idx))
-                bk.on_new_element(b, trace, idx, divisor)
-            # the family changed: all kernel binomials must be rechecked
-            binomials = tete_a_tetes(family)
-            processed = set()
-        else:
-            d += 1
-    return SagbiResult(family, "truncated", rounds, comp_degree=None,
-                       new_element_log=log)
+    return _complete(family, 1, round_bound, degree_bound, bookkeeper)
 
 
 def is_sagbi_up_to(family: GeneratorFamily, k_max: int,

@@ -325,9 +325,6 @@ class PresentationRing:
         self.degrees.append(degree)
         return len(self.tags) - 1
 
-    def context(self) -> RingContext:
-        return RingContext(self.tags, 0, self.degrees)
-
     def __len__(self):
         return len(self.tags)
 

@@ -122,34 +122,45 @@ def semigroup_hilbert(exps: Iterable[tuple[int, ...]], k_max: int,
     return HilbertData(values=values, grading=grading)
 
 
+def _clear(row: list[int], pivot_row: list[int], col: int) -> list[int]:
+    """row with its entry in column col cleared against pivot_row,
+    fraction-free (no division, exact over the rationals)."""
+    v = row[col]
+    if not v:
+        return row
+    pv = pivot_row[col]
+    return [a * pv - v * b for a, b in zip(row, pivot_row)]
+
+
+def row_echelon(vectors: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Fraction-free row echelon form of integer vectors: the nonzero rows,
+    each with its first nonzero entry right of the row before's."""
+    rows = [list(v) for v in vectors]
+    echelon: list[list[int]] = []
+    col = 0
+    while rows and col < len(rows[0]):
+        i = next((i for i, r in enumerate(rows) if r[col]), None)
+        if i is not None:
+            echelon.append(rows.pop(i))
+            rows = [_clear(r, echelon[-1], col) for r in rows]
+        col += 1
+    return echelon
+
+
+def in_row_span(vector: Sequence[int], echelon: list[list[int]]) -> bool:
+    """Whether the vector lies in the rational span of `row_echelon` rows."""
+    v = list(vector)
+    for row in echelon:
+        v = _clear(v, row, next(i for i, x in enumerate(row) if x))
+    return not any(v)
+
+
 def krull_dim_monomial(exps: Iterable[tuple[int, ...]]) -> int:
     """Rank of the exponent vectors over the rationals."""
-    rows = [list(e) for e in exps]
-    if not rows:
+    exps = list(exps)
+    if not exps:
         raise ValueError("empty exponent list")
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        pv = pr[col]
-        for r in range(rank + 1, len(rows)):
-            v = rows[r][col]
-            if v:
-                row = rows[r]
-                rows[r] = [a * pv - v * b for a, b in zip(row, pr)]
-        rank += 1
-        col += 1
-    return rank
+    return len(row_echelon(exps))
 
 
 def _times(row: dict[int, int], gen: dict[int, int], p: int) -> dict[int, int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import GeneratorFamily, SagbiResult, sagbi_by_degree, sagbi_general
+from .engine import GeneratorFamily, SagbiResult, sagbi_general
 from .groebner import Binomial, buchberger, normal_form
 from .orders import MonomialOrder, degrevlex_order, weight_order
 from .rings import Polynomial, RingContext
@@ -47,13 +47,15 @@ class Retract:
             out = out - self.of_monomial(factor).scale(coeff)
         return out
 
+    def mismatch(self, family: GeneratorFamily) -> int | None:
+        """First u whose pi(rho(Y_u)) is not the stored basis element f_u."""
+        originals = family.members[:family.n_original]
+        return next((idx for idx, img in enumerate(self.images)
+                     if img.substitute(originals) != family.members[idx]), None)
+
     def verify(self, family: GeneratorFamily) -> bool:
         """pi(rho(Y_u)) must reproduce the stored basis element f_u."""
-        originals = family.members[:family.n_original]
-        for idx, img in enumerate(self.images):
-            if img.substitute(originals) != family.members[idx]:
-                return False
-        return True
+        return self.mismatch(family) is None
 
 
 @dataclass
@@ -101,22 +103,17 @@ def interreduce(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomia
 
 
 def sagbi_with_relations(polys: list[Polynomial], order: MonomialOrder, *,
-                         variant: str = "general",
-                         round_bound: int | None = None,
+                         complete=None, round_bound: int | None = None,
                          degree_bound: int | None = None
                          ) -> tuple[SagbiResult, Retract, RelationSet]:
-    """Run the SAGBI loop while accumulating the defining ideal."""
+    """Run a completion loop while accumulating the defining ideal.
+
+    `complete` is `sagbi_general` (the default) or `sagbi_by_degree`.
+    """
     family = GeneratorFamily(polys, order)
     bk = RelationBookkeeper(family)
-    if variant == "general":
-        result = sagbi_general(family, round_bound=round_bound,
-                               degree_bound=degree_bound, bookkeeper=bk)
-    elif variant == "degree":
-        if degree_bound is None:
-            raise ValueError("degree variant needs a degree bound")
-        result = sagbi_by_degree(family, degree_bound, bookkeeper=bk)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    result = (complete or sagbi_general)(family, round_bound=round_bound,
+                                         degree_bound=degree_bound, bookkeeper=bk)
     p0 = bk.retract.p0
     gens = interreduce(bk.relations, _p0_order(p0))
     gens.sort(key=lambda g: (g.degree(), g.key()))

@@ -12,12 +12,12 @@ import random
 from dataclasses import dataclass, field
 from math import comb
 
-from .hilbert import expand_series, krull_dim_monomial, semigroup_hilbert
+from .hilbert import expand_series, in_row_span, row_echelon, semigroup_hilbert
 from .matchings import (Matching, enumerate_vertices_exhaustive, extend_matching,
-                        full_support, is_coherent, make_matching,
-                        matching_from_weight, restrict_matching)
-from .minors import (CanonicalGroup, MatrixRing, bracket, bracket_name,
-                     determinant, full_group, minors, pattern_stabilizer)
+                        is_coherent, make_matching, matching_from_weight,
+                        restrict_matching)
+from .minors import (MatrixRing, bracket, bracket_name, determinant, full_group,
+                     minors, pattern_stabilizer)
 from .orders import TieError
 from .rings import Polynomial
 
@@ -242,32 +242,6 @@ def diagonal_matching(M: MatrixRing, minor_list) -> Matching:
     return make_matching(fam, sel)
 
 
-def _row_space(exps):
-    """Row-reduced rational basis of the span, as a pivot list for
-    membership tests (fraction-free)."""
-    rows = [list(e) for e in exps]
-    basis: list[list[int]] = []
-    for row in rows:
-        row = _reduce_against(row, basis)
-        if any(row):
-            basis.append(row)
-    return basis
-
-
-def _reduce_against(row, basis):
-    row = list(row)
-    for b in basis:
-        piv = next(i for i, v in enumerate(b) if v)
-        if row[piv]:
-            f1, f2 = b[piv], row[piv]
-            row = [a * f1 - f2 * c for a, c in zip(row, b)]
-    return row
-
-
-def _in_span(exp, basis) -> bool:
-    return not any(_reduce_against(list(exp), basis))
-
-
 def random_coherent_matching(fam, rng, box: int = 10 ** 6) -> Matching:
     """Rejection-sample a generic positive integer weight vector."""
     nvars = fam[0].ring.nvars
@@ -363,13 +337,13 @@ def verify_g37_sampled(count: int, seed: int) -> CaseReport:
         # inside the rational span of the matching (the Hilbert bound
         # caps the semigroup dimension at 13), so terms outside it are
         # infeasible without an LP call
-        span = _row_space(T.selection)
+        span = row_echelon(T.selection)
         if len(span) != 3 * (7 - 3) + 1:
             raise VerificationError(
                 f"sample {sample_idx}: matching rank {len(span)} != 13", T)
         term_choices = []
         for g in transported:
-            cands = [t for t in sorted(g.terms) if _in_span(t, span)]
+            cands = [t for t in sorted(g.terms) if in_row_span(t, span)]
             feasible = [t for t in cands
                         if is_coherent(list(T.family) + [g], T.selection + (t,))
                         is not None]

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sagbikit import cli
 from sagbikit.cli import main
 
 
@@ -150,12 +155,76 @@ def test_config_gen_list_yields_to_explicit_gen(capsys, tmp_path):
     (["hilbert", "--vars", "x,y", "--gen", "x", "--order", "weight:1,z"],
      "comma-separated integers"),
     (["hilbert", "--vars", "x,y", "--gen", "x", "--char", "4"], "0 or prime"),
+    (["relations", "--vars", "x,y", "--gen", "x+y", "--gen", "x*y",
+      "--variant", "degree"], "--variant degree needs --degree-bound"),
+    (["sagbi", "--vars", "x,y", "--gen", "x+y^2", "--gen", "x*y",
+      "--variant", "deg", "--degree-bound", "4"], "needs homogeneous generators"),
+    (["relations", "--vars", "x,y", "--gen", "x+y^2", "--gen", "x*y",
+      "--variant", "degree", "--degree-bound", "4"], "needs homogeneous generators"),
 ], ids=["negative-kmax", "cap-exceeded", "minors-too-large", "constant-generator",
         "negative-weight", "empty-matrix", "zero-var-degree", "non-integer-perm",
-        "repeated-perm", "non-integer-weight", "composite-char"])
+        "repeated-perm", "non-integer-weight", "composite-char",
+        "degree-without-bound", "inhomogeneous-deg", "inhomogeneous-degree"])
 def test_bad_input_is_one_line_usage_error(capsys, argv, needle):
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("usage error:") and needle in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, variant", [("sagbi", "deg"), ("relations", "degree")])
+def test_degree_variant_honours_round_bound(capsys, command, variant):
+    code, out, _ = _run(capsys, [command, "--vars", "x,y", "--gen", "x+y",
+                                 "--gen", "x*y", "--gen", "x*y^2", "--order", "lex",
+                                 "--variant", variant, "--degree-bound", "6",
+                                 "--round-bound", "1"])
+    assert code == 0
+    assert "# status: truncated; rounds: 1\n" in out
+
+
+def test_relations_checks_the_retract_images(capsys, monkeypatch):
+    computed = cli.sagbi_with_relations
+
+    def corrupted(*args, **kwargs):
+        result, retract, rels = computed(*args, **kwargs)
+        retract.images[-1] = retract.images[-1].scale(2)
+        return result, retract, rels
+
+    monkeypatch.setattr(cli, "sagbi_with_relations", corrupted)
+    code, out, _ = _run(capsys, ["relations", "--matrix", "3x3", "--minors", "2",
+                                 "--order", "diag"])
+    assert code == 1
+    assert out.startswith("FAIL retract image of Y11 does not reproduce it: ")
+    assert out.count("\n") == 1
+
+
+# Under the default degrevlex order the loop ends without bounds on every
+# family of up to three of these (under lex, x*y, x^2+y^2, x+y^2 does not);
+# the pool holds inhomogeneous and constant members.
+_POOL = ("x", "y", "x+y", "x*y", "x^2+y^2", "x^2-x*y", "x+y^2", "x^2+y", "x*y-1", "2")
+_BOUND = st.sampled_from([None, -1, 0, 1, 2, 3, 4])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([("sagbi", "gen"), ("sagbi", "deg"),
+                        ("relations", "general"), ("relations", "degree")]),
+       _BOUND, _BOUND, st.lists(st.sampled_from(_POOL), min_size=1, max_size=3))
+def test_sagbi_options_exit_0_or_2_without_traceback(command, degree_bound,
+                                                     round_bound, gens):
+    name, variant = command
+    argv = [name, "--vars", "x,y", "--variant", variant]
+    argv += [a for g in gens for a in ("--gen", g)]
+    for flag, value in (("--degree-bound", degree_bound), ("--round-bound", round_bound)):
+        if value is not None:
+            argv += [flag, str(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("usage error:")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert code == 0 and err.getvalue() == ""
+        assert "\n# status: " in out.getvalue()

@@ -119,6 +119,26 @@ def test_sagbi_by_degree_agrees_and_reports_completion_degree():
     assert len(res24.basis) == 6 and res24.max_degree() == 1
 
 
+class _CountingBookkeeper:
+    def __init__(self):
+        self.relations = self.new_elements = 0
+
+    def on_relation(self, binomial, trace):
+        self.relations += 1
+
+    def on_new_element(self, binomial, trace, index, divisor):
+        self.new_elements += 1
+
+
+def test_sagbi_by_degree_reports_every_subduction_to_the_bookkeeper():
+    R = RingContext(["x", "y"])
+    gens = [parse_polynomial(R, t) for t in ("x+y", "x*y", "x*y^2")]
+    bk = _CountingBookkeeper()
+    res = sagbi_by_degree(GeneratorFamily(gens, lex_order(2)), 6, bk)
+    assert (bk.relations, bk.new_elements) == (8, 4)
+    assert res.rounds == 6 and len(res.basis) == 7
+
+
 def test_sagbi_by_degree_rejects_inhomogeneous():
     R = RingContext(["x", "y"])
     fam = GeneratorFamily([parse_polynomial(R, "x + y^2")], lex_order(2))

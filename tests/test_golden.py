@@ -1,9 +1,11 @@
 """Golden CLI transcripts: stdout must stay byte-identical.
 
 Each case is a README example (with small parameters where the README
-one is slow) plus the G(2,6) Pluecker relations job.  The transcripts in
-tests/golden/ were captured before the binomial toric kernel replaced
-the coefficient elimination.  To re-capture after a deliberate output
+one is slow), the G(2,6) Pluecker relations job, and four runs of the
+SAGBI completion loop (degree windows, --degree-bound and --round-bound
+truncation).  The first ten transcripts in tests/golden/ were captured
+before the binomial toric kernel replaced the coefficient elimination,
+the loop runs before the two loop variants were merged into one.  To re-capture after a deliberate output
 change, run `PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
 from __future__ import annotations
@@ -40,6 +42,17 @@ CASES = {
                               "--kmax", "5"],
     "relations-2x6-diag": ["relations", "--matrix", "2x6", "--minors", "2",
                            "--order", "diag"],
+    # the completion loop: degree windows, both bounds, comp-degree 3
+    "relations-xy-degree": ["relations", "--vars", "x,y", "--gen", "x+y",
+                            "--gen", "x*y", "--gen", "x*y^2", "--order", "lex",
+                            "--variant", "degree", "--degree-bound", "6"],
+    "sagbi-2x4-degree": ["sagbi", "--matrix", "2x4", "--minors", "2",
+                         "--order", "diag", "--variant", "deg",
+                         "--degree-bound", "8"],
+    "sagbi-3x3-degree-bound-2": ["sagbi", "--matrix", "3x3", "--minors", "2",
+                                 "--order", "diag", "--degree-bound", "2"],
+    "sagbi-3x3-round-bound-1": ["sagbi", "--matrix", "3x3", "--minors", "2",
+                                "--order", "diag", "--round-bound", "1"],
 }
 
 

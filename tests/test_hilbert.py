@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_product_values, schur_rectangle_dim, semigroup_values_bruteforce,
-                     subalgebra_values_mod_p, subalgebra_values_rational)
+from oracles import (brute_product_values, rank_rational, schur_rectangle_dim,
+                     semigroup_values_bruteforce, subalgebra_values_mod_p,
+                     subalgebra_values_rational)
 from sagbikit.formats import parse_polynomial
-from sagbikit.hilbert import (expand_series, h_vector, krull_dim_monomial,
-                              semigroup_hilbert, subalgebra_hilbert)
+from sagbikit.hilbert import (expand_series, h_vector, in_row_span, krull_dim_monomial,
+                              row_echelon, semigroup_hilbert, subalgebra_hilbert)
 from sagbikit.minors import MatrixRing, diagonal_order, minors
 from sagbikit.orders import degrevlex_order, lex_order, weight_order
 from sagbikit.rings import Polynomial, RingContext
@@ -276,3 +277,22 @@ def test_negative_k_max_rejected():
         semigroup_hilbert([(1, 0)], -1, R)
     with pytest.raises(ValueError):
         subalgebra_hilbert([parse_polynomial(R, "x")], -1, lex_order(2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=5),
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    st.lists(st.integers(-2, 2), min_size=5, max_size=5),
+    st.booleans())))
+def test_row_span_membership_matches_rational_rank(data):
+    rows, v, coeffs, inside = data
+    if inside:  # an integer combination of the rows
+        v = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(len(v))]
+    echelon = row_echelon(rows)
+    assert len(echelon) == rank_rational(rows)
+    pivots = [next(i for i, x in enumerate(r) if x) for r in echelon]
+    assert pivots == sorted(set(pivots))
+    assert in_row_span(v, echelon) == (rank_rational(rows + [v]) == rank_rational(rows))
+    if inside:
+        assert in_row_span(v, echelon)
