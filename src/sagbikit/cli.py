@@ -17,7 +17,7 @@ from .engine import GeneratorFamily, sagbi_by_degree, sagbi_general
 from .formats import ParseError, parse_polynomial, poly_to_text
 from .hilbert import h_vector, krull_dim_monomial, semigroup_hilbert, subalgebra_hilbert
 from .matchings import (enumerate_vertices_exhaustive, enumerate_vertices_random,
-                        full_support, sagbi_defect)
+                        first_defect, full_support)
 from .minors import (MatrixRing, diagonal_order, full_group, minors,
                      submax_lex_order)
 from .orders import degrevlex_order, lex_order, weight_order
@@ -237,9 +237,9 @@ def cmd_matchings(args) -> int:
     rows = []
     for entry in catalog.orbits:
         rep = entry.representative
-        defect = sagbi_defect(rep, reference, ref_k, args.grading)
-        dim = krull_dim_monomial(rep.selection)
         values = semigroup_hilbert(rep.selection, k_max, ring, args.grading).values
+        defect = first_defect(values, reference, ref_k)
+        dim = krull_dim_monomial(rep.selection)
         hv = h_vector(values, dim)
         rows.append({
             "canonical": list(entry.canonical),

@@ -24,7 +24,7 @@ from math import gcd
 
 from .groebner import Binomial, PresentationRing, toric_kernel
 from .orders import MonomialOrder, leading_exponent, leading_term, make_monic
-from .rings import Polynomial
+from .rings import Polynomial, power_product
 
 
 @dataclass
@@ -85,12 +85,7 @@ class GeneratorFamily:
 
     def phi_monomial(self, exponent: dict[int, int] | tuple[int, ...]) -> Polynomial:
         """Image of a presentation monomial: product of members."""
-        if not isinstance(exponent, dict):
-            exponent = {i: e for i, e in enumerate(exponent) if e}
-        out = Polynomial.constant(self.ring, 1)
-        for idx in sorted(exponent):
-            out = out * self.members[idx] ** exponent[idx]
-        return out
+        return power_product(self.ring, self.members, exponent)
 
     def phi_binomial(self, b: Binomial) -> Polynomial:
         return self.phi_monomial(b.plus) - self.phi_monomial(b.minus)

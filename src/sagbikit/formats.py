@@ -7,7 +7,8 @@ Grammar for polynomial text (whitespace-insensitive):
     factor := coeff | ident ('^' nat)?
     coeff  := nat ('/' nat)?
 
-Identifiers must match the ring's variable names exactly.
+Identifiers must match the ring's variable names exactly.  Over GF(p)
+a denominator must be prime to p.
 """
 from __future__ import annotations
 
@@ -93,6 +94,9 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
                 denom = take("num")
                 if denom[1] == 0:
                     raise ParseError("zero denominator", denom[2], denom[3])
+                if ring.characteristic and denom[1] % ring.characteristic == 0:
+                    raise ParseError(f"denominator {denom[1]} is not invertible mod "
+                                     f"{ring.characteristic}", denom[2], denom[3])
                 return Fraction(val, denom[1]), None
             return Fraction(val), None
         if kind == "ident":

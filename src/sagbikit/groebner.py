@@ -1,196 +1,72 @@
 """Buchberger machinery and binomial kernels of monomial maps.
 
-`buchberger` and `normal_form` work on general polynomials.  The toric
-kernel (relations among a list of monomials) is the part free of the X
-variables of the ideal (Y_u - X^{m_u}) under a block order with the X
-variables first.  That ideal, its S-polynomials and their remainders
-are all pure differences x^a - x^b, so the kernel runs a Buchberger on
-binomials alone (Sturmfels, Groebner Bases and Convex Polytopes, 1996,
-ch. 4 and 12): an element is a (lead, trail) exponent pair with no
-coefficients, an S-pair is two shifted monomials, a monomial reduces to
-a monomial, and a remainder is zero exactly when the two reduced
-monomials agree.  Exponent vectors are packed into integers with a
-guard bit per variable, so divisibility is a single integer test.
-When the exponent vectors are linearly independent the kernel is zero
-and no basis is computed.
+One Buchberger core, `_Basis`, serves polynomials (`_PolynomialBasis`,
+over Q or GF(p), behind `buchberger` and `normal_form`) and pure
+differences x^a - x^b (`_BinomialBasis`, coefficient-free: an S-pair is
+two shifted monomials, a monomial reduces to a monomial, and a remainder
+is zero exactly when the two reduced monomials agree; Sturmfels, Groebner
+Bases and Convex Polytopes, 1996, ch. 4 and 12).  Exponents are packed
+into integers with a guard bit per variable, and the order is read off
+one integer per exponent (`MonomialOrder.linear_key`).  The core keeps
+the live set (elements whose lead no later lead divides), prunes pairs
+by the Gebauer-Moeller criteria and takes them in order of their lcm's
+degree in a grading, all ones unless given.
+
+Truncation: `complete(d)` leaves the pairs whose lcm has degree above d
+pending.  For generators homogeneous in the grading, every element of
+the ideal of degree at most d then reduces to zero.  So in a
+degree-ascending list a generator of degree d is redundant exactly when
+it reduces to zero against the basis completed up to d (graded
+Nakayama): the one greedy pass, `_Basis.minimal_generators`.
+
+The toric kernel of Y_u -> X^{m_u} is the part free of X of the binomial
+ideal (Y_u - X^{m_u}) under a block order with X first; it is zero, and
+no basis is computed, when the exponent vectors are independent.
 """
 from __future__ import annotations
 
 import heapq
 import struct
 from dataclasses import dataclass
+from operator import mul
 
 from .hilbert import krull_dim_monomial
-from .orders import MonomialOrder, degrevlex_order, leading_term, make_monic, weight_order
+from .orders import MonomialOrder, degrevlex_order, weight_order
 from .rings import Polynomial, RingContext
-
-
-def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _remainder(f: Polynomial, reducers, key) -> Polynomial:
-    """Full remainder of f by reducers, a list of (lead exponent, g)."""
-    ring = f.ring
-    work = dict(f.terms)
-    remainder: dict[tuple[int, ...], object] = {}
-    while work:
-        lead = max(work, key=key)
-        c = work.pop(lead)
-        for lt_g, g in reducers:
-            if _divides(lt_g, lead):
-                shift = tuple(x - y for x, y in zip(lead, lt_g))
-                factor = ring.cmul(c, ring.cinv(g.terms[lt_g]))
-                for e, gc in g.terms.items():
-                    if e == lt_g:
-                        continue
-                    te = tuple(x + y for x, y in zip(e, shift))
-                    v = ring.cadd(work.get(te, 0), ring.cneg(ring.cmul(factor, gc)))
-                    if v:
-                        work[te] = v
-                    else:
-                        work.pop(te, None)
-                break
-        else:
-            remainder[lead] = c
-    res = Polynomial.__new__(Polynomial)
-    res.ring, res.terms, res._key = ring, remainder, None
-    return res
-
-
-def normal_form(f: Polynomial, basis: list[Polynomial], order: MonomialOrder) -> Polynomial:
-    """Full remainder of f on division by the basis (head and tail reduced)."""
-    if not basis:
-        return f
-    key = order.key
-    return _remainder(f, [(max(g.terms, key=key), g) for g in basis], key)
-
-
-def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    lf, cf = leading_term(order, f)
-    lg, cg = leading_term(order, g)
-    L = _lcm(lf, lg)
-    ring = f.ring
-    a = f.mul_monomial(tuple(x - y for x, y in zip(L, lf)), ring.cinv(cf))
-    b = g.mul_monomial(tuple(x - y for x, y in zip(L, lg)), ring.cinv(cg))
-    return a - b
-
-
-def buchberger(gens: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    """Reduced monic Groebner basis (normal selection strategy).
-
-    Pair management follows Gebauer-Moeller: new pairs are pruned by the
-    lcm-divisibility and coprimality criteria, and old pairs subsumed by
-    the new leading term are dropped.  Each element's leading exponent
-    is found once, when it joins the basis.
-    """
-    key = order.key
-    basis: list[Polynomial] = []
-    leads: list[tuple[int, ...]] = []
-    reducers: list[tuple[tuple[int, ...], Polynomial]] = []
-    pairs: list = []  # heap of (deg lcm, key(lcm), i, j, lcm)
-
-    def add_element(f: Polynomial):
-        basis.append(f)
-        leads.append(max(f.terms, key=key))
-        reducers.append((leads[-1], f))
-        t = len(basis) - 1
-        lt = leads[t]
-        cand = [(i, _lcm(leads[i], lt)) for i in range(t)]
-        survivors = []
-        for i, L in cand:
-            dominated = False
-            for j, L2 in cand:
-                if j != i and _divides(L2, L) and (L2 != L or j < i):
-                    dominated = True
-                    break
-            if not dominated:
-                survivors.append((i, L))
-        # coprime criterion
-        survivors = [(i, L) for i, L in survivors
-                     if any(a and b for a, b in zip(leads[i], lt))]
-        # drop old pairs strictly refined by the new element
-        kept = []
-        for entry in pairs:
-            _, _, i, j, L = entry
-            if (_divides(lt, L) and _lcm(leads[i], lt) != L
-                    and _lcm(leads[j], lt) != L):
-                continue
-            kept.append(entry)
-        pairs[:] = kept
-        heapq.heapify(pairs)
-        for i, L in survivors:
-            heapq.heappush(pairs, (sum(L), key(L), i, t, L))
-
-    for f in gens:
-        if f.is_zero():
-            continue
-        add_element(make_monic(order, f)[0])
-
-    while pairs:
-        _, _, i, j, L = heapq.heappop(pairs)
-        s = _spoly(basis[i], basis[j], order)
-        r = _remainder(s, reducers, key)
-        if not r.is_zero():
-            add_element(make_monic(order, r)[0])
-
-    # interreduce: minimal leads, then tail-reduce each element
-    keep = []
-    for i, f in enumerate(basis):
-        li = leads[i]
-        minimal = True
-        for j, lj in enumerate(leads):
-            if j != i and _divides(lj, li) and (lj != li or j < i):
-                minimal = False
-                break
-        if minimal:
-            keep.append((li, f))
-    reduced = []
-    for i, (_, f) in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = _remainder(f, others, key) if others else f
-        if not r.is_zero():
-            reduced.append(make_monic(order, r)[0])
-    reduced.sort(key=lambda g: key(max(g.terms, key=key)))
-    return reduced
-
 
 _FIELD = 16  # bits per packed exponent (struct code H); the top bit is a guard
 
 
-class _BinomialBasis:
-    """Buchberger on pure differences x^lead - x^trail, coefficient-free.
+class _Basis:
+    """Buchberger pair bookkeeping on packed exponents.
 
     An exponent vector is packed into one integer, _FIELD bits per
     variable.  Packed exponents keep every guard bit clear, so for
     a, b packed, ((b | G) - a) & G == G holds exactly when a divides b
-    (G is the guard mask), and x^(m - lead + trail) is m - lead + trail.
-    An exponent that reaches 2**(_FIELD - 1) raises OverflowError.
+    (G is the guard mask), and x^a * x^b is a + b.  An exponent that
+    reaches 2**(_FIELD - 1) raises OverflowError.
 
-    Pairs are selected and pruned as in `buchberger`; in addition an
-    element whose lead a later lead divides takes part in no new pair
-    and in no reduction (Gebauer-Moeller).
+    A subclass fixes the form of an element and supplies `_load` (from
+    the caller's form), `_degree` (None unless homogeneous), `_store`
+    (append the element's body, return its packed lead), `_s_pair`,
+    `_remainder` (full reduction by the live elements, None for zero)
+    and `_interreduced` (a body with its tail reduced, in the caller's
+    form).
     """
 
-    def __init__(self, order: MonomialOrder):
-        self.order = order
-        self.nvars = order.nvars
-        self.fields = struct.Struct(f"<{self.nvars}H")
-        ones = self._pack((1,) * self.nvars)
+    def __init__(self, order: MonomialOrder, grading=None):
+        n = self.nvars = order.nvars
+        self.fields = struct.Struct(f"<{n}H")
+        ones = self._pack((1,) * n)
         self.guard = ones << (_FIELD - 1)
         self.values = self.guard - ones
+        self.grading = tuple(grading) if grading is not None else (1,) * n
+        self.ranks = order.linear_key((1 << (_FIELD - 1)) - 1)
         self.leads: list[int] = []
-        self.trails: list[int] = []
+        self.bodies: list = []
         self.live: list[int] = []  # elements whose leads no later lead divides
-        self.elems: list[tuple[int, int]] = []  # (lead, trail) of the live ones
-        self.pairs: list = []  # heap of (deg lcm, key(lcm), i, j, packed lcm)
+        self.elems: list = []  # bodies of the live ones
+        self.pairs: list = []  # heap of (deg lcm, rank lcm, i, j, packed lcm)
 
     def _pack(self, exp: tuple[int, ...]) -> int:
         if len(exp) != self.nvars:
@@ -202,6 +78,13 @@ class _BinomialBasis:
     def _unpack(self, m: int) -> tuple[int, ...]:
         return self.fields.unpack(m.to_bytes(2 * self.nvars, "little"))
 
+    def _rank(self, m: int) -> int:
+        """Linear key of x^m: ranks compare as the order compares."""
+        return sum(map(mul, self.ranks, self._unpack(m)))
+
+    def _deg(self, m: int) -> int:
+        return sum(map(mul, self.grading, self._unpack(m)))
+
     def _divides(self, a: int, b: int) -> bool:
         G = self.guard
         return ((b | G) - a) & G == G
@@ -212,41 +95,15 @@ class _BinomialBasis:
         sel = ge - (ge >> (_FIELD - 1))  # value bits of those fields
         return (a & sel) | (b & (self.values ^ sel))
 
-    def _shift(self, m: int, lead: int, trail: int) -> int:
-        """x^m / x^lead * x^trail, for x^lead dividing x^m."""
-        m = m - lead + trail
-        if m & self.guard:
-            raise OverflowError("binomial exponent exceeds the packed field width")
-        return m
+    def add(self, x):
+        """Add a generator, unreduced."""
+        self._add(self._load(x))
 
-    def _reduce(self, m: int) -> int:
-        """Normal form of the monomial x^m: always a single monomial."""
-        G = self.guard
-        elems = self.elems
-        while True:
-            mg = m | G
-            for lead, trail in elems:
-                if (mg - lead) & G == G:
-                    m = self._shift(m, lead, trail)
-                    break
-            else:
-                return m
-
-    def _key(self, m: int):
-        return self.order.key(self._unpack(m))
-
-    def add(self, a: tuple[int, ...], b: tuple[int, ...]):
-        """Add x^a - x^b to the generators; a must differ from b."""
-        self._add(self._pack(a), self._pack(b))
-
-    def _add(self, a: int, b: int):
-        if a == b:
-            raise ValueError("zero binomial")
-        lt, tr = (a, b) if self._key(a) > self._key(b) else (b, a)
+    def _add(self, elem):
+        lt = self._store(elem)
         leads = self.leads
         t = len(leads)
         leads.append(lt)
-        self.trails.append(tr)
         G = self.guard
         # chain criterion: keep the pair (i, t) only if no other new pair
         # has an lcm strictly dividing its lcm, and only the first of equal
@@ -274,38 +131,215 @@ class _BinomialBasis:
             heapq.heapify(pairs)
         for i, L in survivors:
             e = self._unpack(L)
-            heapq.heappush(pairs, (sum(e), self.order.key(e), i, t, L))
+            heapq.heappush(pairs, (sum(map(mul, self.grading, e)),
+                                   sum(map(mul, self.ranks, e)), i, t, L))
         self.pairs = pairs
         self.live = [i for i in self.live if ((leads[i] | G) - lt) & G != G] + [t]
-        self.elems = [(leads[i], self.trails[i]) for i in self.live]
+        self.elems = [self.bodies[i] for i in self.live]
 
-    def complete(self):
-        """Reduce S-pairs until the elements form a Groebner basis."""
-        while self.pairs:
-            _, _, i, j, L = heapq.heappop(self.pairs)
-            a = self._reduce(self._shift(L, self.leads[i], self.trails[i]))
-            b = self._reduce(self._shift(L, self.leads[j], self.trails[j]))
-            if a != b:
-                self._add(a, b)
+    def complete(self, max_degree: int | None = None):
+        """Reduce S-pairs until the elements form a Groebner basis; with
+        max_degree, the pairs whose lcm has a higher degree stay pending."""
+        while self.pairs and (max_degree is None or self.pairs[0][0] <= max_degree):
+            _, rank, i, j, L = heapq.heappop(self.pairs)
+            r = self._remainder(self._s_pair(i, j, L, rank))
+            if r is not None:
+                self._add(r)
 
-    def contains(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        """Ideal membership of x^a - x^b; needs a completed basis."""
-        return self._reduce(self._pack(a)) == self._reduce(self._pack(b))
+    def minimal_generators(self, gens: list) -> list:
+        """The generators outside the ideal of the ones kept before them,
+        which join the basis; gens must ascend in degree.
 
-    def reduced(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The reduced Groebner basis as (lead, trail) exponent pairs,
-        ascending in the lead; needs a completed basis."""
+        If every generator is homogeneous, one of degree d is tested
+        against the basis completed up to degree d, which decides ideal
+        membership (see the module docstring); otherwise against the
+        completed basis.
+        """
+        loaded = [self._load(g) for g in gens]
+        degrees = [self._degree(x) for x in loaded]
+        if None in degrees:
+            degrees = [None] * len(loaded)
+        kept = []
+        for g, x, d in zip(gens, loaded, degrees):
+            self.complete(d)
+            r = self._remainder(x)
+            if r is not None:
+                kept.append(g)
+                self._add(r)
+        return kept
+
+    def reduced(self) -> list:
+        """The reduced Groebner basis, ascending in the lead; needs a
+        completed basis."""
+        leads = [self.leads[i] for i in self.live]
         out = []
-        for lt, tr in self.elems:
-            if not any(lj != lt and self._divides(lj, lt) for lj, _ in self.elems):
-                out.append((self._unpack(lt), self._unpack(self._reduce(tr))))
-        out.sort(key=lambda pair: self.order.key(pair[0]))
-        return out
+        for i in self.live:
+            lt = self.leads[i]
+            if not any(lj != lt and self._divides(lj, lt) for lj in leads):
+                out.append((self._rank(lt), self._interreduced(self.bodies[i])))
+        out.sort(key=lambda entry: entry[0])
+        return [g for _, g in out]
+
+
+class _PolynomialBasis(_Basis):
+    """Buchberger on polynomials of a ring, over Q or GF(p).
+
+    An element is stored monic as (lead, lead rank, tail), the tail a
+    list of (rank, packed exponent, coefficient).  A polynomial under
+    reduction is a dict rank -> (packed exponent, coefficient); its
+    largest key is its leading term.
+    """
+
+    def __init__(self, order: MonomialOrder, ring: RingContext):
+        super().__init__(order, ring.grading)
+        self.ring = ring
+
+    def _load(self, f: Polynomial) -> dict:
+        return {sum(map(mul, self.ranks, e)): (self._pack(e), c) for e, c in f.terms.items()}
+
+    def _poly(self, work: dict | None) -> Polynomial:
+        return Polynomial(self.ring, {self._unpack(m): c for m, c in (work or {}).values()})
+
+    def _degree(self, work: dict) -> int | None:
+        degrees = {self._deg(m) for m, _ in work.values()}
+        return degrees.pop() if len(degrees) == 1 else None
+
+    def _store(self, work: dict) -> int:
+        k = max(work)
+        m, c = work.pop(k)
+        inv, cmul = self.ring.cinv(c), self.ring.cmul
+        self.bodies.append((m, k, [(tk, tm, cmul(tc, inv)) for tk, (tm, tc) in work.items()]))
+        return m
+
+    def _subtract(self, work: dict, c, dk: int, dm: int, tail):
+        """work -= c * x^dm * tail, where dk is the rank of x^dm."""
+        p = self.ring.characteristic
+        G = self.guard
+        for tk, tm, tc in tail:
+            m = tm + dm
+            if m & G:
+                raise OverflowError("exponent exceeds the packed field width")
+            k = tk + dk
+            old = work.get(k)
+            v = (old[1] if old else 0) - c * tc
+            if p:
+                v %= p
+            if v:
+                work[k] = (m, v)
+            elif old:
+                del work[k]
+
+    def _s_pair(self, i: int, j: int, L: int, rank: int) -> dict:
+        work: dict = {}
+        for (lead, lk, tail), c in ((self.bodies[i], -1), (self.bodies[j], 1)):
+            self._subtract(work, c, rank - lk, L - lead, tail)
+        return work
+
+    def _remainder(self, work: dict) -> dict | None:
+        G = self.guard
+        rem = {}
+        while work:
+            k = max(work)
+            m, c = entry = work.pop(k)
+            mg = m | G
+            for lead, lk, tail in self.elems:
+                if (mg - lead) & G == G:
+                    self._subtract(work, c, k - lk, m - lead, tail)
+                    break
+            else:
+                rem[k] = entry
+        return rem or None
+
+    def _interreduced(self, body) -> Polynomial:
+        lead, lk, tail = body
+        rem = self._remainder({tk: (tm, tc) for tk, tm, tc in tail}) or {}
+        rem[lk] = (lead, self.ring.one())
+        return self._poly(rem)
+
+
+def normal_form(f: Polynomial, basis: list[Polynomial], order: MonomialOrder) -> Polynomial:
+    """Full remainder of f on division by the basis (head and tail reduced).
+
+    Each leading term is divided by the first element whose lead divides it.
+    """
+    if not basis:
+        return f
+    reducers = _PolynomialBasis(order, f.ring)
+    for g in basis:
+        reducers._store(reducers._load(g))
+    reducers.elems = reducers.bodies
+    return reducers._poly(reducers._remainder(reducers._load(f)))
+
+
+def buchberger(gens: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
+    """Reduced monic Groebner basis, ascending in the lead."""
+    gens = [f for f in gens if not f.is_zero()]
+    if not gens:
+        return []
+    basis = _PolynomialBasis(order, gens[0].ring)
+    for f in gens:
+        basis.add(f)
+    basis.complete()
+    return basis.reduced()
+
+
+class _BinomialBasis(_Basis):
+    """Buchberger on pure differences x^lead - x^trail, coefficient-free.
+
+    An element is a (lead, trail) pair of packed exponents, and x^m
+    reduces by it to x^(m - lead + trail).
+    """
+
+    def _load(self, b: "Binomial") -> tuple[int, int]:
+        return self._pack(b.plus), self._pack(b.minus)
+
+    def _degree(self, elem) -> int | None:
+        a, b = map(self._deg, elem)
+        return a if a == b else None
+
+    def _store(self, elem) -> int:
+        a, b = elem
+        if a == b:
+            raise ValueError("zero binomial")
+        self.bodies.append((a, b) if self._rank(a) > self._rank(b) else (b, a))
+        return self.bodies[-1][0]
+
+    def _shift(self, m: int, lead: int, trail: int) -> int:
+        """x^m / x^lead * x^trail, for x^lead dividing x^m."""
+        m = m - lead + trail
+        if m & self.guard:
+            raise OverflowError("binomial exponent exceeds the packed field width")
+        return m
+
+    def _reduce(self, m: int) -> int:
+        """Normal form of the monomial x^m: always a single monomial."""
+        G = self.guard
+        elems = self.elems
+        while True:
+            mg = m | G
+            for lead, trail in elems:
+                if (mg - lead) & G == G:
+                    m = self._shift(m, lead, trail)
+                    break
+            else:
+                return m
+
+    def _s_pair(self, i: int, j: int, L: int, rank: int) -> tuple[int, int]:
+        return self._shift(L, *self.bodies[i]), self._shift(L, *self.bodies[j])
+
+    def _remainder(self, elem) -> tuple[int, int] | None:
+        a, b = map(self._reduce, elem)
+        return None if a == b else (a, b)
+
+    def _interreduced(self, body) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        lead, trail = body
+        return self._unpack(lead), self._unpack(self._reduce(trail))
 
 
 @dataclass(frozen=True)
 class Binomial:
-    """Pure difference Y^plus - Y^minus in the presentation variables."""
+    """Pure difference x^plus - x^minus; a kernel element is one in the
+    presentation variables, Y^plus - Y^minus."""
     plus: tuple[int, ...]
     minus: tuple[int, ...]
 
@@ -344,45 +378,20 @@ def toric_kernel(monomials: list[tuple[int, ...]], ring: RingContext) -> list[Bi
     order = weight_order((1,) * nx + (0,) * p, degrevlex_order(nx + p))
     basis = _BinomialBasis(order)
     for u, m in enumerate(monomials):
-        e_y = [0] * p
-        e_y[u] = 1
-        basis.add(m + (0,) * p, (0,) * nx + tuple(e_y))
+        basis.add(Binomial(m + (0,) * p, (0,) * (nx + u) + (1,) + (0,) * (p - u - 1)))
     basis.complete()
+
+    def psi(e):
+        return [sum(k * m[i] for k, m in zip(e, monomials)) for i in range(nx)]
 
     out = []
     for lead, trail in basis.reduced():
         if any(lead[:nx]):
             continue
-        plus = lead[nx:]
-        minus = trail[nx:]
-        psi_plus = [0] * nx
-        psi_minus = [0] * nx
-        for u in range(p):
-            for i in range(nx):
-                psi_plus[i] += plus[u] * monomials[u][i]
-                psi_minus[i] += minus[u] * monomials[u][i]
-        if psi_plus != psi_minus:
+        b = Binomial(lead[nx:], trail[nx:])
+        if psi(b.plus) != psi(b.minus):
             raise AssertionError("binomial does not evaluate to zero under psi")
-        out.append(Binomial(plus, minus))
+        out.append(b)
     weights = [ring.degree(m) for m in monomials]
     out.sort(key=lambda b: (b.degree(weights), b.plus, b.minus))
-    return _minimalize_binomials(out, weights)
-
-
-def _minimalize_binomials(binoms: list[Binomial], weights: list[int]) -> list[Binomial]:
-    """Greedy degree-ascending pass keeping only needed generators.
-
-    The input generates a weighted-homogeneous ideal, so a generator is
-    redundant exactly when it lies in the ideal of the earlier kept ones
-    (graded Nakayama).  The kept ones grow one live Groebner basis.
-    """
-    if len(binoms) <= 1:
-        return binoms
-    basis = _BinomialBasis(degrevlex_order(len(weights)))
-    kept: list[Binomial] = []
-    for b in binoms:
-        if not kept or not basis.contains(b.plus, b.minus):
-            kept.append(b)
-            basis.add(b.plus, b.minus)
-            basis.complete()
-    return kept
+    return _BinomialBasis(degrevlex_order(p), weights).minimal_generators(out)

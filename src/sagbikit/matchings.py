@@ -290,13 +290,16 @@ def sagbi_defect(matching: Matching, reference_values, k_max: int,
     reference Hilbert values, or None."""
     from .hilbert import semigroup_hilbert
     ring = matching.family[0].ring
-    semi = semigroup_hilbert(matching.selection, k_max, ring, grading)
-    for k in range(k_max + 1):
-        if semi.values[k] > reference_values[k]:
-            raise AssertionError("semigroup exceeds the reference Hilbert values")
-        if semi.values[k] < reference_values[k]:
-            return k
-    return None
+    return first_defect(semigroup_hilbert(matching.selection, k_max, ring, grading).values,
+                        reference_values, k_max)
+
+
+def first_defect(values, reference_values, k_max: int) -> int | None:
+    """First degree up to k_max where semigroup Hilbert values fall short
+    of the reference ones, or None."""
+    if any(v > r for v, r in zip(values[:k_max + 1], reference_values)):
+        raise AssertionError("semigroup exceeds the reference Hilbert values")
+    return next((k for k in range(k_max + 1) if values[k] < reference_values[k]), None)
 
 
 def extend_matching(matching: Matching, g: Polynomial) -> list[Matching]:

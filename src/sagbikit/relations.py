@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import GeneratorFamily, SagbiResult, sagbi_general
-from .groebner import Binomial, buchberger, normal_form
-from .orders import MonomialOrder, degrevlex_order, weight_order
-from .rings import Polynomial, RingContext
+from .groebner import Binomial, _PolynomialBasis, buchberger, normal_form
+from .hilbert import normalized_degrees
+from .orders import MonomialOrder, degrevlex_order, make_monic, weight_order
+from .rings import Polynomial, RingContext, power_product
 
 
 class Retract:
@@ -33,12 +34,7 @@ class Retract:
 
     def of_monomial(self, factor) -> Polynomial:
         """Image of a presentation monomial (dict index->mult or tuple)."""
-        if not isinstance(factor, dict):
-            factor = {i: e for i, e in enumerate(factor) if e}
-        out = Polynomial.constant(self.p0, 1)
-        for idx in sorted(factor):
-            out = out * self.images[idx] ** factor[idx]
-        return out
+        return power_product(self.p0, self.images, factor)
 
     def of_combination(self, binomial: Binomial, steps) -> Polynomial:
         """Image of  binomial - sum coeff * Y^step."""
@@ -68,7 +64,8 @@ class RelationSet:
 class RelationBookkeeper:
     def __init__(self, family: GeneratorFamily):
         degrees = [family.normalized_degree(i) for i in range(len(family))]
-        p0 = RingContext(tuple(family.presentation.tags), 0, tuple(degrees))
+        p0 = RingContext(tuple(family.presentation.tags), family.ring.characteristic,
+                         tuple(degrees))
         self.retract = Retract(p0)
         self.relations: list[Polynomial] = []
         self._seen: set = set()
@@ -121,21 +118,17 @@ def sagbi_with_relations(polys: list[Polynomial], order: MonomialOrder, *,
 
 
 def minimize_relations(rels: RelationSet) -> RelationSet:
-    """Drop generators lying in the ideal of the kept ones (degree-ascending).
+    """Drop generators lying in the ideal of the kept ones: one
+    degree-ascending pass over one growing basis, truncated at each
+    generator's degree when all are homogeneous (`groebner`).
 
     Kept generators come out monic under the presentation order.
     """
-    from .orders import make_monic
     order = _p0_order(rels.ring)
     ordered = sorted(rels.generators, key=lambda g: (g.degree(), g.key()))
-    kept: list[Polynomial] = []
-    gb: list[Polynomial] = []
-    for g in ordered:
-        if gb and normal_form(g, gb, order).is_zero():
-            continue
-        kept.append(make_monic(order, g)[0])
-        gb = buchberger(kept, order)
-    return RelationSet(ring=rels.ring, generators=kept, minimized=True)
+    kept = _PolynomialBasis(order, rels.ring).minimal_generators(ordered)
+    return RelationSet(ring=rels.ring, generators=[make_monic(order, g)[0] for g in kept],
+                       minimized=True)
 
 
 def verify_relations(family: GeneratorFamily, rels: RelationSet):
@@ -156,33 +149,16 @@ def elimination_kernel(polys: list[Polynomial], tag_prefix: str = "Y"
     if not polys:
         raise ValueError("empty generator list")
     ring = polys[0].ring
-    nx = ring.nvars
-    p = len(polys)
+    nx, p = ring.nvars, len(polys)
     degrees = [f.degree() for f in polys]
-    combined = RingContext(
-        tuple(f"x{i}" for i in range(nx))
-        + tuple(f"{tag_prefix}{u + 1}" for u in range(p)),
-        ring.characteristic,
-        ring.grading + tuple(degrees))
+    tags = tuple(f"{tag_prefix}{u + 1}" for u in range(p))
+    combined = RingContext(tuple(f"x{i}" for i in range(nx)) + tags, ring.characteristic,
+                           ring.grading + tuple(degrees))
     order = weight_order((1,) * nx + (0,) * p, degrevlex_order(nx + p))
-    gens = []
-    for u, f in enumerate(polys):
-        terms = {tuple(e) + (0,) * p: ring.cneg(c) for e, c in f.terms.items()}
-        e_y = [0] * (nx + p)
-        e_y[nx + u] = 1
-        e_y = tuple(e_y)
-        terms[e_y] = ring.cadd(terms.get(e_y, 0), 1)
-        gens.append(Polynomial(combined, terms))
-    basis = buchberger(gens, order)
-    from math import gcd
-    g = 0
-    for d in degrees:
-        g = gcd(g, d)
-    p0 = RingContext(tuple(f"{tag_prefix}{u + 1}" for u in range(p)), ring.characteristic,
-                     tuple(d // g for d in degrees))
-    out = []
-    for f in basis:
-        if any(any(e[:nx]) for e in f.terms):
-            continue
-        out.append(Polynomial(p0, {tuple(e[nx:]): c for e, c in f.terms.items()}))
-    return p0, out
+    # Y_u - f_u, where f_u has no Y term
+    gens = [Polynomial(combined, {(0,) * (nx + u) + (1,) + (0,) * (p - u - 1): 1,
+                                  **{e + (0,) * p: ring.cneg(c) for e, c in f.terms.items()}})
+            for u, f in enumerate(polys)]
+    p0 = RingContext(tags, ring.characteristic, normalized_degrees(degrees)[0])
+    return p0, [Polynomial(p0, {e[nx:]: c for e, c in f.terms.items()})
+                for f in buchberger(gens, order) if not any(any(e[:nx]) for e in f.terms)]

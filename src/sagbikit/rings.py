@@ -109,15 +109,6 @@ class RingContext:
         k = "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"
         return f"RingContext({k}[{', '.join(self.names)}])"
 
-    def extended(self, extra_names: Iterable[str],
-                 extra_grading: Iterable[int] | None = None) -> "RingContext":
-        """New context with variables appended; existing indices preserved."""
-        extra_names = tuple(extra_names)
-        extra_grading = (tuple(extra_grading) if extra_grading is not None
-                         else (1,) * len(extra_names))
-        return RingContext(self.names + extra_names, self.characteristic,
-                           self.grading + extra_grading)
-
 
 def _check_same_ring(a: "Polynomial", b: "Polynomial"):
     if a.ring != b.ring:
@@ -274,11 +265,7 @@ class Polynomial:
         target = images[0].ring
         out = Polynomial.zero(target)
         for e, c in self.terms.items():
-            term = Polynomial.constant(target, c if self.ring.characteristic == 0 else int(c))
-            for i, k in enumerate(e):
-                if k:
-                    term = term * images[i] ** k
-            out = out + term
+            out = out + power_product(target, images, e).scale(c)
         return out
 
     def key(self) -> tuple:
@@ -297,3 +284,14 @@ class Polynomial:
     def __repr__(self):
         from .formats import poly_to_text
         return poly_to_text(self)
+
+
+def power_product(ring: RingContext, factors: list[Polynomial],
+                  exponent: dict[int, int] | tuple[int, ...]) -> Polynomial:
+    """The product of factors[i] ** exponent[i] (exponent a dict or tuple)."""
+    if not isinstance(exponent, dict):
+        exponent = {i: k for i, k in enumerate(exponent) if k}
+    out = Polynomial.constant(ring, 1)
+    for i in sorted(exponent):
+        out = out * factors[i] ** exponent[i]
+    return out

@@ -6,7 +6,8 @@ semigroup Hilbert values from exhaustive multiset enumeration, coherence
 from a Caratheodory search for zero in the convex hull of difference
 vectors, determinants from cofactor expansion, and subalgebra Hilbert
 values from the rank over Q or GF(p) of a dense coefficient matrix of
-products expanded here.
+products expanded here, and Groebner bases from Buchberger's algorithm
+on tuple exponents with no pair criterion at all.
 """
 from __future__ import annotations
 
@@ -233,3 +234,90 @@ def subalgebra_values_rational(gens: list[dict], degrees: list[int],
     degree k."""
     return [1] + [rank_rational(rows) if rows else 0
                   for rows in _product_matrices(gens, degrees, k_max)]
+
+
+def divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def lcm_exponent(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _monic(f: dict, key, p: int) -> dict:
+    c = f[max(f, key=key)]
+    inv = pow(c, -1, p) if p else 1 / Fraction(c)
+    return {e: v * inv % p if p else v * inv for e, v in f.items()}
+
+
+def _remainder(f: dict, basis: list[dict], key, p: int) -> dict:
+    """Full remainder of f (a dict exponent -> coefficient) by monic
+    polynomials, each leading term divided by the first lead dividing it."""
+    reducers = [(max(g, key=key), g) for g in basis]
+    f = dict(f)
+    rem = {}
+    while f:
+        lead = max(f, key=key)
+        c = f.pop(lead)
+        for lg, g in reducers:
+            if divides(lg, lead):
+                for e, gc in g.items():
+                    if e != lg:
+                        te = tuple(a + b - d for a, b, d in zip(e, lead, lg))
+                        v = f.get(te, 0) - c * gc
+                        v = v % p if p else v
+                        if v:
+                            f[te] = v
+                        else:
+                            f.pop(te, None)
+                break
+        else:
+            rem[lead] = c
+    return rem
+
+
+def buchberger_all_pairs(gens: list[dict], key, p: int = 0) -> list[dict]:
+    """Reduced monic Groebner basis over Q (p = 0) or GF(p), ascending in
+    the lead, by Buchberger's algorithm reducing every pair of elements
+    (no Gebauer-Moeller criteria; small inputs only)."""
+    basis = [_monic(g, key, p) for g in gens if g]
+    leads = [max(g, key=key) for g in basis]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        # normal selection: the pair of least lcm
+        i, j = min(pairs, key=lambda ij: (sum(lcm_exponent(leads[ij[0]], leads[ij[1]])),
+                                          key(lcm_exponent(leads[ij[0]], leads[ij[1]]))))
+        pairs.remove((i, j))
+        L = lcm_exponent(leads[i], leads[j])
+        s: dict = {}
+        for g, lg, sign in ((basis[i], leads[i], 1), (basis[j], leads[j], -1)):
+            for e, c in g.items():
+                te = tuple(a + b - d for a, b, d in zip(e, L, lg))
+                v = s.get(te, 0) + sign * c
+                s[te] = v % p if p else v
+        r = _remainder({e: c for e, c in s.items() if c}, basis, key, p)
+        if r:
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(_monic(r, key, p))
+            leads.append(max(r, key=key))
+    keep = [g for i, g in enumerate(basis)
+            if not any(j != i and divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i)
+                       for j in range(len(basis)))]
+    out = [_remainder(g, keep[:i] + keep[i + 1:], key, p) for i, g in enumerate(keep)]
+    return sorted(out, key=lambda g: key(max(g, key=key)))
+
+
+def minimize_by_rerun(gens: list[dict], key, p: int = 0,
+                      groebner=buchberger_all_pairs) -> list[dict]:
+    """Greedy minimal generators of an ideal given ascending in degree:
+    a generator is dropped when it reduces to zero against a Groebner
+    basis of the kept ones, recomputed from scratch by groebner(kept, key,
+    p) after each kept one.  Kept generators come out monic."""
+    kept: list[dict] = []
+    basis: list[dict] = []
+    for g in gens:
+        if basis and not _remainder(g, basis, key, p):
+            continue
+        kept.append(_monic(g, key, p))
+        basis = groebner(kept, key, p)
+    return kept

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -161,10 +162,13 @@ def test_config_gen_list_yields_to_explicit_gen(capsys, tmp_path):
       "--variant", "deg", "--degree-bound", "4"], "needs homogeneous generators"),
     (["relations", "--vars", "x,y", "--gen", "x+y^2", "--gen", "x*y",
       "--variant", "degree", "--degree-bound", "4"], "needs homogeneous generators"),
+    (["relations", "--vars", "x,y", "--gen", "1/2*x+y", "--gen", "x*y", "--char", "2"],
+     "denominator 2 is not invertible mod 2"),
 ], ids=["negative-kmax", "cap-exceeded", "minors-too-large", "constant-generator",
         "negative-weight", "empty-matrix", "zero-var-degree", "non-integer-perm",
         "repeated-perm", "non-integer-weight", "composite-char",
-        "degree-without-bound", "inhomogeneous-deg", "inhomogeneous-degree"])
+        "degree-without-bound", "inhomogeneous-deg", "inhomogeneous-degree",
+        "denominator-divisible-by-char"])
 def test_bad_input_is_one_line_usage_error(capsys, argv, needle):
     code, out, err = _run(capsys, argv)
     assert code == 2
@@ -181,6 +185,17 @@ def test_degree_variant_honours_round_bound(capsys, command, variant):
                                  "--round-bound", "1"])
     assert code == 0
     assert "# status: truncated; rounds: 1\n" in out
+
+
+def test_relations_over_gf2_reduce_coefficients_mod_2(capsys):
+    code, out, _ = _run(capsys, ["relations", "--vars", "x,y", "--gen", "x+y",
+                                 "--gen", "x*y", "--gen", "x*y^2", "--order", "lex",
+                                 "--char", "2", "--round-bound", "3"])
+    assert code == 0
+    body = out.split("#rel")[1]
+    assert "rel\tY1*Y2*Y3 + Y2^3 + Y3^2\n" in body
+    # over GF(2) every coefficient is 1, printed as no coefficient at all
+    assert not re.search(r"[\t ]\d+\*", body) and " - " not in body
 
 
 def test_relations_checks_the_retract_images(capsys, monkeypatch):

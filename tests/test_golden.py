@@ -1,12 +1,15 @@
 """Golden CLI transcripts: stdout must stay byte-identical.
 
 Each case is a README example (with small parameters where the README
-one is slow), the G(2,6) Pluecker relations job, and four runs of the
-SAGBI completion loop (degree windows, --degree-bound and --round-bound
-truncation).  The first ten transcripts in tests/golden/ were captured
-before the binomial toric kernel replaced the coefficient elimination,
-the loop runs before the two loop variants were merged into one.  To re-capture after a deliberate output
-change, run `PYTHONPATH=src python tests/test_golden.py` and review the diff.
+one is slow), the G(2,6) and G(3,6) Pluecker relations jobs, and four
+runs of the SAGBI completion loop (degree windows, --degree-bound and
+--round-bound truncation).  The first ten transcripts in tests/golden/
+were captured before the binomial toric kernel replaced the coefficient
+elimination, the loop runs before the two loop variants were merged into
+one, and the G(3,6) relations before `buchberger` and the relation
+minimizer moved onto the shared, degree-truncated Buchberger core.  To
+re-capture after a deliberate output change, run
+`PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
 from __future__ import annotations
 
@@ -41,6 +44,8 @@ CASES = {
                               "--order", "diag", "--kind", "semigroup",
                               "--kmax", "5"],
     "relations-2x6-diag": ["relations", "--matrix", "2x6", "--minors", "2",
+                           "--order", "diag"],
+    "relations-3x6-diag": ["relations", "--matrix", "3x6", "--minors", "3",
                            "--order", "diag"],
     # the completion loop: degree windows, both bounds, comp-degree 3
     "relations-xy-degree": ["relations", "--vars", "x,y", "--gen", "x+y",

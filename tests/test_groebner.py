@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_product_values
+from oracles import brute_product_values, buchberger_all_pairs, divides, lcm_exponent
 from sagbikit.formats import parse_polynomial
-from sagbikit.groebner import (Binomial, _BinomialBasis, _divides, _lcm, buchberger,
+from sagbikit.groebner import (Binomial, _BinomialBasis, _PolynomialBasis, buchberger,
                                normal_form, toric_kernel)
 from sagbikit.minors import MatrixRing, diagonal_order, minors
 from sagbikit.orders import degrevlex_order, leading_exponent, lex_order, weight_order
@@ -211,12 +211,33 @@ def test_binomial_basis_equals_general_buchberger(case):
     order = _ORDERS[order_name](nv)
     basis = _BinomialBasis(order)
     for a, b in pairs:
-        basis.add(a, b)
+        basis.add(Binomial(a, b))
     basis.complete()
-    ring = RingContext([f"x{i}" for i in range(nv)])
-    mine = [Polynomial(ring, {lead: 1, trail: -1}) for lead, trail in basis.reduced()]
-    general = buchberger([Polynomial(ring, {a: 1, b: -1}) for a, b in pairs], order)
-    assert mine == general
+    mine = [{lead: 1, trail: -1} for lead, trail in basis.reduced()]
+    assert mine == buchberger_all_pairs([{a: 1, b: -1} for a, b in pairs], order.key)
+
+
+_POLY_ORDERS = dict(_ORDERS, weight=lambda n: weight_order(range(1, n + 1), lex_order(n)))
+
+
+@st.composite
+def _polynomial_family(draw):
+    nv = draw(st.integers(1, 3))
+    exp = st.lists(st.integers(0, 3), min_size=nv, max_size=nv).map(tuple)
+    poly = st.dictionaries(exp, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
+    return (nv, draw(st.lists(poly, min_size=1, max_size=3)),
+            draw(st.sampled_from(sorted(_POLY_ORDERS))), draw(st.sampled_from([0, 2, 3, 7])))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_polynomial_family())
+def test_polynomial_basis_equals_criterion_free_buchberger(case):
+    nv, gens, order_name, p = case
+    order = _POLY_ORDERS[order_name](nv)
+    ring = RingContext([f"x{i}" for i in range(nv)], p)
+    polys = [Polynomial(ring, g) for g in gens]
+    mine = [g.terms for g in buchberger(polys, order)]
+    assert mine == buchberger_all_pairs([f.terms for f in polys if f.terms], order.key, p)
 
 
 def test_packed_divisibility_and_lcm_agree_with_tuples():
@@ -235,8 +256,8 @@ def test_packed_divisibility_and_lcm_agree_with_tuples():
     for a, b in cases:
         pa, pb = basis._pack(a), basis._pack(b)
         assert basis._unpack(pa) == a
-        assert basis._divides(pa, pb) == _divides(a, b)
-        assert basis._unpack(basis._lcm(pa, pb)) == _lcm(a, b)
+        assert basis._divides(pa, pb) == divides(a, b)
+        assert basis._unpack(basis._lcm(pa, pb)) == lcm_exponent(a, b)
 
 
 def test_packed_exponents_out_of_range_raise():
@@ -246,10 +267,14 @@ def test_packed_exponents_out_of_range_raise():
             basis._pack(bad)
     # x - y^32767 under lex: reducing x*y would need y^32768
     basis = _BinomialBasis(lex_order(2))
-    basis.add((1, 0), (0, (1 << 15) - 1))
-    basis.complete()
+    basis.add(Binomial((1, 0), (0, (1 << 15) - 1)))
     with pytest.raises(OverflowError):
-        basis.contains((1, 1), (0, 0))
+        basis.minimal_generators([Binomial((1, 1), (0, 0))])
+    # the same through coefficient reduction
     R = RingContext(["x", "y"])
+    basis = _PolynomialBasis(lex_order(2), R)
+    basis.add(Polynomial(R, {(1, 0): 1, (0, (1 << 15) - 1): -1}))
+    with pytest.raises(OverflowError):
+        basis.minimal_generators([Polynomial(R, {(1, 1): 1})])
     with pytest.raises(OverflowError):
         toric_kernel([(40000, 0), (0, 1), (40000, 1)], R)

@@ -1,7 +1,11 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import buchberger_all_pairs, minimize_by_rerun
 from sagbikit.engine import GeneratorFamily
 from sagbikit.formats import parse_polynomial, poly_to_text
 from sagbikit.groebner import buchberger, normal_form
@@ -132,3 +136,85 @@ def test_relation_soundness_fuzz():
             mins = minimize_relations(rels)
             assert _mutual_containment(mins.generators, elim, _p0_order(rels.ring))
         done += 1
+
+
+def _padded(rels: RelationSet, count: int) -> RelationSet:
+    """The relations plus redundant ones: up to count sums of two of the
+    same degree and count multiples by a variable, so that a minimizer has
+    to drop some."""
+    rng = random.Random(count)
+    P, gens = rels.ring, list(rels.generators)
+    extra = []
+    for _ in range(count):
+        a, b = rng.sample(gens, 2) if len(gens) > 1 else (gens[0], gens[0])
+        if a.degree() == b.degree() and a != b:
+            extra.append(a + b.scale(rng.randint(1, 3)))
+        extra.append(Polynomial.variable(P, rng.randrange(P.nvars)) * a)
+    return RelationSet(ring=P, generators=gens + extra)
+
+
+def _production_groebner(ring):
+    order = _p0_order(ring)
+    return lambda kept, key, p: [g.terms for g in buchberger(
+        [Polynomial(ring, k) for k in kept], order)]
+
+
+def _weighted_family(p):
+    R = RingContext(["x", "y"], p)
+    return [parse_polynomial(R, s) for s in ("x^2", "x*y", "y^2", "x^3 + y^3", "x*y^3")]
+
+
+@pytest.mark.parametrize("case", ["G25", "G26", "G36", "weighted-Q", "weighted-GF5"])
+def test_minimize_matches_rerun_from_scratch(case):
+    p = 5 if case.endswith("GF5") else 0
+    if case.startswith("G"):
+        m, n = int(case[1]), int(case[2])
+        M = MatrixRing(m, n)
+        polys, order = [mi.polynomial for mi in minors(m, M)], diagonal_order(M)
+    else:
+        polys, order = _weighted_family(p), degrevlex_order(2)
+    _, _, rels = sagbi_with_relations(polys, order, round_bound=3)
+    # every sum kept in place of a G(3,6) quadric makes the reruns slower
+    padded = _padded(rels, 2 if case == "G36" else 6)
+    key = _p0_order(rels.ring).key
+    ordered = sorted(padded.generators, key=lambda g: (g.degree(), g.key()))
+    # a rerun of the criterion-free oracle per kept quadric of G(3,6)
+    # takes minutes; there the rerun uses `buchberger`, itself checked
+    # against that oracle in test_groebner
+    groebner = _production_groebner(rels.ring) if case == "G36" else buchberger_all_pairs
+    expected = minimize_by_rerun([g.terms for g in ordered], key, p, groebner)
+    mine = minimize_relations(padded)
+    assert [g.terms for g in mine.generators] == expected
+    # graded Nakayama: every minimal generating set has the same size
+    assert len(mine.generators) == len(minimize_relations(rels).generators)
+    assert len(mine.generators) < len(padded.generators)
+
+
+@st.composite
+def _prime_field_family(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    nv = draw(st.integers(2, 3))
+    polys = []
+    for _ in range(draw(st.integers(2, 4))):
+        d = draw(st.integers(1, 2))
+        exps = [e for e in product(range(d + 1), repeat=nv) if sum(e) == d]
+        polys.append(draw(st.dictionaries(st.sampled_from(exps), st.integers(1, p - 1),
+                                          min_size=1, max_size=3)))
+    return p, nv, polys
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_prime_field_family())
+def test_relations_over_prime_fields_match_elimination(case):
+    p, nv, terms = case
+    ring = RingContext([f"x{i}" for i in range(nv)], p)
+    res, retract, rels = sagbi_with_relations([Polynomial(ring, t) for t in terms],
+                                              degrevlex_order(nv), round_bound=3)
+    assert rels.ring.characteristic == p
+    assert all(type(c) is int and 0 < c < p for g in rels.generators for c in g.terms.values())
+    assert verify_relations(res.basis, rels) == (True, None)
+    assert retract.verify(res.basis)
+    mins = minimize_relations(rels)
+    if res.status == "complete" and len(res.basis) <= 6:
+        _, elim = elimination_kernel(res.basis.members[:res.basis.n_original])
+        assert _mutual_containment(mins.generators, elim, _p0_order(rels.ring))
