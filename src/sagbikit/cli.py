@@ -141,14 +141,20 @@ def _check_kmax(args):
         raise UsageError(f"--kmax must be nonnegative, got {args.kmax}")
 
 
+def _check_homogeneous(gens, what: str):
+    if not all(f.is_homogeneous() for f in gens):
+        raise UsageError(f"{what} needs homogeneous generators")
+
+
 def _emit(lines):
     sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _job_header(cmd, args, extra=()):
     head = [f"# sagbikit {cmd}"]
+    # the worker count is left out: reports do not depend on it
     spec = {k: v for k, v in sorted(vars(args).items())
-            if k not in ("func", "_parser") and v is not None}
+            if k not in ("func", "_parser", "workers") and v is not None}
     head.append(f"# job: {json.dumps(spec, sort_keys=True, default=str)}")
     head.extend(extra)
     return head
@@ -162,8 +168,7 @@ def cmd_sagbi(args) -> int:
     if args.variant in ("deg", "degree"):
         if args.degree_bound is None:
             raise UsageError(f"--variant {args.variant} needs --degree-bound")
-        if not all(f.is_homogeneous() for f in gens):
-            raise UsageError(f"--variant {args.variant} needs homogeneous generators")
+        _check_homogeneous(gens, f"--variant {args.variant}")
         complete = sagbi_by_degree
     bounds = {"round_bound": args.round_bound, "degree_bound": args.degree_bound}
     if args.relations:
@@ -208,6 +213,7 @@ def cmd_matchings(args) -> int:
         raise UsageError("matchings needs a --matrix ring")
     _check_kmax(args)
     gens = _build_generators(args, ring, matrix)
+    _check_homogeneous(gens, "matchings")
     group = full_group(matrix.m, matrix.n)
     if args.mode == "exhaustive":
         space = prod(len(f.terms) for f in gens)
@@ -278,6 +284,8 @@ def cmd_matchings(args) -> int:
 
 def cmd_verify(args) -> int:
     kwargs = {}
+    if args.count < 0:
+        raise UsageError(f"--count must be nonnegative, got {args.count}")
     if args.case == "G37_sampled":
         if args.seed is None:
             raise UsageError("G37_sampled requires --seed")
@@ -304,6 +312,7 @@ def cmd_hilbert(args) -> int:
     gens = _build_generators(args, ring, matrix)
     order = _build_order(args.order, ring, matrix)
     if args.kind == "subalgebra":
+        _check_homogeneous(gens, "--kind subalgebra")
         data = subalgebra_hilbert(gens, args.kmax, order, args.grading)
         exps = None
     else:

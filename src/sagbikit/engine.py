@@ -48,7 +48,6 @@ class GeneratorFamily:
         self.ring = polys[0].ring
         self.order = order
         self.members: list[Polynomial] = []
-        self.input_divisors: list[object] = []
         self.initials: list[tuple[int, ...]] = []
         self.norm_gcd = 0
         self.presentation = PresentationRing([], [])
@@ -61,9 +60,8 @@ class GeneratorFamily:
             raise ValueError("zero generator")
         if f.ring != self.ring:
             raise ValueError("generator in wrong ring")
-        monic, divisor = make_monic(self.order, f)
+        monic, _ = make_monic(self.order, f)
         self.members.append(monic)
-        self.input_divisors.append(divisor)
         self.initials.append(leading_exponent(self.order, monic))
         d = self.ring.degree(self.initials[-1])
         self.norm_gcd = gcd(self.norm_gcd, d)

@@ -107,18 +107,20 @@ class _Basis:
         G = self.guard
         # chain criterion: keep the pair (i, t) only if no other new pair
         # has an lcm strictly dividing its lcm, and only the first of equal
-        # lcms; a strict divisor is also a smaller integer
+        # lcms; a strict divisor is also a smaller integer, and divides
+        # through a minimal one, so only the minimal lcms are tested
         first: dict[int, int] = {}
         for i in self.live:
             first.setdefault(self._lcm(leads[i], lt), i)
-        ordered = sorted(first)
+        minimal: list[int] = []
         survivors = []
-        for k, L in enumerate(ordered):
+        for L in sorted(first):
             LG = L | G
-            for L2 in ordered[:k]:
+            for L2 in minimal:
                 if (LG - L2) & G == G:
                     break
             else:
+                minimal.append(L)
                 i = first[L]
                 # coprime criterion: the lcm of coprime leads is their product
                 if L != leads[i] + lt:

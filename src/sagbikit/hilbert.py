@@ -12,6 +12,9 @@ k - d_j with mu(s) <= j (drop one g_j from a representation whose
 largest index is j), so each generator extends only the sums whose mu
 is at most its own index, and the first generator to reach a sum is
 its mu.  This is exact for every degree vector and both gradings.
+A sum is one integer: exponent vectors are packed by the lex order's
+linear key (`MonomialOrder.linear_key`) with a digit bound that no sum
+of at most k_max generators exceeds, so adding vectors adds integers.
 
 The subalgebra route packs every exponent vector into one integer by
 the order's linear key, so multiplying monomials adds keys and the
@@ -21,6 +24,11 @@ eliminated fraction-free, over GF(p) they are residues.  Its products
 are built level by level with the same least-index rule applied to
 multisets of generators: a product whose largest factor index is j is
 a product of level k - d_j with largest index at most j, times g_j.
+
+`RowSpace` is the one exact row space: sparse integer rows over Q or
+GF(p), keyed by packed monomial or by position.  It takes the subalgebra
+route's ranks, the rank of exponent vectors (`krull_dim_monomial`) and
+span membership tests.
 """
 from __future__ import annotations
 
@@ -31,32 +39,15 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Literal, Sequence
 
-from .orders import MonomialOrder
+from .orders import MonomialOrder, lex_order
 from .rings import Polynomial, RingContext
 
 Grading = Literal["normalized", "ambient"]
-
-def _pack_all(exps: list[tuple[int, ...]], k_max: int) -> list[int]:
-    """Pack exponent vectors into ints, one digit per variable.
-
-    The digit width is chosen so that sums of up to k_max generators
-    never carry between digits; vector addition is then int addition.
-    """
-    bound = max(max(e) for e in exps) * max(k_max, 1) + 1
-    shift = max(4, bound.bit_length())
-    packed = []
-    for exp in exps:
-        v = 0
-        for e in reversed(exp):
-            v = (v << shift) | e
-        packed.append(v)
-    return packed
 
 
 @dataclass
 class HilbertData:
     values: list[int]
-    grading: Grading = "normalized"
 
 
 def normalized_degrees(degrees: Sequence[int]) -> tuple[list[int], int]:
@@ -92,7 +83,8 @@ def semigroup_hilbert(exps: Iterable[tuple[int, ...]], k_max: int,
         raise ValueError("constant monomial in generator list")
     if grading == "normalized":
         degrees, _ = normalized_degrees(degrees)
-    packed = list(zip(_pack_all(exps, k_max), degrees))
+    c = lex_order(len(exps[0])).linear_key(max(map(max, exps)) * max(k_max, 1))
+    packed = [(sum(map(mul, c, e)), d) for e, d in zip(exps, degrees)]
     d_max = max(degrees)
     # level 0 holds the empty sum, which every generator may extend
     levels: list[tuple[list[int], list[int]] | None] = [([0], [1] * len(packed))]
@@ -119,86 +111,61 @@ def semigroup_hilbert(exps: Iterable[tuple[int, ...]], k_max: int,
             ends.append(len(flat))
         levels.append((flat, ends))
         values.append(len(flat))
-    return HilbertData(values=values, grading=grading)
+    return HilbertData(values=values)
 
 
-def _clear(row: list[int], pivot_row: list[int], col: int) -> list[int]:
-    """row with its entry in column col cleared against pivot_row,
-    fraction-free (no division, exact over the rationals)."""
-    v = row[col]
-    if not v:
-        return row
-    pv = pivot_row[col]
-    return [a * pv - v * b for a, b in zip(row, pivot_row)]
+def vector_row(vector: Iterable[int]) -> dict[int, int]:
+    """A dense integer vector as a sparse row keyed by position."""
+    return {i: v for i, v in enumerate(vector) if v}
 
 
-def row_echelon(vectors: Iterable[Sequence[int]]) -> list[list[int]]:
-    """Fraction-free row echelon form of integer vectors: the nonzero rows,
-    each with its first nonzero entry right of the row before's."""
-    rows = [list(v) for v in vectors]
-    echelon: list[list[int]] = []
-    col = 0
-    while rows and col < len(rows[0]):
-        i = next((i for i, r in enumerate(rows) if r[col]), None)
-        if i is not None:
-            echelon.append(rows.pop(i))
-            rows = [_clear(r, echelon[-1], col) for r in rows]
-        col += 1
-    return echelon
+class RowSpace:
+    """The span of sparse rows (dicts key -> int) over Q or GF(p).
 
-
-def in_row_span(vector: Sequence[int], echelon: list[list[int]]) -> bool:
-    """Whether the vector lies in the rational span of `row_echelon` rows."""
-    v = list(vector)
-    for row in echelon:
-        v = _clear(v, row, next(i for i, x in enumerate(row) if x))
-    return not any(v)
-
-
-def krull_dim_monomial(exps: Iterable[tuple[int, ...]]) -> int:
-    """Rank of the exponent vectors over the rationals."""
-    exps = list(exps)
-    if not exps:
-        raise ValueError("empty exponent list")
-    return len(row_echelon(exps))
-
-
-def _times(row: dict[int, int], gen: dict[int, int], p: int) -> dict[int, int]:
-    """Product of two packed polynomials with int coefficients (mod p if p)."""
-    out: dict[int, int] = {}
-    get = out.get
-    for a, x in row.items():
-        for b, y in gen.items():
-            e = a + b
-            out[e] = get(e, 0) + x * y
-    if p:
-        return {e: v % p for e, v in out.items() if v % p}
-    return {e: v for e, v in out.items() if v}
-
-
-def _rank(rows: list[dict[int, int]], p: int) -> int:
-    """Rank of packed rows over Q (ints, fraction-free) or GF(p).
-
-    A row is reduced by the pivot at its leading key until that key has
-    no pivot; it then becomes the pivot there, monic over GF(p) and
-    divided by its content over Q.
+    A row is reduced by the pivot at its largest key until that key has
+    no pivot.  Over Q the entries stay ints: each step is the
+    fraction-free b * row - a * pivot with gcd(a, b) taken out, and a new
+    pivot is divided by its content; over GF(p) rows are residues and a
+    new pivot is made monic.  Pivots have distinct leading keys, so a row
+    lies in the span exactly when it reduces to zero.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
+
+    def __init__(self, rows: Iterable[dict[int, int]] = (), p: int = 0):
+        self.p = p
+        self.pivots: dict[int, dict[int, int]] = {}
+        for row in rows:
+            self.add(row)
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def __contains__(self, row: dict[int, int]) -> bool:
+        return not self._reduce(row)
+
+    def add(self, row: dict[int, int]) -> None:
+        row = self._reduce(row)
+        if row:
+            lead = max(row)
+            p = self.p
+            if p:
+                c = pow(row[lead], -1, p)
+                self.pivots[lead] = {e: v * c % p for e, v in row.items()}
+            else:
+                c = reduce(gcd, row.values()) * (1 if row[lead] > 0 else -1)
+                self.pivots[lead] = {e: v // c for e, v in row.items()}
+
+    def _reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """A copy of the row reduced until its lead has no pivot, {} if
+        the row lies in the span."""
         row = dict(row)
+        p = self.p
+        pivots = self.pivots
         while row:
             lead = max(row)
             piv = pivots.get(lead)
-            a = row[lead]
             if piv is None:
-                if p:
-                    inv = pow(a, -1, p)
-                    pivots[lead] = {e: v * inv % p for e, v in row.items()}
-                else:
-                    g = reduce(gcd, row.values())
-                    g = g if a > 0 else -g
-                    pivots[lead] = {e: v // g for e, v in row.items()}
                 break
+            a = row[lead]
             if not p:
                 # b * row - a * piv, with the common factor g taken out
                 b = piv[lead]
@@ -215,7 +182,28 @@ def _rank(rows: list[dict[int, int]], p: int) -> int:
                     row[e] = v
                 else:
                     row.pop(e, None)
-    return len(pivots)
+        return row
+
+
+def krull_dim_monomial(exps: Iterable[tuple[int, ...]]) -> int:
+    """Rank of the exponent vectors over the rationals."""
+    exps = list(exps)
+    if not exps:
+        raise ValueError("empty exponent list")
+    return len(RowSpace(map(vector_row, exps)))
+
+
+def _times(row: dict[int, int], gen: dict[int, int], p: int) -> dict[int, int]:
+    """Product of two packed polynomials with int coefficients (mod p if p)."""
+    out: dict[int, int] = {}
+    get = out.get
+    for a, x in row.items():
+        for b, y in gen.items():
+            e = a + b
+            out[e] = get(e, 0) + x * y
+    if p:
+        return {e: v % p for e, v in out.items() if v % p}
+    return {e: v for e, v in out.items() if v}
 
 
 def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
@@ -228,10 +216,9 @@ def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
     no product of at most k_max generators exceeds, so multiplying
     monomials adds packed keys and a row's leading monomial is its largest
     key.  Over Q each generator is cleared of denominators (scaling keeps
-    the rank) and rows are eliminated fraction-free on ints; over GF(p)
-    they are residues and each pivot is made monic once.  Each pivot
-    holds a leading monomial no earlier pivot has, so the pivots' leads
-    are the initial monomials of the degree-k part of the subalgebra.
+    the rank); over GF(p) its coefficients are residues.  Ranks are taken
+    in `RowSpace`, whose pivots' leads are the initial monomials of the
+    degree-k part of the subalgebra.
 
     Products are built level by level as in `semigroup_hilbert`: level k
     lists its products ordered by largest factor index, with prefix
@@ -277,8 +264,8 @@ def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
                 rows.extend(_times(r, g, p) for r in islice(src, src_ends[j]))
             ends.append(len(rows))
         levels.append((rows, ends))
-        values.append(_rank(rows, p))
-    return HilbertData(values=values, grading=grading)
+        values.append(len(RowSpace(rows, p)))
+    return HilbertData(values=values)
 
 
 def h_vector(values: Sequence[int], dim: int) -> tuple[int, ...] | str:

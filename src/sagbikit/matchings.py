@@ -2,10 +2,13 @@
 
 A matching selects one term per generator; it is coherent when some
 weight vector selects exactly those terms, which is an exact rational
-feasibility problem.  Exhaustive enumeration walks the selection tree
-depth-first: a witness found at a node is reused for the children it
-still certifies, and an infeasible partial selection prunes the whole
-subtree (every extension of an infeasible subsystem is infeasible).
+feasibility problem.  A matching grows by a generator in one place,
+`certify`: its witness is kept when it clears the new term's differences
+(`term_diffs`), and one exact LP decides otherwise.  The depth-first
+walk of all selections, `is_coherent`, `extend_matching` and the sampled
+G(3,7) checks go through it; in the walk an infeasible partial selection
+prunes its subtree (every extension of an infeasible system is
+infeasible).
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
+from operator import mul, sub
 
 from .lp import strict_feasible
 from .minors import CanonicalGroup, MatrixRing, Minor, minor_polynomial
@@ -54,43 +58,51 @@ def matching_from_weight(family, w) -> Matching:
     return make_matching(family, selection, witness=w, coherent=True)
 
 
+def term_diffs(f: Polynomial, t: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """t minus each other term of f, in sorted term order: the differences
+    a witness must clear for f to select t."""
+    return [tuple(map(sub, t, u)) for u in sorted(f.terms) if u != t]
+
+
 def selection_diffs(family, selection):
-    diffs = []
-    for f, s in zip(family, selection):
-        for u in f.terms:
-            if u != s:
-                diffs.append(tuple(a - b for a, b in zip(s, u)))
-    return diffs
+    return [d for f, s in zip(family, selection) for d in term_diffs(f, s)]
 
 
-def _positivized(w, family, nvars):
-    """Shift a witness by the grading so all entries are positive.
+def certify(diffs, new_diffs, witness, nvars: int) -> list[int] | None:
+    """Integer w with w . d >= 1 for every d in diffs and new_diffs, or None.
 
-    Valid for homogeneous families: the grading vector pairs to zero
-    with every same-degree difference, so margins are unchanged.
+    witness, unless None, clears diffs; it is returned as it is when it
+    clears new_diffs too, and otherwise one exact LP decides the whole
+    system.  Every coherence test goes through here: the one place where
+    a matching grows by a generator.
     """
-    if all(v >= 1 for v in w):
-        return w
-    grading = family[0].ring.grading
-    if not all(f.is_homogeneous() for f in family):
-        return w
-    lam = max(-((v - 1) // g) for v, g in zip(w, grading))
-    return [v + lam * g for v, g in zip(w, grading)]
+    if witness is not None and all(sum(map(mul, witness, d)) >= 1 for d in new_diffs):
+        return witness
+    return strict_feasible([*diffs, *new_diffs], nvars)
+
+
+def _checked(family, selection, w) -> list[int]:
+    """A copy of the witness, re-verified on the polynomials; for a
+    homogeneous family shifted by the grading until every entry is
+    positive (the grading pairs to zero with every same-degree
+    difference, so margins are unchanged)."""
+    w = list(w)
+    if min(w) < 1 and all(f.is_homogeneous() for f in family):
+        grading = family[0].ring.grading
+        lam = max(-((v - 1) // g) for v, g in zip(w, grading))
+        w = [v + lam * g for v, g in zip(w, grading)]
+    for f, s in zip(family, selection):
+        if weight_selects(f, w) != s:
+            raise AssertionError("witness fails to select the matching")
+    return w
 
 
 def is_coherent(family, selection) -> list[int] | None:
     """Integral witness selecting the given terms, or None if infeasible."""
     family = list(family)
     selection = [tuple(s) for s in selection]
-    nvars = family[0].ring.nvars
-    w = strict_feasible(selection_diffs(family, selection), nvars)
-    if w is None:
-        return None
-    w = _positivized(w, family, nvars)
-    for f, s in zip(family, selection):
-        if weight_selects(f, w) != s:
-            raise AssertionError("witness fails to select the matching")
-    return w
+    w = certify([], selection_diffs(family, selection), None, family[0].ring.nvars)
+    return None if w is None else _checked(family, selection, w)
 
 
 @dataclass
@@ -119,49 +131,32 @@ def _dfs_vertices(family, nvars, on_leaf, prefix=()):
     independent workers own disjoint subtrees.
     """
     term_lists = [sorted(f.terms) for f in family]
-    diff_lists = []
-    for terms in term_lists:
-        per_term = []
-        for t in terms:
-            per_term.append([tuple(a - b for a, b in zip(t, u))
-                             for u in terms if u != t])
-        diff_lists.append(per_term)
+    diff_lists = [[term_diffs(f, t) for t in terms]
+                  for f, terms in zip(family, term_lists)]
     sel: list[tuple[int, ...]] = list(prefix)
     acc: list[tuple[int, ...]] = []
     for level, t in enumerate(prefix):
         acc.extend(diff_lists[level][term_lists[level].index(t)])
-    start = len(prefix)
-    if prefix:
-        witness0 = strict_feasible(acc, nvars)
-        if witness0 is None:
-            return
-    else:
-        witness0 = [0] * nvars
+    # the zero witness clears no difference, so only a prefix is solved
+    witness0 = certify([], acc, [0] * nvars, nvars)
+    if witness0 is None:
+        return
 
     def descend(level, witness):
         if level == len(family):
             on_leaf(tuple(sel), list(witness))
             return
-        for ti, t in enumerate(term_lists[level]):
-            new_diffs = diff_lists[level][ti]
-            w = witness
-            reuse = w is not None
-            if reuse:
-                for d in new_diffs:
-                    if sum(a * b for a, b in zip(w, d)) < 1:
-                        reuse = False
-                        break
-            if not reuse:
-                w = strict_feasible(acc + new_diffs, nvars)
-                if w is None:
-                    continue
+        for t, new_diffs in zip(term_lists[level], diff_lists[level]):
+            w = certify(acc, new_diffs, witness, nvars)
+            if w is None:
+                continue
             sel.append(t)
             acc.extend(new_diffs)
             descend(level + 1, w)
             del acc[len(acc) - len(new_diffs):]
             sel.pop()
 
-    descend(start, witness0)
+    descend(len(prefix), witness0)
 
 
 def _subtree_worker(args):
@@ -302,15 +297,22 @@ def first_defect(values, reference_values, k_max: int) -> int | None:
     return next((k for k in range(k_max + 1) if values[k] < reference_values[k]), None)
 
 
-def extend_matching(matching: Matching, g: Polynomial) -> list[Matching]:
-    """Coherent extensions of the matching by one more generator."""
+def extend_matching(matching: Matching, g: Polynomial, terms=None) -> list[Matching]:
+    """Coherent extensions of the matching by one more generator, over the
+    given terms of g (all of them, sorted, by default).
+
+    The matching's witness, if any, is tried first for every term.
+    """
     family = matching.family + [g]
+    nvars = g.ring.nvars
+    diffs = selection_diffs(matching.family, matching.selection)
     out = []
-    for t in sorted(g.terms):
-        w = is_coherent(family, matching.selection + (t,))
+    for t in sorted(g.terms) if terms is None else terms:
+        w = certify(diffs, term_diffs(g, t), matching.witness, nvars)
         if w is not None:
-            out.append(make_matching(family, matching.selection + (t,),
-                                     witness=w, coherent=True))
+            selection = matching.selection + (t,)
+            out.append(make_matching(family, selection, coherent=True,
+                                     witness=_checked(family, selection, w)))
     return out
 
 

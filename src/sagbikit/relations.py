@@ -4,8 +4,7 @@ Every subduction outcome either extends the retract (nonzero remainder:
 the new tag variable is rewritten in the original presentation
 variables) or contributes a generator of the kernel of the original
 presentation (zero remainder).  Relations are stated for the monic
-versions of the input generators; input leading coefficients are
-recorded on the family as ``input_divisors``.
+versions of the input generators.
 """
 from __future__ import annotations
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product as iproduct
 from math import comb
 
-from .hilbert import expand_series, in_row_span, row_echelon, semigroup_hilbert
-from .matchings import (Matching, enumerate_vertices_exhaustive, extend_matching,
-                        is_coherent, make_matching, matching_from_weight,
-                        restrict_matching)
+from .hilbert import RowSpace, expand_series, semigroup_hilbert, vector_row
+from .matchings import (Matching, certify, enumerate_vertices_exhaustive,
+                        extend_matching, make_matching, matching_from_weight,
+                        restrict_matching, selection_diffs, term_diffs)
 from .minors import (MatrixRing, bracket, bracket_name, determinant, full_group,
                      minors, pattern_stabilizer)
 from .orders import TieError
@@ -337,30 +338,27 @@ def verify_g37_sampled(count: int, seed: int) -> CaseReport:
         # inside the rational span of the matching (the Hilbert bound
         # caps the semigroup dimension at 13), so terms outside it are
         # infeasible without an LP call
-        span = row_echelon(T.selection)
+        span = RowSpace(map(vector_row, T.selection))
         if len(span) != 3 * (7 - 3) + 1:
             raise VerificationError(
                 f"sample {sample_idx}: matching rank {len(span)} != 13", T)
         term_choices = []
         for g in transported:
-            cands = [t for t in sorted(g.terms) if in_row_span(t, span)]
-            feasible = [t for t in cands
-                        if is_coherent(list(T.family) + [g], T.selection + (t,))
-                        is not None]
+            cands = [t for t in sorted(g.terms) if vector_row(t) in span]
+            feasible = [ext.selection[-1] for ext in extend_matching(T, g, cands)]
             if not feasible:
                 raise VerificationError(
                     f"sample {sample_idx}: no coherent extension for a repair", T)
-            term_choices.append((g, feasible))
-        from itertools import product as iproduct
-        combos = list(iproduct(*[f for _, f in term_choices]))
+            term_choices.append(feasible)
+        diffs = selection_diffs(T.family, T.selection)
+        combos = list(iproduct(*term_choices))
         any_ok = False
         for combo in combos:
-            fam_aug = list(T.family) + [g for g, _ in term_choices]
-            sel_aug = T.selection + tuple(combo)
-            if len(combo) > 1 and is_coherent(fam_aug, sel_aug) is None:
+            new = [d for g, t in zip(transported, combo) for d in term_diffs(g, t)]
+            if len(combo) > 1 and certify(diffs, new, T.witness, M7.ring.nvars) is None:
                 continue
             any_ok = True
-            values = semigroup_hilbert(sel_aug, 2, M7.ring).values
+            values = semigroup_hilbert(T.selection + combo, 2, M7.ring).values
             if values[2] != h2_g37:
                 raise VerificationError(
                     f"sample {sample_idx}: augmentation left degree 2 at "

@@ -75,6 +75,14 @@ def test_matchings_json_deterministic(capsys):
     assert sum(1 for r in payload["rows"] if r["full_support"]) == 1
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_matchings_report_does_not_depend_on_workers(capsys, fmt):
+    argv = ["matchings", "--matrix", "3x3", "--minors", "2", "--format", fmt]
+    serial = _run(capsys, argv + ["--workers", "1"])
+    assert serial[0] == 0
+    assert _run(capsys, argv + ["--workers", "2"]) == serial
+
+
 def test_matchings_random_requires_seed(capsys):
     code, _, err = _run(capsys, ["matchings", "--matrix", "3x3", "--minors", "2",
                                  "--mode", "random"])
@@ -164,11 +172,18 @@ def test_config_gen_list_yields_to_explicit_gen(capsys, tmp_path):
       "--variant", "degree", "--degree-bound", "4"], "needs homogeneous generators"),
     (["relations", "--vars", "x,y", "--gen", "1/2*x+y", "--gen", "x*y", "--char", "2"],
      "denominator 2 is not invertible mod 2"),
+    (["hilbert", "--vars", "x,y", "--gen", "x+y^2", "--kind", "subalgebra"],
+     "--kind subalgebra needs homogeneous generators"),
+    (["matchings", "--matrix", "2x2", "--gen", "X21-1", "--workers", "1"],
+     "matchings needs homogeneous generators"),
+    (["verify", "--case", "G37_sampled", "--count", "-2", "--seed", "3"],
+     "--count must be nonnegative"),
 ], ids=["negative-kmax", "cap-exceeded", "minors-too-large", "constant-generator",
         "negative-weight", "empty-matrix", "zero-var-degree", "non-integer-perm",
         "repeated-perm", "non-integer-weight", "composite-char",
         "degree-without-bound", "inhomogeneous-deg", "inhomogeneous-degree",
-        "denominator-divisible-by-char"])
+        "denominator-divisible-by-char", "inhomogeneous-subalgebra",
+        "inhomogeneous-matchings", "negative-count"])
 def test_bad_input_is_one_line_usage_error(capsys, argv, needle):
     code, out, err = _run(capsys, argv)
     assert code == 2
@@ -243,3 +258,68 @@ def test_sagbi_options_exit_0_or_2_without_traceback(command, degree_bound,
     else:
         assert code == 0 and err.getvalue() == ""
         assert "\n# status: " in out.getvalue()
+
+
+_MATRIX_POOL = ("X11", "X11+X12", "X11*X22-X12*X21", "X11*X22+X13", "X12^2", "X21-1", "3")
+
+
+def _flag(draw, flag, values):
+    value = draw(st.sampled_from((None,) + values))
+    return [] if value is None else [flag, str(value)]
+
+
+@st.composite
+def _hilbert_argv(draw):
+    if draw(st.booleans()):
+        argv = ["--vars", "x,y", "--order",
+                draw(st.sampled_from(["lex", "degrevlex", "lex:2,1", "weight:1,2"]))]
+        argv += [a for g in draw(st.lists(st.sampled_from(_POOL), min_size=1,
+                                          max_size=3)) for a in ("--gen", g)]
+    else:
+        argv = ["--matrix", "2x2", "--minors", str(draw(st.integers(0, 3)))]
+    argv += _flag(draw, "--kind", ("subalgebra", "semigroup"))
+    argv += _flag(draw, "--kmax", (-1, 0, 2, 3))
+    argv += _flag(draw, "--grading", ("normalized", "ambient"))
+    argv += _flag(draw, "--char", (2, 4))
+    return ["hilbert"] + argv
+
+
+@st.composite
+def _matchings_argv(draw):
+    argv = ["matchings", "--workers", "1",
+            "--matrix", draw(st.sampled_from(["2x2", "2x3", "3x3", "0x2", "2x"]))]
+    if draw(st.booleans()):
+        argv += ["--minors", str(draw(st.integers(0, 3)))]
+    else:
+        argv += [a for g in draw(st.lists(st.sampled_from(_MATRIX_POOL), min_size=1,
+                                          max_size=3)) for a in ("--gen", g)]
+    argv += _flag(draw, "--mode", ("exhaustive", "random"))
+    argv += _flag(draw, "--seed", (5,))
+    argv += _flag(draw, "--kmax", (-1, 0, 2))
+    argv += _flag(draw, "--cap", (4,))
+    argv += _flag(draw, "--trials", (0, 20))
+    argv += _flag(draw, "--stall", (5,))
+    argv += _flag(draw, "--format", ("tsv", "json"))
+    argv += _flag(draw, "--grading", ("normalized", "ambient"))
+    return argv
+
+
+@st.composite
+def _verify_argv(draw):
+    argv = ["verify", "--case", draw(st.sampled_from(["A233", "G37_sampled"]))]
+    return argv + _flag(draw, "--count", (-1, 0, 1)) + _flag(draw, "--seed", (3,))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(_hilbert_argv(), _matchings_argv(), _verify_argv()))
+def test_hilbert_matchings_verify_exit_0_or_2_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("usage error:", "parse error:"))
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert code == 0 and err.getvalue() == ""
+        assert out.getvalue().startswith(("# sagbikit ", "{"))

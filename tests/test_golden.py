@@ -7,7 +7,9 @@ runs of the SAGBI completion loop (degree windows, --degree-bound and
 were captured before the binomial toric kernel replaced the coefficient
 elimination, the loop runs before the two loop variants were merged into
 one, and the G(3,6) relations before `buchberger` and the relation
-minimizer moved onto the shared, degree-truncated Buchberger core.  To
+minimizer moved onto the shared, degree-truncated Buchberger core.  The
+two matchings transcripts differ from their first capture only in the
+job line, which no longer lists the worker count.  To
 re-capture after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """

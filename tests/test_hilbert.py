@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_product_values, rank_rational, schur_rectangle_dim,
-                     semigroup_values_bruteforce, subalgebra_values_mod_p,
-                     subalgebra_values_rational)
+from oracles import (brute_product_values, rank_mod_p, rank_rational,
+                     schur_rectangle_dim, semigroup_values_bruteforce,
+                     subalgebra_values_mod_p, subalgebra_values_rational)
 from sagbikit.formats import parse_polynomial
-from sagbikit.hilbert import (expand_series, h_vector, in_row_span, krull_dim_monomial,
-                              row_echelon, semigroup_hilbert, subalgebra_hilbert)
+from sagbikit.hilbert import (RowSpace, expand_series, h_vector, krull_dim_monomial,
+                              semigroup_hilbert, subalgebra_hilbert, vector_row)
 from sagbikit.minors import MatrixRing, diagonal_order, minors
 from sagbikit.orders import degrevlex_order, lex_order, weight_order
 from sagbikit.rings import Polynomial, RingContext
@@ -279,20 +279,46 @@ def test_negative_k_max_rejected():
         subalgebra_hilbert([parse_polynomial(R, "x")], -1, lex_order(2))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([0, 2, 3, 5]), st.integers(1, 5).flatmap(lambda n: st.tuples(
     st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=5),
     st.lists(st.integers(-3, 3), min_size=n, max_size=n),
     st.lists(st.integers(-2, 2), min_size=5, max_size=5),
     st.booleans())))
-def test_row_span_membership_matches_rational_rank(data):
+def test_row_span_membership_matches_rational_rank(p, data):
+    # over GF(p) the rows are residues, and the oracle is the mod-p rank
     rows, v, coeffs, inside = data
     if inside:  # an integer combination of the rows
         v = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(len(v))]
-    echelon = row_echelon(rows)
-    assert len(echelon) == rank_rational(rows)
-    pivots = [next(i for i, x in enumerate(r) if x) for r in echelon]
-    assert pivots == sorted(set(pivots))
-    assert in_row_span(v, echelon) == (rank_rational(rows + [v]) == rank_rational(rows))
+    if p:
+        rows = [[x % p for x in r] for r in rows]
+        v = [x % p for x in v]
+        rank = lambda m: rank_mod_p(m, p)
+    else:
+        rank = rank_rational
+    space = RowSpace(map(vector_row, rows), p)
+    assert len(space) == rank(rows)
+    assert (vector_row(v) in space) == (rank(rows + [v]) == rank(rows))
     if inside:
-        assert in_row_span(v, echelon)
+        assert vector_row(v) in space
+    space.add(vector_row(v))
+    assert len(space) == rank(rows + [v])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any),
+             min_size=1, max_size=5),
+    st.sampled_from(["normalized", "ambient"]))))
+def test_semigroup_packing_at_the_exponent_bound(data):
+    # with k_max 0 or 1 the digit bound is the largest exponent itself,
+    # so a generator that reaches it fills its digit exactly
+    exps, grading = data
+    exps = [tuple(e) for e in exps]
+    top = max(map(max, exps))
+    exps.append(tuple(top if i == 0 else 0 for i in range(len(exps[0]))))
+    ring = RingContext([f"x{i}" for i in range(len(exps[0]))])
+    weights = [1] * len(exps[0])
+    for k_max in (0, 1):
+        assert (semigroup_hilbert(exps, k_max, ring, grading).values
+                == semigroup_values_bruteforce(exps, weights, k_max, grading))

@@ -13,7 +13,7 @@ from sagbikit.matchings import (Matching, enumerate_vertices_exhaustive,
                                 sagbi_defect)
 from sagbikit.minors import (MatrixRing, Q_matrix, determinant, full_group, minors,
                              submax_lex_order)
-from sagbikit.orders import TieError, leading_exponent
+from sagbikit.orders import TieError, leading_exponent, weight_selects
 from sagbikit.rings import Polynomial, RingContext
 from sagbikit.universal import diagonal_matching, g36_reference
 
@@ -191,6 +191,52 @@ def test_extend_matching_cases():
     base = make_matching([parse_polynomial(R, "x + y")], [(1, 0, 0, 0)])
     g = parse_polynomial(R, "u + v + u*v")
     assert len(extend_matching(base, g)) == 3
+
+
+def _random_homogeneous(rng, ring, degree, nterms):
+    monomials = [e for e in product(range(degree + 1), repeat=ring.nvars)
+                 if sum(e) == degree]
+    chosen = rng.sample(monomials, min(nterms, len(monomials)))
+    return Polynomial(ring, {e: rng.choice([1, -1, 2]) for e in chosen})
+
+
+def test_extend_matching_agrees_with_cold_checks():
+    # each term of g is tried with no witness, with one that clears its
+    # differences (it must be kept as it is, where a cold LP would give
+    # back the untripled one) and with one that selects another term of g
+    # (an LP must decide)
+    rng = random.Random(23)
+    cases = cleared = refused = 0
+    while cases < 30:
+        R = RingContext([f"x{i}" for i in range(rng.randint(2, 4))])
+        family = [_random_homogeneous(rng, R, rng.randint(1, 2), rng.randint(1, 3))
+                  for _ in range(rng.randint(1, 3))]
+        g = _random_homogeneous(rng, R, rng.randint(2, 3), rng.randint(2, 5))
+        try:
+            m = matching_from_weight(family, [rng.randint(1, 9) for _ in range(R.nvars)])
+        except TieError:
+            continue
+        cases += 1
+        cold = {t: is_coherent(family + [g], m.selection + (t,)) for t in sorted(g.terms)}
+        for t, w in cold.items():
+            assert (w is not None) == coherent_by_hull(family + [g], m.selection + (t,))
+            others = [w2 for t2, w2 in cold.items() if t2 != t and w2 is not None]
+            tripled = None if w is None else [3 * v for v in w]
+            for witness in [None] + [tripled] * (w is not None) + others[:1]:
+                base = make_matching(family, m.selection, witness=witness)
+                exts = extend_matching(base, g, [t])
+                assert len(exts) == (w is not None)
+                if exts:
+                    assert exts[0].selection == m.selection + (t,)
+                    assert [weight_selects(f, exts[0].witness) for f in family + [g]] \
+                        == list(exts[0].selection)
+                if witness is tripled is not None:
+                    assert exts[0].witness == tripled
+                    cleared += 1
+                elif witness is not None and w is None:
+                    refused += 1
+        assert extend_matching(m, g) == extend_matching(m, g, sorted(g.terms))
+    assert cleared and refused
 
 
 def test_restrict_matching_identity_and_columns():
