@@ -225,6 +225,9 @@ def cmd_matchings(args) -> int:
     else:
         if args.seed is None:
             raise UsageError("random mode requires --seed")
+        for name in ("trials", "stall"):
+            if getattr(args, name) < 1:
+                raise UsageError(f"--{name} must be positive, got {getattr(args, name)}")
         catalog = enumerate_vertices_random(gens, group, trials=args.trials,
                                             stall_limit=args.stall, seed=args.seed)
     k_max = args.kmax

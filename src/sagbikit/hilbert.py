@@ -13,8 +13,10 @@ largest index is j), so each generator extends only the sums whose mu
 is at most its own index, and the first generator to reach a sum is
 its mu.  This is exact for every degree vector and both gradings.
 A sum is one integer: exponent vectors are packed by the lex order's
-linear key (`MonomialOrder.linear_key`) with a digit bound that no sum
-of at most k_max generators exceeds, so adding vectors adds integers.
+linear key with a digit bound b that no sum of at most k_max generators
+exceeds, so adding vectors adds integers.  For lex that key is the
+closed form c_i = (2b + 1)^(n - 1 - i) (`lex_key`), equal to
+`MonomialOrder.linear_key` of `lex_order(n)` without building its rows.
 
 The subalgebra route packs every exponent vector into one integer by
 the order's linear key, so multiplying monomials adds keys and the
@@ -39,7 +41,7 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Literal, Sequence
 
-from .orders import MonomialOrder, lex_order
+from .orders import MonomialOrder
 from .rings import Polynomial, RingContext
 
 Grading = Literal["normalized", "ambient"]
@@ -58,6 +60,13 @@ def normalized_degrees(degrees: Sequence[int]) -> tuple[list[int], int]:
     if g == 0:
         raise ValueError("constant generator has no degree")
     return [d // g for d in degrees], g
+
+
+def lex_key(nvars: int, bound: int) -> tuple[int, ...]:
+    """The lex linear key for exponents with entries at most bound: digits
+    in base 2 * bound + 1, the first variable most significant."""
+    base = 2 * bound + 1
+    return tuple(base ** (nvars - 1 - i) for i in range(nvars))
 
 
 def semigroup_hilbert(exps: Iterable[tuple[int, ...]], k_max: int,
@@ -83,7 +92,7 @@ def semigroup_hilbert(exps: Iterable[tuple[int, ...]], k_max: int,
         raise ValueError("constant monomial in generator list")
     if grading == "normalized":
         degrees, _ = normalized_degrees(degrees)
-    c = lex_order(len(exps[0])).linear_key(max(map(max, exps)) * max(k_max, 1))
+    c = lex_key(len(exps[0]), max(map(max, exps)) * max(k_max, 1))
     packed = [(sum(map(mul, c, e)), d) for e, d in zip(exps, degrees)]
     d_max = max(degrees)
     # level 0 holds the empty sum, which every generator may extend

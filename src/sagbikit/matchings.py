@@ -2,12 +2,15 @@
 
 A matching selects one term per generator; it is coherent when some
 weight vector selects exactly those terms, which is an exact rational
-feasibility problem.  A matching grows by a generator in one place,
-`certify`: its witness is kept when it clears the new term's differences
-(`term_diffs`), and one exact LP decides otherwise.  The depth-first
-walk of all selections, `is_coherent`, `extend_matching` and the sampled
-G(3,7) checks go through it; in the walk an infeasible partial selection
-prunes its subtree (every extension of an infeasible system is
+feasibility problem (`lp.StrictSystem`).  A matching grows by a
+generator in one place, `certify`: the matching's system is extended by
+the new term's differences (`term_diffs`), its witness is kept when it
+clears them, and otherwise the extended system is solved warm from the
+matching's own solved system, which is solved at most once however many
+extensions ask for it.  The depth-first walk of all selections carries
+one system per level, and `extend_matching` and the sampled G(3,7)
+checks extend one system per matching; in the walk an infeasible partial
+selection prunes its subtree (every extension of an infeasible system is
 infeasible).
 """
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import lru_cache
 from math import prod
 from operator import mul, sub
 
-from .lp import strict_feasible
+from .lp import StrictSystem, strict_feasible
 from .minors import CanonicalGroup, MatrixRing, Minor, minor_polynomial
 from .orders import TieError, weight_selects
 from .rings import Polynomial
@@ -68,17 +71,21 @@ def selection_diffs(family, selection):
     return [d for f, s in zip(family, selection) for d in term_diffs(f, s)]
 
 
-def certify(diffs, new_diffs, witness, nvars: int) -> list[int] | None:
-    """Integer w with w . d >= 1 for every d in diffs and new_diffs, or None.
+def certify(system: StrictSystem, new_diffs,
+            witness) -> tuple[StrictSystem, list[int] | None]:
+    """The system extended by new_diffs, with an integer w such that
+    w . d >= 1 for all its columns, or None when there is none.
 
-    witness, unless None, clears diffs; it is returned as it is when it
-    clears new_diffs too, and otherwise one exact LP decides the whole
-    system.  Every coherence test goes through here: the one place where
-    a matching grows by a generator.
+    witness, unless None, clears the system's columns; it is returned as
+    it is when it clears new_diffs too, and otherwise the extended system
+    is solved, warm from the system's own optimal tableau.  Every
+    growing coherence test goes through here: the one place where a
+    matching grows by a generator.
     """
+    child = system.extended(new_diffs)
     if witness is not None and all(sum(map(mul, witness, d)) >= 1 for d in new_diffs):
-        return witness
-    return strict_feasible([*diffs, *new_diffs], nvars)
+        return child, witness
+    return child, child.solve()
 
 
 def _checked(family, selection, w) -> list[int]:
@@ -101,7 +108,7 @@ def is_coherent(family, selection) -> list[int] | None:
     """Integral witness selecting the given terms, or None if infeasible."""
     family = list(family)
     selection = [tuple(s) for s in selection]
-    w = certify([], selection_diffs(family, selection), None, family[0].ring.nvars)
+    w = strict_feasible(selection_diffs(family, selection), family[0].ring.nvars)
     return None if w is None else _checked(family, selection, w)
 
 
@@ -128,35 +135,35 @@ def _dfs_vertices(family, nvars, on_leaf, prefix=()):
     """Depth-first walk of all selections with exact feasibility verdicts.
 
     A prefix pins the selections of the leading generators, which lets
-    independent workers own disjoint subtrees.
+    independent workers own disjoint subtrees.  The prefix is walked with
+    the same `certify` steps as the whole tree, so every leaf gets the
+    same witness for any split.
     """
     term_lists = [sorted(f.terms) for f in family]
     diff_lists = [[term_diffs(f, t) for t in terms]
                   for f, terms in zip(family, term_lists)]
     sel: list[tuple[int, ...]] = list(prefix)
-    acc: list[tuple[int, ...]] = []
+    # the zero witness clears no difference, so the first step is solved
+    system, witness = StrictSystem(nvars), [0] * nvars
     for level, t in enumerate(prefix):
-        acc.extend(diff_lists[level][term_lists[level].index(t)])
-    # the zero witness clears no difference, so only a prefix is solved
-    witness0 = certify([], acc, [0] * nvars, nvars)
-    if witness0 is None:
-        return
+        system, witness = certify(system, diff_lists[level][term_lists[level].index(t)],
+                                  witness)
+        if witness is None:
+            return
 
-    def descend(level, witness):
+    def descend(level, system, witness):
         if level == len(family):
             on_leaf(tuple(sel), list(witness))
             return
         for t, new_diffs in zip(term_lists[level], diff_lists[level]):
-            w = certify(acc, new_diffs, witness, nvars)
+            child, w = certify(system, new_diffs, witness)
             if w is None:
                 continue
             sel.append(t)
-            acc.extend(new_diffs)
-            descend(level + 1, w)
-            del acc[len(acc) - len(new_diffs):]
+            descend(level + 1, child, w)
             sel.pop()
 
-    descend(len(prefix), witness0)
+    descend(len(prefix), system, witness)
 
 
 def _subtree_worker(args):
@@ -297,18 +304,27 @@ def first_defect(values, reference_values, k_max: int) -> int | None:
     return next((k for k in range(k_max + 1) if values[k] < reference_values[k]), None)
 
 
-def extend_matching(matching: Matching, g: Polynomial, terms=None) -> list[Matching]:
+def matching_system(matching: Matching) -> StrictSystem:
+    """The strict system of the matching's own differences, unsolved."""
+    return StrictSystem(matching.family[0].ring.nvars,
+                        selection_diffs(matching.family, matching.selection))
+
+
+def extend_matching(matching: Matching, g: Polynomial, terms=None,
+                    system: StrictSystem | None = None) -> list[Matching]:
     """Coherent extensions of the matching by one more generator, over the
     given terms of g (all of them, sorted, by default).
 
-    The matching's witness, if any, is tried first for every term.
+    The matching's witness, if any, is tried first for every term; the
+    matching's system (`matching_system`, or the one given, which callers
+    extending one matching several times share) is solved at most once.
     """
     family = matching.family + [g]
-    nvars = g.ring.nvars
-    diffs = selection_diffs(matching.family, matching.selection)
+    if system is None:
+        system = matching_system(matching)
     out = []
     for t in sorted(g.terms) if terms is None else terms:
-        w = certify(diffs, term_diffs(g, t), matching.witness, nvars)
+        _, w = certify(system, term_diffs(g, t), matching.witness)
         if w is not None:
             selection = matching.selection + (t,)
             out.append(make_matching(family, selection, coherent=True,

@@ -16,7 +16,7 @@ from math import comb
 from .hilbert import RowSpace, expand_series, semigroup_hilbert, vector_row
 from .matchings import (Matching, certify, enumerate_vertices_exhaustive,
                         extend_matching, make_matching, matching_from_weight,
-                        restrict_matching, selection_diffs, term_diffs)
+                        matching_system, restrict_matching, term_diffs)
 from .minors import (MatrixRing, bracket, bracket_name, determinant, full_group,
                      minors, pattern_stabilizer)
 from .orders import TieError
@@ -342,20 +342,23 @@ def verify_g37_sampled(count: int, seed: int) -> CaseReport:
         if len(span) != 3 * (7 - 3) + 1:
             raise VerificationError(
                 f"sample {sample_idx}: matching rank {len(span)} != 13", T)
+        # one system of T's differences, solved at most once, serves every
+        # extension below
+        system = matching_system(T)
         term_choices = []
         for g in transported:
             cands = [t for t in sorted(g.terms) if vector_row(t) in span]
-            feasible = [ext.selection[-1] for ext in extend_matching(T, g, cands)]
+            feasible = [ext.selection[-1]
+                        for ext in extend_matching(T, g, cands, system)]
             if not feasible:
                 raise VerificationError(
                     f"sample {sample_idx}: no coherent extension for a repair", T)
             term_choices.append(feasible)
-        diffs = selection_diffs(T.family, T.selection)
         combos = list(iproduct(*term_choices))
         any_ok = False
         for combo in combos:
             new = [d for g, t in zip(transported, combo) for d in term_diffs(g, t)]
-            if len(combo) > 1 and certify(diffs, new, T.witness, M7.ring.nvars) is None:
+            if len(combo) > 1 and certify(system, new, T.witness)[1] is None:
                 continue
             any_ok = True
             values = semigroup_hilbert(T.selection + combo, 2, M7.ring).values

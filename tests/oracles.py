@@ -7,7 +7,9 @@ from a Caratheodory search for zero in the convex hull of difference
 vectors, determinants from cofactor expansion, and subalgebra Hilbert
 values from the rank over Q or GF(p) of a dense coefficient matrix of
 products expanded here, and Groebner bases from Buchberger's algorithm
-on tuple exponents with no pair criterion at all.
+on tuple exponents with no pair criterion at all.  Strict feasibility
+verdicts are checked against a cold phase-1 simplex that builds a fresh
+tableau and pivots from the artificial basis on every call.
 """
 from __future__ import annotations
 
@@ -15,6 +17,9 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import gcd
+
+_BLAND_AFTER = 200
+_MAX_PIVOTS = 50000
 
 
 def schur_rectangle_dim(m: int, k: int, n: int) -> int:
@@ -64,6 +69,127 @@ def semigroup_values_bruteforce(exps: list[tuple[int, ...]], weights: list[int],
         g = reduce(gcd, degrees)
         degrees = [d // g for d in degrees]
     return brute_product_values(exps, degrees, k_max)
+
+
+def strict_feasible_cold(diffs, nvars: int):
+    """Integer w with w . d >= 1 for every d in diffs, or None if infeasible.
+
+    diffs: iterable of integer tuples of length nvars.
+    """
+    seen = set()
+    cols = []
+    for d in diffs:
+        if len(d) != nvars:
+            raise ValueError("difference vector length mismatch")
+        t = tuple(d)
+        if not any(t):
+            return None
+        if t not in seen:
+            seen.add(t)
+            cols.append(t)
+    if not cols:
+        return [0] * nvars
+
+    m = len(cols)
+    nrows = nvars + 1
+    # tableau rows 0..nvars: constraints [y columns | artificials | rhs]
+    # last row: reduced costs of the phase-1 objective (min sum of artificials)
+    T = []
+    for i in range(nvars):
+        row = [d[i] for d in cols]
+        row += [0] * nrows
+        row[m + i] = 1
+        row.append(0)
+        T.append(row)
+    row = [1] * m + [0] * nrows + [1]
+    row[m + nvars] = 1
+    T.append(row)
+    obj = [-sum(T[i][j] for i in range(nrows)) for j in range(m)]
+    obj += [0] * nrows + [-1]
+    T.append(obj)
+
+    basis = list(range(m, m + nrows))
+    den = 1
+    ncols = m + nrows + 1
+    rhs = ncols - 1
+    objrow = T[nrows]
+
+    pivots = 0
+    while True:
+        # entering column: most negative reduced cost, Bland once degenerate
+        # cycling becomes a risk
+        q = -1
+        if pivots < _BLAND_AFTER:
+            best = 0
+            for j in range(ncols - 1):
+                v = objrow[j]
+                if v < best:
+                    best = v
+                    q = j
+        else:
+            for j in range(ncols - 1):
+                if objrow[j] < 0:
+                    q = j
+                    break
+        if q < 0:
+            break
+        # ratio test on rows with positive pivot column entry
+        p = -1
+        pn = pd = 0
+        for i in range(nrows):
+            tq = T[i][q]
+            if tq > 0:
+                bi = T[i][rhs]
+                if p < 0 or bi * pd < pn * tq or (bi * pd == pn * tq
+                                                  and basis[i] < basis[p]):
+                    p, pn, pd = i, bi, tq
+        if p < 0:
+            raise RuntimeError("phase-1 objective unbounded; invalid input")
+        piv = T[p][q]
+        Tp = T[p]
+        if den == 1:
+            for i in range(nrows + 1):
+                if i == p:
+                    continue
+                Ti = T[i]
+                tq = Ti[q]
+                if tq:
+                    T[i] = [a * piv - tq * b for a, b in zip(Ti, Tp)]
+                else:
+                    T[i] = [a * piv for a in Ti]
+        else:
+            for i in range(nrows + 1):
+                if i == p:
+                    continue
+                Ti = T[i]
+                tq = Ti[q]
+                if tq:
+                    T[i] = [(a * piv - tq * b) // den for a, b in zip(Ti, Tp)]
+                else:
+                    T[i] = [a * piv // den for a in Ti]
+        den = piv
+        basis[p] = q
+        objrow = T[nrows]
+        pivots += 1
+        if pivots > _MAX_PIVOTS:
+            raise RuntimeError("simplex pivot limit exceeded")
+
+    # objective value z* = -objrow[rhs] / den; zero means 0 lies in the
+    # convex hull of the d's, i.e. the strict system has no solution
+    if objrow[rhs] == 0:
+        return None
+
+    # dual multipliers give the witness: w_i = objrow[artificial i] - den
+    w = [objrow[m + i] - den for i in range(nvars)]
+    g = 0
+    for v in w:
+        g = gcd(g, v)
+    if g > 1:
+        w = [v // g for v in w]
+    for d in cols:
+        if sum(a * b for a, b in zip(w, d)) < 1:
+            raise AssertionError("witness verification failed")
+    return w
 
 
 def _solve_convex_zero(ds: list[tuple[int, ...]]) -> bool:

@@ -178,12 +178,16 @@ def test_config_gen_list_yields_to_explicit_gen(capsys, tmp_path):
      "matchings needs homogeneous generators"),
     (["verify", "--case", "G37_sampled", "--count", "-2", "--seed", "3"],
      "--count must be nonnegative"),
+    (["matchings", "--matrix", "3x3", "--minors", "2", "--mode", "random",
+      "--seed", "1", "--trials", "-5"], "--trials must be positive"),
+    (["matchings", "--matrix", "3x3", "--minors", "2", "--mode", "random",
+      "--seed", "1", "--stall", "0"], "--stall must be positive"),
 ], ids=["negative-kmax", "cap-exceeded", "minors-too-large", "constant-generator",
         "negative-weight", "empty-matrix", "zero-var-degree", "non-integer-perm",
         "repeated-perm", "non-integer-weight", "composite-char",
         "degree-without-bound", "inhomogeneous-deg", "inhomogeneous-degree",
         "denominator-divisible-by-char", "inhomogeneous-subalgebra",
-        "inhomogeneous-matchings", "negative-count"])
+        "inhomogeneous-matchings", "negative-count", "negative-trials", "zero-stall"])
 def test_bad_input_is_one_line_usage_error(capsys, argv, needle):
     code, out, err = _run(capsys, argv)
     assert code == 2

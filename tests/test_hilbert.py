@@ -13,11 +13,18 @@ from oracles import (brute_product_values, rank_mod_p, rank_rational,
                      subalgebra_values_mod_p, subalgebra_values_rational)
 from sagbikit.formats import parse_polynomial
 from sagbikit.hilbert import (RowSpace, expand_series, h_vector, krull_dim_monomial,
-                              semigroup_hilbert, subalgebra_hilbert, vector_row)
+                              lex_key, semigroup_hilbert, subalgebra_hilbert,
+                              vector_row)
 from sagbikit.minors import MatrixRing, diagonal_order, minors
 from sagbikit.orders import degrevlex_order, lex_order, weight_order
 from sagbikit.rings import Polynomial, RingContext
 from sagbikit.universal import diagonal_matching
+
+
+@pytest.mark.parametrize("nvars", [1, 4, 12, 21])
+@pytest.mark.parametrize("bound", [1, 2, 14])
+def test_lex_key_is_the_lex_linear_key(nvars, bound):
+    assert lex_key(nvars, bound) == lex_order(nvars).linear_key(bound)
 
 
 def test_two_minors_3x3_degree_two_is_free():

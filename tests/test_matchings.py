@@ -6,7 +6,8 @@ import pytest
 from oracles import coherent_by_hull
 from sagbikit.formats import parse_polynomial
 from sagbikit.hilbert import expand_series, h_vector, krull_dim_monomial, semigroup_hilbert
-from sagbikit.matchings import (Matching, enumerate_vertices_exhaustive,
+from sagbikit.matchings import (Matching, _dfs_vertices, _subtree_worker,
+                                enumerate_vertices_exhaustive,
                                 enumerate_vertices_random, extend_matching,
                                 full_support, is_coherent, make_matching,
                                 matching_from_weight, restrict_matching,
@@ -120,14 +121,29 @@ def test_enumerate_3x3_catalog():
 
 
 def test_enumerate_workers_deterministic():
-    M = MatrixRing(3, 3)
-    fam = [mi.polynomial for mi in minors(2, M)]
-    G = full_group(3, 3)
-    a = enumerate_vertices_exhaustive(fam, G, workers=1)
-    b = enumerate_vertices_exhaustive(fam, G, workers=2)
-    assert [(o.canonical, o.size, o.representative.selection)
-            for o in a.orbits] == [(o.canonical, o.size, o.representative.selection)
-                                   for o in b.orbits]
+    def rows(catalog):
+        return [(o.canonical, o.size, o.representative.selection,
+                 o.representative.witness) for o in catalog.orbits]
+
+    for m, n in [(3, 3), (2, 4)]:
+        fam = [mi.polynomial for mi in minors(2, MatrixRing(m, n))]
+        G = full_group(m, n)
+        assert rows(enumerate_vertices_exhaustive(fam, G, workers=1)) == \
+            rows(enumerate_vertices_exhaustive(fam, G, workers=2))
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 4)])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_subtree_leaves_concatenate_to_the_serial_leaves(m, n, depth):
+    # every prefix is walked with the same certify steps as the whole
+    # tree, so witnesses as well as selections agree with the serial walk
+    fam = [mi.polynomial for mi in minors(2, MatrixRing(m, n))]
+    nvars = fam[0].ring.nvars
+    serial = []
+    _dfs_vertices(fam, nvars, lambda s, w: serial.append((s, w)))
+    split = [leaf for prefix in product(*[sorted(f.terms) for f in fam[:depth]])
+             for leaf in _subtree_worker((fam, nvars, prefix))]
+    assert split == serial
 
 
 def test_enumerate_cap():
