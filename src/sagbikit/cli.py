@@ -207,11 +207,18 @@ def cmd_sagbi(args) -> int:
     return 0
 
 
+def _h_vector_text(hv) -> str:
+    """An h-vector as (1,7,14); a word such as truncated as it is."""
+    return hv if isinstance(hv, str) else "(" + ",".join(map(str, hv)) + ")"
+
+
 def cmd_matchings(args) -> int:
     ring, matrix = _build_ring(args)
     if matrix is None:
         raise UsageError("matchings needs a --matrix ring")
     _check_kmax(args)
+    if args.workers < 1:
+        raise UsageError(f"--workers must be positive, got {args.workers}")
     gens = _build_generators(args, ring, matrix)
     _check_homogeneous(gens, "matchings")
     group = full_group(matrix.m, matrix.n)
@@ -272,14 +279,11 @@ def cmd_matchings(args) -> int:
         f"# reference\t{reference}",
         "canonical\torbit_size\tfull_support\tdim\th_vector\tfirst_defect"))
     for r in rows:
-        hv = r["h_vector"]
-        hv_text = ("(" + ",".join(str(v) for v in hv) + ")"
-                   if isinstance(hv, list) else hv)
         lines.append("\t".join([
             " ".join(str(v) for v in r["canonical"]),
             str(r["orbit_size"]),
             "yes" if r["full_support"] else "no",
-            str(r["dim"]), hv_text,
+            str(r["dim"]), _h_vector_text(r["h_vector"]),
             "none" if r["first_defect"] is None else str(r["first_defect"])]))
     _emit(lines)
     return 0
@@ -331,7 +335,7 @@ def cmd_hilbert(args) -> int:
     if dim is not None:
         hv = h_vector(data.values, dim)
         lines.append(f"dim\t{dim}")
-        lines.append(f"h_vector\t{hv}")
+        lines.append(f"h_vector\t{_h_vector_text(hv)}")
     _emit(lines)
     return 0
 

@@ -11,11 +11,15 @@ margins are re-verified against every column before returning.
 A `StrictSystem` grows by columns and is warm-started: adding columns
 keeps the current basis primal feasible, so a child system continues
 pivoting from its parent's optimal tableau instead of from the
-artificial basis.  In fraction-free form a new column A (the difference
-with a trailing 1 for the convexity row) enters row r as
-sum_i T[r][art_i] * A[i], which stays integral, with reduced cost
-sum_i (obj[art_i] - den) * A[i].  `strict_feasible` is the one-shot
-entry point; its first tableau is the same as a cold solve's.
+artificial basis.  The simplex is the revised one (Dantzig and
+Orchard-Hays), kept fraction-free (Bareiss): a tableau holds only
+den * B^-1 and den * B^-1 b, and a difference column A, with a trailing
+1 for the convexity row, is priced when needed.  It enters row r as
+sum_i T[r][art_i] * A[i] and has reduced cost
+sum_i (obj[art_i] - den) * A[i], both integral.  A grown tableau shares
+its parent's rows until its first pivot.  The pivots are those of the
+dense tableau [A | I | b], column for column.  `strict_feasible` is the
+one-shot entry point.
 """
 from __future__ import annotations
 
@@ -24,15 +28,22 @@ from operator import itemgetter, mul
 
 _BLAND_AFTER = 200
 _MAX_PIVOTS = 50000
+# basis code of artificial i: _ART + i, above every column index
+_ART = 1 << 62
 
 
 class _Tableau:
-    """An optimal phase-1 tableau in fraction-free form: the actual
-    tableau is rows / den.  Rows 0..nvars are the constraints
-    [y columns | artificials | rhs], the last row holds the reduced
-    costs of the phase-1 objective (min sum of artificials); cols lists
-    the y columns.  A tableau is not changed once it is optimal, so
-    systems share it."""
+    """An optimal phase-1 tableau in revised fraction-free form.
+
+    Only the basis inverse is kept: for the nvars + 1 constraint rows and
+    the objective row, rows holds den * B^-1 (the artificial block) and
+    den * B^-1 b (the rhs), short rows of length nvars + 2.  The y
+    columns are kept sparsely in cols, as the row positions of their
+    nonzero entries (the convexity row included) and the values there;
+    their tableau entries are computed when a pricing or a ratio test
+    needs them.  basis codes artificial i as _ART + i, above every column
+    index.  A tableau is not changed once it is optimal, so systems share
+    it, and a grown tableau shares its parent's rows until it pivots."""
 
     __slots__ = ("rows", "basis", "den", "cols", "witness")
 
@@ -49,73 +60,71 @@ class _Tableau:
         rows = [[int(i == r) for i in range(nrows)] + [int(r == nvars)]
                 for r in range(nrows)]
         rows.append([0] * nrows + [-1])
-        t = cls(rows, list(range(nrows)), 1, [])
+        t = cls(rows, [_ART + i for i in range(nrows)], 1, [])
         t.witness = [0] * nvars
         return t
 
     def grown(self, new) -> _Tableau | None:
-        """The optimal tableau after adding the columns of new that are
-        not in this one yet (inserted before the artificials), or None
-        when the grown system is infeasible."""
-        seen = set(self.cols)
-        new = [c for c in dict.fromkeys(new) if c not in seen]
+        """The optimal tableau after appending the distinct columns of
+        new, or None when the grown system is infeasible.  A column that
+        repeats one of this tableau's has its entries and a larger index,
+        so it never enters the basis and changes no pivot."""
+        new = list(dict.fromkeys(new))
         if not new:
             return self
-        m = len(self.cols)
-        nrows = len(self.basis)
-        # each new column as its nonzero entries: the artificial columns
-        # they pick from a row, and their values
-        sparse = [(itemgetter(*[i for i, a in enumerate(c) if a], nrows - 1),
+        last = len(self.basis) - 1
+        sparse = [(itemgetter(*[i for i, a in enumerate(c) if a], last),
                    [a for a in c if a] + [1]) for c in new]
+        t = _Tableau(self.rows, self.basis, self.den, self.cols + sparse)
+        return t if t._optimize(len(self.cols)) else None
 
-        def entries(art):
-            return [sum(map(mul, pick(art), vals)) for pick, vals in sparse]
-
-        rows = [row[:m] + entries(row[m:]) + row[m:] for row in self.rows[:-1]]
-        obj = self.rows[-1]
-        rows.append(obj[:m] + entries([v - self.den for v in obj[m:m + nrows]])
-                    + obj[m:])
-        k = len(new)
-        basis = [b if b < m else b + k for b in self.basis]
-        t = _Tableau(rows, basis, self.den, self.cols + new)
-        return t if t._optimize() else None
-
-    def _optimize(self) -> bool:
+    def _optimize(self, start: int) -> bool:
         """Pivot to optimality from the current (primal feasible) basis;
-        False when the system is infeasible, else the witness is set."""
+        False when the system is infeasible, else the witness is set.
+        The columns before start are those of an optimal parent, whose
+        reduced costs are nonnegative, so the first pricing skips them."""
         T = self.rows
         basis = self.basis
         den = self.den
-        m = len(self.cols)
+        cols = self.cols
         nrows = len(basis)
-        ncols = len(T[0])
-        rhs = ncols - 1
-        objrow = T[nrows]
+        rhs = nrows
+        obj = T[nrows]
 
         pivots = 0
         while True:
+            # reduced costs: sum_i (obj[art_i] - den) * A[i] for the y
+            # columns from start on, then the artificials' own
+            cost = [v - den for v in obj[:nrows]]
+            reduced = [sum(map(mul, pick(cost), vals))
+                       for pick, vals in cols[start:]]
+            ny = len(reduced)
+            reduced += obj[:nrows]
             # entering column: most negative reduced cost, Bland once
             # degenerate cycling becomes a risk
-            q = -1
             if pivots < _BLAND_AFTER:
-                best = 0
-                for j in range(ncols - 1):
-                    v = objrow[j]
-                    if v < best:
-                        best = v
-                        q = j
+                j = reduced.index(min(reduced))
+                if reduced[j] >= 0:
+                    break
             else:
-                for j in range(ncols - 1):
-                    if objrow[j] < 0:
-                        q = j
-                        break
-            if q < 0:
-                break
+                j = next((j for j, v in enumerate(reduced) if v < 0), -1)
+                if j < 0:
+                    break
+            # the entering column's entries: sum_i T[r][art_i] * A[i] for a
+            # y column, the artificial block's column for an artificial
+            if j < ny:
+                q = start + j
+                pick, vals = cols[q]
+                column = [sum(map(mul, pick(T[r]), vals)) for r in range(nrows)]
+                column.append(reduced[j])
+            else:
+                q = _ART + j - ny
+                column = [row[j - ny] for row in T]
             # ratio test on rows with positive pivot column entry
             p = -1
             pn = pd = 0
             for i in range(nrows):
-                tq = T[i][q]
+                tq = column[i]
                 if tq > 0:
                     bi = T[i][rhs]
                     if p < 0 or bi * pd < pn * tq or (bi * pd == pn * tq
@@ -123,50 +132,47 @@ class _Tableau:
                         p, pn, pd = i, bi, tq
             if p < 0:
                 raise RuntimeError("phase-1 objective unbounded; invalid input")
-            piv = T[p][q]
+            piv = column[p]
             Tp = T[p]
             if den == 1:
-                for i in range(nrows + 1):
-                    if i == p:
-                        continue
-                    Ti = T[i]
-                    tq = Ti[q]
-                    if tq:
-                        T[i] = [a * piv - tq * b for a, b in zip(Ti, Tp)]
-                    else:
-                        T[i] = [a * piv for a in Ti]
+                T = [Ti if i == p else
+                     [a * piv - tq * b for a, b in zip(Ti, Tp)] if tq else
+                     [a * piv for a in Ti]
+                     for i, (Ti, tq) in enumerate(zip(T, column))]
             else:
-                for i in range(nrows + 1):
-                    if i == p:
-                        continue
-                    Ti = T[i]
-                    tq = Ti[q]
-                    if tq:
-                        T[i] = [(a * piv - tq * b) // den for a, b in zip(Ti, Tp)]
-                    else:
-                        T[i] = [a * piv // den for a in Ti]
+                T = [Ti if i == p else
+                     [(a * piv - tq * b) // den for a, b in zip(Ti, Tp)] if tq else
+                     [a * piv // den for a in Ti]
+                     for i, (Ti, tq) in enumerate(zip(T, column))]
             den = piv
+            if not pivots:
+                basis = list(basis)
             basis[p] = q
-            objrow = T[nrows]
+            obj = T[nrows]
+            start = 0
             pivots += 1
             if pivots > _MAX_PIVOTS:
                 raise RuntimeError("simplex pivot limit exceeded")
+        self.rows = T
+        self.basis = basis
         self.den = den
 
-        # objective value z* = -objrow[rhs] / den; zero means 0 lies in the
+        # objective value z* = -obj[rhs] / den; zero means 0 lies in the
         # convex hull of the d's, i.e. the strict system has no solution
-        if objrow[rhs] == 0:
+        if obj[rhs] == 0:
             return False
 
-        # dual multipliers give the witness: w_i = objrow[artificial i] - den
-        w = [objrow[m + i] - den for i in range(nrows - 1)]
+        # dual multipliers give the witness: w_i = obj[artificial i] - den
+        w = [obj[i] - den for i in range(nrows - 1)]
         g = 0
         for v in w:
             g = gcd(g, v)
         if g > 1:
             w = [v // g for v in w]
-        for d in self.cols:
-            if sum(map(mul, w, d)) < 1:
+        # the convexity position picks 0, so each sum is w . d
+        padded = w + [0]
+        for pick, vals in cols:
+            if sum(map(mul, pick(padded), vals)) < 1:
                 raise AssertionError("witness verification failed")
         self.witness = w
         return True

@@ -7,7 +7,7 @@ interchangeable with m x n exponent matrices (row-major flattening).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import comb
 
 from .orders import MonomialOrder, lex_order
@@ -276,12 +276,18 @@ def act(g: GroupElement, matrix) -> tuple[tuple[int, ...], ...]:
 
 class CanonicalGroup:
     """A set of symmetries with precomputed flat index maps for fast
-    canonicalization of exponent matrices."""
+    canonicalization of exponent matrices.
 
-    def __init__(self, m: int, n: int, elements: list[GroupElement]):
+    full marks the whole of S_m x S_n (with the transpose when m == n):
+    its canonical form is found by sorting columns, per row permutation,
+    instead of by a minimum over all index maps."""
+
+    def __init__(self, m: int, n: int, elements: list[GroupElement],
+                 full: bool = False):
         self.m = m
         self.n = n
         self.elements = elements
+        self.full = full
         maps = []
         for g in elements:
             idx = [0] * (m * n)
@@ -293,7 +299,20 @@ class CanonicalGroup:
         self.index_maps = maps
 
     def canonical(self, flat: tuple[int, ...]) -> tuple[int, ...]:
-        return min(tuple(flat[i] for i in idx) for idx in self.index_maps)
+        if not self.full:
+            return min(tuple(flat[i] for i in idx) for idx in self.index_maps)
+        n = self.n
+        rows = [flat[i:i + n] for i in range(0, len(flat), n)]
+        mats = [rows, list(zip(*rows))] if self.m == n else [rows]
+
+        def flattened(mat, row_perm):
+            # with the rows placed, the smallest row-major flattening
+            # lists the columns in lexicographic order
+            cols = sorted(zip(*[mat[i] for i in row_perm]))
+            return tuple(chain.from_iterable(zip(*cols)))
+
+        return min(flattened(mat, rp) for mat in mats
+                   for rp in permutations(range(self.m)))
 
     def orbit(self, flat: tuple[int, ...]) -> set[tuple[int, ...]]:
         return {tuple(flat[i] for i in idx) for idx in self.index_maps}
@@ -326,7 +345,7 @@ def full_group(m: int, n: int) -> CanonicalGroup:
             elems.append(GroupElement(rp, cp, False))
             if m == n:
                 elems.append(GroupElement(rp, cp, True))
-    return CanonicalGroup(m, n, elems)
+    return CanonicalGroup(m, n, elems, full=True)
 
 
 def pattern_stabilizer(m: int, n: int, zero_cells: set[tuple[int, int]]) -> CanonicalGroup:

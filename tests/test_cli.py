@@ -115,6 +115,18 @@ def test_hilbert_semigroup(capsys):
     assert "4\t4116" in out and "dim\t10" in out
 
 
+def test_hilbert_and_matchings_print_h_vectors_alike(capsys):
+    for gens, h_vector in ((["x+y"], "(1)"), (["x^2", "x*y", "y^2"], "(1,1)")):
+        argv = ["hilbert", "--vars", "x,y", "--kind", "semigroup", "--kmax", "4"]
+        code, out, _ = _run(capsys, argv + [a for g in gens for a in ("--gen", g)])
+        assert code == 0
+        assert out.endswith(f"\nh_vector\t{h_vector}\n")
+    code, out, _ = _run(capsys, ["matchings", "--matrix", "3x3", "--minors", "2",
+                                 "--workers", "1"])
+    assert code == 0
+    assert "\t(1,3,3,1)\t" in out
+
+
 def test_config_does_not_override_explicit_default_valued_flag(capsys, tmp_path):
     # --order degrevlex equals the default but is explicit, so it wins
     cfg = tmp_path / "cfg.json"
@@ -182,12 +194,17 @@ def test_config_gen_list_yields_to_explicit_gen(capsys, tmp_path):
       "--seed", "1", "--trials", "-5"], "--trials must be positive"),
     (["matchings", "--matrix", "3x3", "--minors", "2", "--mode", "random",
       "--seed", "1", "--stall", "0"], "--stall must be positive"),
+    (["matchings", "--matrix", "3x3", "--minors", "2", "--workers", "0"],
+     "--workers must be positive"),
+    (["matchings", "--matrix", "3x3", "--minors", "2", "--workers", "-3"],
+     "--workers must be positive"),
 ], ids=["negative-kmax", "cap-exceeded", "minors-too-large", "constant-generator",
         "negative-weight", "empty-matrix", "zero-var-degree", "non-integer-perm",
         "repeated-perm", "non-integer-weight", "composite-char",
         "degree-without-bound", "inhomogeneous-deg", "inhomogeneous-degree",
         "denominator-divisible-by-char", "inhomogeneous-subalgebra",
-        "inhomogeneous-matchings", "negative-count", "negative-trials", "zero-stall"])
+        "inhomogeneous-matchings", "negative-count", "negative-trials", "zero-stall",
+        "zero-workers", "negative-workers"])
 def test_bad_input_is_one_line_usage_error(capsys, argv, needle):
     code, out, err = _run(capsys, argv)
     assert code == 2

@@ -8,8 +8,10 @@ were captured before the binomial toric kernel replaced the coefficient
 elimination, the loop runs before the two loop variants were merged into
 one, and the G(3,6) relations before `buchberger` and the relation
 minimizer moved onto the shared, degree-truncated Buchberger core.  The
-two matchings transcripts differ from their first capture only in the
-job line, which no longer lists the worker count.  To
+3x3 and 3x7 matchings transcripts differ from their first capture only
+in the job line, which no longer lists the worker count.  The 3x4 JSON
+transcript pins every witness byte; it was captured with the dense
+warm-started tableau, before the simplex took its revised form.  To
 re-capture after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
@@ -35,6 +37,8 @@ CASES = {
                         "--order", "degrevlex"],
     "matchings-3x3": ["matchings", "--matrix", "3x3", "--minors", "2",
                       "--workers", "1"],
+    "matchings-3x4-json": ["matchings", "--matrix", "3x4", "--minors", "2",
+                           "--workers", "1", "--format", "json"],
     "matchings-3x7-random": ["matchings", "--matrix", "3x7", "--minors", "3",
                              "--mode", "random", "--trials", "40", "--stall", "20",
                              "--seed", "11", "--kmax", "3", "--workers", "1"],

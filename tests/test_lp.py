@@ -51,3 +51,24 @@ def test_grown_system_agrees_with_cold_and_hull_oracles():
         _checked_verdict(b, cols + chunk_b, nvars)
         assert system.solve() == before
     assert min(verdicts.values()) > 30
+
+
+def test_child_without_pivot_shares_its_parents_rows():
+    # a repeated column prices out like its first copy, so the child makes
+    # no pivot and keeps the parent's basis inverse and witness
+    rng = random.Random(7)
+    shared = 0
+    for _ in range(60):
+        nvars = rng.randint(2, 4)
+        cols = _random_diffs(rng, nvars, rng.randint(2, 5))
+        system = StrictSystem(nvars, cols)
+        w = system.solve()
+        if w is None:
+            continue
+        child = system.extended([rng.choice(cols)])
+        assert child.solve() == w
+        parent_tableau, child_tableau = system._optimal(), child._optimal()
+        assert child_tableau.rows is parent_tableau.rows
+        assert child_tableau.basis is parent_tableau.basis
+        shared += 1
+    assert shared > 20

@@ -6,9 +6,9 @@ import pytest
 from oracles import cofactor_det
 from sagbikit.hilbert import krull_dim_monomial
 from sagbikit.matchings import matching_from_weight
-from sagbikit.minors import (B_sets, GroupElement, MatrixRing, Q_matrix, act,
-                             bracket, canonical_form, compose, delta_multiples,
-                             determinant, diagonal_order, full_group,
+from sagbikit.minors import (B_sets, CanonicalGroup, GroupElement, MatrixRing,
+                             Q_matrix, act, bracket, canonical_form, compose,
+                             delta_multiples, determinant, diagonal_order, full_group,
                              matching_col_sum, matching_row_sum, minor_polynomial,
                              minors, of_orbit, pattern_stabilizer, submax_lex_order)
 from sagbikit.orders import leading_exponent
@@ -192,6 +192,20 @@ def test_canonical_form_constant_on_orbits_and_idempotent():
             g = G.elements[idx]
             assert canonical_form(act(g, E), G) == canon
         assert canon in G.orbit(flat)
+
+
+def test_full_group_sorting_route_matches_index_map_minimum():
+    # the same elements without the full flag take the minimum over all
+    # index maps, as pattern stabilizers do
+    rng = random.Random(44)
+    shapes = [(m, n) for m in range(1, 5) for n in range(1, 5)] + [(2, 5)]
+    for m, n in shapes:
+        G = full_group(m, n)
+        oracle = CanonicalGroup(m, n, G.elements)
+        for top in (1, 2, 5):
+            for _ in range(12):
+                flat = tuple(rng.randint(0, top) for _ in range(m * n))
+                assert G.canonical(flat) == oracle.canonical(flat) == min(G.orbit(flat))
 
 
 def test_transpose_of_vertex_two_stays_in_orbit():
