@@ -12,6 +12,25 @@ one system per level, and `extend_matching` and the sampled G(3,7)
 checks extend one system per matching; in the walk an infeasible partial
 selection prunes its subtree (every extension of an infeasible system is
 infeasible).
+
+The walk also prunes by symmetry (orderly generation).  H is the set of
+elements of the given group whose cell map permutes the generators'
+supports; such an element maps selections to selections (generator i's
+term to a term of generator pi(i)) and coherent ones to coherent ones,
+and the exponent sum along.  A selection is a path of sorted-term
+indices.  A prefix P of length L is skipped, before its LP, when some
+element of H with pi({0..L-1}) = {0..L-1} maps P to a lexicographically
+smaller prefix.  This is exact: the lexicographically smallest path of an
+H-orbit of coherent selections is never skipped, since an element that
+shrinks one of its prefixes (and maps that prefix's generators among
+themselves) shrinks the whole path.  So the kept leaves meet every
+H-orbit, and their H-orbits, expanded in `_catalog_from_orbits`, are
+exactly the coherent selections.  An H-orbit lies inside one orbit of
+the whole group, so one canonical form serves it; an orbit's
+representative is still its smallest exponent sum, and its witness is
+the one its own path gets from the root (re-walked when that path was
+pruned), so catalogs, sizes and witnesses equal those of the unpruned
+walk.
 """
 from __future__ import annotations
 
@@ -88,13 +107,21 @@ def certify(system: StrictSystem, new_diffs,
     return child, child.solve()
 
 
-def _checked(family, selection, w) -> list[int]:
+@lru_cache(maxsize=16)
+def _homogeneous(family: tuple[Polynomial, ...]) -> bool:
+    """Whether every generator is homogeneous, worked out once per family
+    (the sampled G(3,7) check extends matchings of one family by many
+    different generators)."""
+    return all(f.is_homogeneous() for f in family)
+
+
+def _checked(family, selection, w, homogeneous: bool) -> list[int]:
     """A copy of the witness, re-verified on the polynomials; for a
     homogeneous family shifted by the grading until every entry is
     positive (the grading pairs to zero with every same-degree
     difference, so margins are unchanged)."""
     w = list(w)
-    if min(w) < 1 and all(f.is_homogeneous() for f in family):
+    if min(w) < 1 and homogeneous:
         grading = family[0].ring.grading
         lam = max(-((v - 1) // g) for v, g in zip(w, grading))
         w = [v + lam * g for v, g in zip(w, grading)]
@@ -109,7 +136,8 @@ def is_coherent(family, selection) -> list[int] | None:
     family = list(family)
     selection = [tuple(s) for s in selection]
     w = strict_feasible(selection_diffs(family, selection), family[0].ring.nvars)
-    return None if w is None else _checked(family, selection, w)
+    return None if w is None else _checked(family, selection, w,
+                                           _homogeneous(tuple(family)))
 
 
 @dataclass
@@ -131,79 +159,173 @@ class VertexCatalog:
         return len(self.orbits)
 
 
-def _dfs_vertices(family, nvars, on_leaf, prefix=()):
-    """Depth-first walk of all selections with exact feasibility verdicts.
+def _support_symmetries(family, group: CanonicalGroup):
+    """The elements of the group whose cell map permutes the family's
+    supports, each as (idx, src, maps): idx is its flat index map, and
+    the image of a selection (term indices into the sorted supports) has
+    index maps[j][path[src[j]]] at generator j.
 
-    A prefix pins the selections of the leading generators, which lets
-    independent workers own disjoint subtrees.  The prefix is walked with
-    the same `certify` steps as the whole tree, so every leaf gets the
-    same witness for any split.
+    Generators that share a support are matched in order (the k-th onto
+    the k-th), so composing symmetries composes their actions and the
+    identity acts as the identity.
     """
     term_lists = [sorted(f.terms) for f in family]
-    diff_lists = [[term_diffs(f, t) for t in terms]
-                  for f, terms in zip(family, term_lists)]
-    sel: list[tuple[int, ...]] = list(prefix)
+    index = [{t: k for k, t in enumerate(terms)} for terms in term_lists]
+    slots: dict[frozenset, list[int]] = {}
+    for i, terms in enumerate(term_lists):
+        slots.setdefault(frozenset(terms), []).append(i)
+    out = []
+    for idx in group.index_maps:
+        src = [0] * len(family)
+        maps = [()] * len(family)
+        for support, gens in slots.items():
+            images = {t: tuple(t[k] for k in idx) for t in support}
+            targets = slots.get(frozenset(images.values()), ())
+            if len(targets) != len(gens):
+                break
+            for i, j in zip(gens, targets):
+                src[j] = i
+                maps[j] = tuple(index[j][images[t]] for t in term_lists[i])
+        else:
+            out.append((idx, tuple(src), tuple(maps)))
+    return out
+
+
+def _prune_table(symmetries, depth: int) -> list[list[tuple]]:
+    """table[L]: the distinct actions on prefixes of length L, other than
+    the identity, of the symmetries that map generators 0..L-1 among
+    themselves; an action is one (src[j], maps[j]) pair per position j."""
+    table = []
+    for L in range(depth + 1):
+        actions = set()
+        for _, src, maps in symmetries:
+            if all(s < L for s in src[:L]):
+                action = tuple(zip(src[:L], maps[:L]))
+                if any(s != j or m != tuple(range(len(m)))
+                       for j, (s, m) in enumerate(action)):
+                    actions.add(action)
+        table.append(sorted(actions))
+    return table
+
+
+def _pruned(path, actions) -> bool:
+    """True when some action maps the prefix to a lexicographically
+    smaller one, whose subtree the walk has visited first."""
+    for action in actions:
+        for p, (s, m) in zip(path, action):
+            v = m[path[s]]
+            if v != p:
+                if v < p:
+                    return True
+                break
+    return False
+
+
+def _walk(diff_lists, nvars, path):
+    """The system and witness at a path of term indices, reached from the
+    root with the walk's own `certify` steps; the witness is None once a
+    step is infeasible.  A leaf's witness depends on its path alone."""
     # the zero witness clears no difference, so the first step is solved
     system, witness = StrictSystem(nvars), [0] * nvars
-    for level, t in enumerate(prefix):
-        system, witness = certify(system, diff_lists[level][term_lists[level].index(t)],
-                                  witness)
+    for diffs, k in zip(diff_lists, path):
+        system, witness = certify(system, diffs[k], witness)
         if witness is None:
-            return
+            break
+    return system, witness
+
+
+def _diff_lists(family):
+    return [[term_diffs(f, t) for t in sorted(f.terms)] for f in family]
+
+
+def _dfs_vertices(family, nvars, table, on_leaf, prefix=()):
+    """Depth-first walk of the selections (paths of sorted-term indices)
+    with exact feasibility verdicts, pruned by symmetry.
+
+    A child prefix is skipped before its LP when an action of table[L]
+    maps it to a smaller prefix (`_pruned`).  A prefix pins the leading
+    generators, which lets independent workers own disjoint subtrees; it
+    is checked and walked with the same steps as the whole tree, so the
+    leaves and witnesses of the subtrees concatenate to the serial ones.
+    """
+    diff_lists = _diff_lists(family)
+    path = list(prefix)
+    if any(_pruned(path[:L], table[L]) for L in range(1, len(path) + 1)):
+        return
+    system, witness = _walk(diff_lists, nvars, path)
+    if witness is None:
+        return
 
     def descend(level, system, witness):
         if level == len(family):
-            on_leaf(tuple(sel), list(witness))
+            on_leaf(tuple(path), list(witness))
             return
-        for t, new_diffs in zip(term_lists[level], diff_lists[level]):
-            child, w = certify(system, new_diffs, witness)
-            if w is None:
-                continue
-            sel.append(t)
-            descend(level + 1, child, w)
-            sel.pop()
+        actions = table[level + 1]
+        for k, new_diffs in enumerate(diff_lists[level]):
+            path.append(k)
+            if not _pruned(path, actions):
+                child, w = certify(system, new_diffs, witness)
+                if w is not None:
+                    descend(level + 1, child, w)
+            path.pop()
 
-    descend(len(prefix), system, witness)
+    descend(len(path), system, witness)
 
 
 def _subtree_worker(args):
-    family, nvars, prefix = args
+    family, nvars, table, prefix = args
     leaves: list[tuple[tuple, list[int]]] = []
-    _dfs_vertices(family, nvars, lambda s, w: leaves.append((s, w)), prefix)
+    _dfs_vertices(family, nvars, table, lambda s, w: leaves.append((s, w)), prefix)
     return leaves
 
 
-def _catalog_from_leaves(family, leaves, group: CanonicalGroup, exhaustive: bool,
+def _catalog_from_orbits(family, leaves, symmetries, group: CanonicalGroup,
                          meta: dict) -> VertexCatalog:
-    orbits: dict[tuple[int, ...], OrbitEntry] = {}
-    seen_sums = set()
-    for selection, witness in leaves:
-        matching = make_matching(family, selection, witness=witness, coherent=True)
-        if matching.exponent_sum in seen_sums:
-            raise AssertionError("two coherent matchings share a vertex")
-        seen_sums.add(matching.exponent_sum)
-        canon = group.canonical(matching.exponent_sum)
-        entry = orbits.get(canon)
-        if entry is None:
-            orbits[canon] = OrbitEntry(canonical=canon, size=1,
-                                       representative=matching)
-        else:
-            entry.size += 1
-            if matching.exponent_sum < entry.representative.exponent_sum:
-                entry.representative = matching
-    if not exhaustive:
-        for entry in orbits.values():
-            entry.size = group.orbit_size(entry.representative.exponent_sum)
-    entries = [orbits[c] for c in sorted(orbits)]
-    total = sum(e.size for e in entries)
-    return VertexCatalog(total=total, orbits=entries, exhaustive=exhaustive,
+    """Every coherent selection is the image of a kept leaf under a
+    symmetry; the leaves' orbits are expanded, folded by canonical form
+    under the whole group, and each orbit represented by its smallest
+    exponent sum, whose witness is that of its own path."""
+    term_lists = [sorted(f.terms) for f in family]
+    path_at: dict[tuple[int, ...], tuple[int, ...]] = {}
+    orbits: dict[tuple[int, ...], list] = {}
+    for path, _ in leaves:
+        esum = _sum_exponents([terms[k] for terms, k in zip(term_lists, path)])
+        # every image shares the leaf's canonical form
+        entry = orbits.setdefault(group.canonical(esum), [0, esum])
+        for idx, src, maps in symmetries:
+            image = tuple(m[path[s]] for s, m in zip(src, maps))
+            image_sum = tuple(esum[i] for i in idx)
+            known = path_at.get(image_sum)
+            if known is None:
+                path_at[image_sum] = image
+                entry[0] += 1
+                if image_sum < entry[1]:
+                    entry[1] = image_sum
+            elif known != image:
+                raise AssertionError("two coherent matchings share a vertex")
+    witnesses = dict(leaves)
+    diff_lists = _diff_lists(family)
+    nvars = family[0].ring.nvars
+    entries = []
+    for canon in sorted(orbits):
+        size, esum = orbits[canon]
+        path = path_at[esum]
+        witness = witnesses[path] if path in witnesses else \
+            _walk(diff_lists, nvars, path)[1]
+        selection = [terms[k] for terms, k in zip(term_lists, path)]
+        entries.append(OrbitEntry(canonical=canon, size=size,
+                                  representative=make_matching(
+                                      family, selection, witness=witness,
+                                      coherent=True)))
+    return VertexCatalog(total=len(path_at), orbits=entries, exhaustive=True,
                          meta=meta)
 
 
 def enumerate_vertices_exhaustive(family, group: CanonicalGroup,
                                   cap: int = 1 << 20,
                                   workers: int = 1) -> VertexCatalog:
-    """Classify every selection by exact feasibility.
+    """Classify every selection by exact feasibility, one branch per
+    symmetry class.
 
     With workers > 1 the selection tree is split at the leading
     generators and subtrees run in a process pool; the merge order is
@@ -214,9 +336,11 @@ def enumerate_vertices_exhaustive(family, group: CanonicalGroup,
     if space > cap:
         raise ValueError(f"selection space {space} exceeds cap {cap}")
     nvars = family[0].ring.nvars
+    symmetries = _support_symmetries(family, group)
+    table = _prune_table(symmetries, len(family))
     leaves: list[tuple[tuple, list[int]]] = []
     if workers <= 1 or len(family) < 4:
-        _dfs_vertices(family, nvars, lambda s, w: leaves.append((s, w)))
+        _dfs_vertices(family, nvars, table, lambda s, w: leaves.append((s, w)))
     else:
         from itertools import product as iproduct
         from multiprocessing import Pool
@@ -225,12 +349,12 @@ def enumerate_vertices_exhaustive(family, group: CanonicalGroup,
         while depth < len(family) - 1 and width < 4 * workers:
             width *= len(family[depth].terms)
             depth += 1
-        prefixes = list(iproduct(*[sorted(f.terms) for f in family[:depth]]))
+        prefixes = list(iproduct(*[range(len(f.terms)) for f in family[:depth]]))
         with Pool(workers) as pool:
             for chunk in pool.imap(_subtree_worker,
-                                   [(family, nvars, p) for p in prefixes]):
+                                   [(family, nvars, table, p) for p in prefixes]):
                 leaves.extend(chunk)
-    return _catalog_from_leaves(family, leaves, group, True,
+    return _catalog_from_orbits(family, leaves, symmetries, group,
                                 {"mode": "exhaustive", "selections": space})
 
 
@@ -245,7 +369,7 @@ def enumerate_vertices_random(family, group: CanonicalGroup, *, trials: int,
     family = list(family)
     nvars = family[0].ring.nvars
     rng = random.Random(seed)
-    found: dict[tuple[int, ...], tuple[tuple, list[int]]] = {}
+    found: dict[tuple[int, ...], Matching] = {}
     seen_sums: set[tuple[int, ...]] = set()
     scale = 1
     stall = 0
@@ -264,7 +388,7 @@ def enumerate_vertices_random(family, group: CanonicalGroup, *, trials: int,
                 seen_sums.add(m.exponent_sum)
                 canon = group.canonical(m.exponent_sum)
                 if canon not in found:
-                    found[canon] = (m.selection, m.witness)
+                    found[canon] = m
                     seen_sums.update(group.orbit(m.exponent_sum))
                     stall = 0
                 else:
@@ -273,11 +397,13 @@ def enumerate_vertices_random(family, group: CanonicalGroup, *, trials: int,
             scale = min(scale * 2, 1 << 20)
         if stall >= stall_limit:
             break
-    leaves = [found[c] for c in sorted(found)]
+    orbits = [OrbitEntry(canonical=c, size=group.orbit_size(found[c].exponent_sum),
+                         representative=found[c]) for c in sorted(found)]
     meta = {"mode": "random", "seed": seed, "trials": trials,
             "samples_used": used, "stall_limit": stall_limit,
             "total_is_lower_bound": True}
-    return _catalog_from_leaves(family, leaves, group, False, meta)
+    return VertexCatalog(total=sum(e.size for e in orbits), orbits=orbits,
+                         exhaustive=False, meta=meta)
 
 
 def full_support(matrix_or_flat) -> bool:
@@ -320,6 +446,7 @@ def extend_matching(matching: Matching, g: Polynomial, terms=None,
     extending one matching several times share) is solved at most once.
     """
     family = matching.family + [g]
+    homogeneous = _homogeneous(tuple(matching.family)) and g.is_homogeneous()
     if system is None:
         system = matching_system(matching)
     out = []
@@ -328,7 +455,8 @@ def extend_matching(matching: Matching, g: Polynomial, terms=None,
         if w is not None:
             selection = matching.selection + (t,)
             out.append(make_matching(family, selection, coherent=True,
-                                     witness=_checked(family, selection, w)))
+                                     witness=_checked(family, selection, w,
+                                                      homogeneous)))
     return out
 
 

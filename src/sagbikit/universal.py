@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from itertools import product as iproduct
 from math import comb
+from operator import mul
 
-from .hilbert import RowSpace, expand_series, semigroup_hilbert, vector_row
+from .hilbert import RowSpace, expand_series, lex_key, semigroup_hilbert, vector_row
 from .matchings import (Matching, certify, enumerate_vertices_exhaustive,
                         extend_matching, make_matching, matching_from_weight,
-                        matching_system, restrict_matching, term_diffs)
+                        matching_system, term_diffs)
 from .minors import (MatrixRing, bracket, bracket_name, determinant, full_group,
                      minors, pattern_stabilizer)
 from .orders import TieError
@@ -275,6 +278,42 @@ def transport_bracket_tuple(bad_rep, target_matrix, g_tuple, col_labels):
     return None
 
 
+@lru_cache(maxsize=None)
+def _pair_plan(minor_cols: tuple[tuple[int, ...], ...], n: int):
+    """The pairs a <= b of minors, and per column i the minors and the
+    pairs (positions in that list) that avoid column i."""
+    pairs = list(combinations_with_replacement(range(len(minor_cols)), 2))
+    avoiding = [[a for a, cols in enumerate(minor_cols) if i not in cols]
+                for i in range(n)]
+    pair_positions = [[p for p, (a, b) in enumerate(pairs)
+                       if i not in minor_cols[a] and i not in minor_cols[b]]
+                      for i in range(n)]
+    return pairs, avoiding, pair_positions
+
+
+def column_restrictions(selection, minor_list, n: int):
+    """Degree-2 counts of a matching of t-minors of an m x n matrix and of
+    its column restrictions, from one table of packed pairwise sums.
+
+    With every minor of one degree, the degree-2 Hilbert value of the
+    matching's semigroup is the number of distinct sums of two selected
+    terms.  Returns that count and, per column i, the count and the
+    exponent sum of the restriction to the minors that avoid column i:
+    what `restrict_matching` and `semigroup_hilbert` give, except that the
+    exponent sum stays in the m x n coordinates, where column i is zero.
+    """
+    pairs, avoiding, pair_positions = _pair_plan(
+        tuple(mi.cols for mi in minor_list), n)
+    # no entry of a pair sum exceeds twice the largest selected entry
+    key = lex_key(len(selection[0]), 2 * max(map(max, selection)))
+    packed = [sum(map(mul, key, e)) for e in selection]
+    sums = [packed[a] + packed[b] for a, b in pairs]
+    per_column = [(len(set(map(sums.__getitem__, positions))),
+                   tuple(map(sum, zip(*[selection[a] for a in minors_i]))))
+                  for minors_i, positions in zip(avoiding, pair_positions)]
+    return len(set(sums)), per_column
+
+
 def verify_g37_sampled(count: int, seed: int) -> CaseReport:
     """Prop-style sampled check for 3x7: degree-2 defect at most 3, located
     by the all-even restrictions, and repaired by transported bracket
@@ -297,18 +336,15 @@ def verify_g37_sampled(count: int, seed: int) -> CaseReport:
     details = []
     for sample_idx in range(count):
         T = random_coherent_matching(fam7, rng)
-        deg2 = semigroup_hilbert(T.selection, 2, M7.ring).values[2]
+        deg2, per_column = column_restrictions(T.selection, minors7, 7)
         h = h2_g37 - deg2
         if h < 0 or h > 3:
             raise VerificationError(f"sample {sample_idx}: defect {h} outside 0..3", T)
         even_cols = []
         transported = []
         mapped_tuples = []
-        for i in range(7):
-            cols = [c for c in range(7) if c != i]
-            sub_minors, sub = restrict_matching(T, minors7, M7, cols)
-            sub2 = semigroup_hilbert(sub.selection, 2, M6.ring).values[2]
-            all_even = all(v % 2 == 0 for v in sub.exponent_sum)
+        for i, (sub2, esum) in enumerate(per_column):
+            all_even = all(v % 2 == 0 for v in esum)
             if all_even != (sub2 != h2_g36):
                 raise VerificationError(
                     f"sample {sample_idx}: evenness and degree-2 defect disagree "
@@ -316,7 +352,8 @@ def verify_g37_sampled(count: int, seed: int) -> CaseReport:
             if not all_even:
                 continue
             even_cols.append(i)
-            D = M6.to_matrix(sub.exponent_sum)
+            cols = [c for c in range(7) if c != i]
+            D = tuple(tuple(esum[M7.cell(r, c)] for c in cols) for r in range(3))
             u10 = sum(1 for row in D for v in row if v == 10)
             spec_t = G36_TYPES[4 - u10 - 1]
             mapped = transport_bracket_tuple(spec_t["bad"], D, spec_t["g"], cols)

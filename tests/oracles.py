@@ -9,7 +9,9 @@ values from the rank over Q or GF(p) of a dense coefficient matrix of
 products expanded here, and Groebner bases from Buchberger's algorithm
 on tuple exponents with no pair criterion at all.  Strict feasibility
 verdicts are checked against a cold phase-1 simplex that builds a fresh
-tableau and pivots from the artificial basis on every call.
+tableau and pivots from the artificial basis on every call, and vertex
+catalogs against the walk of every selection, with no symmetry pruning,
+folded by canonical form leaf by leaf.
 """
 from __future__ import annotations
 
@@ -447,3 +449,63 @@ def minimize_by_rerun(gens: list[dict], key, p: int = 0,
         kept.append(_monic(g, key, p))
         basis = groebner(kept, key, p)
     return kept
+
+
+def dfs_vertices_unpruned(family, nvars, on_leaf, prefix=()):
+    """Depth-first walk of all selections with exact feasibility verdicts.
+
+    A prefix pins the selections of the leading generators, which lets
+    independent workers own disjoint subtrees.  The prefix is walked with
+    the same `certify` steps as the whole tree, so every leaf gets the
+    same witness for any split.
+    """
+    from sagbikit.lp import StrictSystem
+    from sagbikit.matchings import certify, term_diffs
+    term_lists = [sorted(f.terms) for f in family]
+    diff_lists = [[term_diffs(f, t) for t in terms]
+                  for f, terms in zip(family, term_lists)]
+    sel: list[tuple[int, ...]] = list(prefix)
+    # the zero witness clears no difference, so the first step is solved
+    system, witness = StrictSystem(nvars), [0] * nvars
+    for level, t in enumerate(prefix):
+        system, witness = certify(system, diff_lists[level][term_lists[level].index(t)],
+                                  witness)
+        if witness is None:
+            return
+
+    def descend(level, system, witness):
+        if level == len(family):
+            on_leaf(tuple(sel), list(witness))
+            return
+        for t, new_diffs in zip(term_lists[level], diff_lists[level]):
+            child, w = certify(system, new_diffs, witness)
+            if w is None:
+                continue
+            sel.append(t)
+            descend(level + 1, child, w)
+            sel.pop()
+
+    descend(len(prefix), system, witness)
+
+
+def catalog_unpruned(family, group):
+    """(total, rows) of the vertex catalog from the walk of every
+    selection: one row (canonical, size, selection, witness) per orbit in
+    canonical order, represented by its smallest exponent sum."""
+    leaves = []
+    dfs_vertices_unpruned(family, family[0].ring.nvars,
+                          lambda s, w: leaves.append((s, w)))
+    orbits: dict = {}
+    seen_sums = set()
+    for selection, witness in leaves:
+        esum = tuple(map(sum, zip(*selection)))
+        if esum in seen_sums:
+            raise AssertionError("two coherent matchings share a vertex")
+        seen_sums.add(esum)
+        canon = group.canonical(esum)
+        size, best = orbits.get(canon, (0, None))
+        if best is None or esum < best[0]:
+            best = (esum, selection, witness)
+        orbits[canon] = (size + 1, best)
+    rows = [(c, orbits[c][0], orbits[c][1][1], orbits[c][1][2]) for c in sorted(orbits)]
+    return len(leaves), rows

@@ -3,20 +3,22 @@ from itertools import product
 
 import pytest
 
-from oracles import coherent_by_hull
+from oracles import catalog_unpruned, coherent_by_hull
 from sagbikit.formats import parse_polynomial
 from sagbikit.hilbert import expand_series, h_vector, krull_dim_monomial, semigroup_hilbert
-from sagbikit.matchings import (Matching, _dfs_vertices, _subtree_worker,
+from sagbikit.matchings import (Matching, _dfs_vertices, _prune_table,
+                                _subtree_worker, _support_symmetries,
                                 enumerate_vertices_exhaustive,
                                 enumerate_vertices_random, extend_matching,
                                 full_support, is_coherent, make_matching,
                                 matching_from_weight, restrict_matching,
                                 sagbi_defect)
 from sagbikit.minors import (MatrixRing, Q_matrix, determinant, full_group, minors,
-                             submax_lex_order)
+                             pattern_stabilizer, submax_lex_order)
 from sagbikit.orders import TieError, leading_exponent, weight_selects
 from sagbikit.rings import Polynomial, RingContext
-from sagbikit.universal import diagonal_matching, g36_reference
+from sagbikit.universal import (G36_TYPES, diagonal_matching, g36_reference,
+                                structured_family)
 
 
 def test_matching_from_weight_diagonal_matching():
@@ -135,15 +137,59 @@ def test_enumerate_workers_deterministic():
 @pytest.mark.parametrize("m, n", [(3, 3), (2, 4)])
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_subtree_leaves_concatenate_to_the_serial_leaves(m, n, depth):
-    # every prefix is walked with the same certify steps as the whole
-    # tree, so witnesses as well as selections agree with the serial walk
+    # every prefix is checked and walked with the same steps as the whole
+    # tree, so witnesses as well as kept paths agree with the serial walk,
+    # and a pruned prefix yields no leaves
     fam = [mi.polynomial for mi in minors(2, MatrixRing(m, n))]
     nvars = fam[0].ring.nvars
+    table = _prune_table(_support_symmetries(fam, full_group(m, n)), len(fam))
     serial = []
-    _dfs_vertices(fam, nvars, lambda s, w: serial.append((s, w)))
-    split = [leaf for prefix in product(*[sorted(f.terms) for f in fam[:depth]])
-             for leaf in _subtree_worker((fam, nvars, prefix))]
+    _dfs_vertices(fam, nvars, table, lambda s, w: serial.append((s, w)))
+    split = [leaf for prefix in product(*[range(len(f.terms)) for f in fam[:depth]])
+             for leaf in _subtree_worker((fam, nvars, table, prefix))]
     assert split == serial
+    # the pruning keeps fewer leaves than there are vertices
+    assert 0 < len(serial) < enumerate_vertices_exhaustive(fam, full_group(m, n)).total
+
+
+def _catalog_rows(catalog):
+    return catalog.total, [(o.canonical, o.size, o.representative.selection,
+                            o.representative.witness) for o in catalog.orbits]
+
+
+def _minors_family(m, n):
+    return [mi.polynomial for mi in minors(2, MatrixRing(m, n))]
+
+
+def _catalog_cases():
+    # (name, family, group); each group permutes its family's supports,
+    # except in the last two cases
+    cases = [(f"{m}x{n}", _minors_family(m, n), full_group(m, n))
+             for m, n in [(3, 3), (2, 4), (2, 5), (3, 4)]]
+    cases.append(("3x3+det", _minors_family(3, 3) + [determinant(MatrixRing(3, 3))],
+                  full_group(3, 3)))
+    M6 = MatrixRing(3, 6)
+    cases += [(spec["name"], structured_family(M6, spec["zeros"]),
+               pattern_stabilizer(3, 6, spec["zeros"])) for spec in G36_TYPES]
+    # dropping the minor on columns 3, 4 leaves the symmetries that map
+    # {3, 4} onto itself
+    cases.append(("2x4-less-one", _minors_family(2, 4)[:-1], full_group(2, 4)))
+    # a repeated support is matched in order, the k-th onto the k-th
+    family = _minors_family(2, 4)
+    cases.append(("2x4-repeat", family[:-1] + [family[0].scale(2)],
+                  full_group(2, 4)))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name, family, group", _catalog_cases())
+def test_pruned_catalog_equals_the_unpruned_walk(name, family, group):
+    symmetries = _support_symmetries(family, group)
+    if name.startswith("2x4-"):
+        assert 1 < len(symmetries) < len(group)
+    else:
+        assert len(symmetries) == len(group)
+    assert _catalog_rows(enumerate_vertices_exhaustive(family, group)) == \
+        catalog_unpruned(family, group)
 
 
 def test_enumerate_cap():

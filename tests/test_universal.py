@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from oracles import find_selection
@@ -5,7 +7,8 @@ from sagbikit.hilbert import expand_series, semigroup_hilbert
 from sagbikit.matchings import make_matching, matching_from_weight, restrict_matching
 from sagbikit.minors import MatrixRing, bracket, minors
 from sagbikit.universal import (G36_TYPES, VerificationError, bracket_pair,
-                                diagonal_matching, drop_cells, g36_reference,
+                                column_restrictions, diagonal_matching, drop_cells,
+                                g36_reference, random_coherent_matching,
                                 structured_family, transport_bracket_tuple,
                                 verify_a233, verify_g37_sampled, verify_universal)
 
@@ -58,6 +61,27 @@ def test_verify_g37_small_sample():
     report = verify_g37_sampled(10, seed=4242)
     assert report.passed
     assert sum(report.meta["defect_histogram"].values()) == 10
+
+
+def test_column_restrictions_agree_with_restrict_matching():
+    # the packed pairwise sums give what restricting each sample and
+    # counting its semigroup gives, with the exponent sum kept in 3x7
+    # coordinates (column i zero, the other columns in order)
+    M7, M6 = MatrixRing(3, 7), MatrixRing(3, 6)
+    minors7 = minors(3, M7)
+    fam7 = [mi.polynomial for mi in minors7]
+    rng = random.Random(37)
+    for _ in range(50):
+        T = random_coherent_matching(fam7, rng)
+        count, per_column = column_restrictions(T.selection, minors7, 7)
+        assert count == semigroup_hilbert(T.selection, 2, M7.ring).values[2]
+        for i, (sub_count, esum) in enumerate(per_column):
+            cols = [c for c in range(7) if c != i]
+            _, sub = restrict_matching(T, minors7, M7, cols)
+            assert sub_count == semigroup_hilbert(sub.selection, 2, M6.ring).values[2]
+            assert all(esum[M7.cell(r, i)] == 0 for r in range(3))
+            assert tuple(esum[M7.cell(r, c)] for r in range(3) for c in cols) \
+                == sub.exponent_sum
 
 
 def test_prop_87_worked_example():
