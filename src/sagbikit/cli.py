@@ -3,13 +3,12 @@
 Exit codes: 0 success, 1 computational failure (with a counterexample
 dump), 2 usage error.  All randomized reports embed the seed and the
 sampling parameters; identical job specifications produce byte-identical
-reports regardless of the worker count (SAGBIKIT_WORKERS or --workers).
+reports.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import prod
 
@@ -28,16 +27,6 @@ from .universal import VerificationError, diagonal_matching, verify_universal
 
 class UsageError(ValueError):
     pass
-
-
-def _default_workers() -> int:
-    env = os.environ.get("SAGBIKIT_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"SAGBIKIT_WORKERS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
 
 
 def _int_list(text: str, what: str) -> list[int]:
@@ -152,7 +141,7 @@ def _emit(lines):
 
 def _job_header(cmd, args, extra=()):
     head = [f"# sagbikit {cmd}"]
-    # the worker count is left out: reports do not depend on it
+    # --workers selects nothing, so it is left out
     spec = {k: v for k, v in sorted(vars(args).items())
             if k not in ("func", "_parser", "workers") and v is not None}
     head.append(f"# job: {json.dumps(spec, sort_keys=True, default=str)}")
@@ -227,8 +216,7 @@ def cmd_matchings(args) -> int:
         if space > args.cap:
             raise UsageError(f"selection space {space} exceeds --cap {args.cap}; "
                              "raise --cap or use --mode random")
-        catalog = enumerate_vertices_exhaustive(gens, group, cap=args.cap,
-                                                workers=args.workers)
+        catalog = enumerate_vertices_exhaustive(gens, group, cap=args.cap)
     else:
         if args.seed is None:
             raise UsageError("random mode requires --seed")
@@ -393,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--grading", choices=("normalized", "ambient"),
                     default="normalized")
     pm.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    pm.add_argument("--workers", type=int, default=None)
+    pm.add_argument("--workers", type=int, default=1,
+                    help="selects nothing: the vertex walk is serial")
     pm.set_defaults(func=cmd_matchings, _parser=pm)
 
     pv = sub.add_parser("verify", help="run a universal-basis verification case")
@@ -425,21 +414,45 @@ def _explicit_options(argv) -> set[str]:
     return set(vars(ap.parse_args(argv)))
 
 
+def _config_value(parser, action, key: str, value):
+    """A config value read as its text would be on the command line, through
+    the option's type and choices (element by element for a repeatable
+    option such as --gen); null leaves an option without a default unset."""
+    if value is None and action.default is None:
+        return None
+    repeated = isinstance(action, argparse._AppendAction)
+    if repeated != isinstance(value, list):
+        raise UsageError(f"config key {key!r} expects "
+                         + ("a list" if repeated else "a single value"))
+    try:
+        out = [parser._get_value(action, str(v))
+               for v in (value if repeated else [value])]
+        for v in out:
+            parser._check_value(action, v)
+    except argparse.ArgumentError as exc:
+        raise UsageError(f"config key {key!r}: {exc}")
+    return out if repeated else out[0]
+
+
 def _apply_config(args, argv):
     """Fill defaults from a JSON config file; explicit flags win."""
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"config file {args.config}: not JSON ({exc})")
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
+    actions = {a.dest: a for a in args._parser._actions}
     explicit = _explicit_options(argv)
     for key, value in data.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions or attr == "help":
             raise UsageError(f"config key {key!r} is not a {args.command} option")
         if attr not in explicit:
-            setattr(args, attr, value)
+            setattr(args, attr, _config_value(args._parser, actions[attr], key, value))
     return args
 
 
@@ -448,8 +461,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         args = _apply_config(args, argv)
-        if getattr(args, "workers", None) is None and args.command == "matchings":
-            args.workers = _default_workers()
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

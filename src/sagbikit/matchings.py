@@ -52,32 +52,25 @@ class Matching:
     selection: tuple[tuple[int, ...], ...]
     exponent_sum: tuple[int, ...]
     witness: list[int] | None = None
-    coherent: bool | None = None
 
 
 def _sum_exponents(selection) -> tuple[int, ...]:
-    out = [0] * len(selection[0])
-    for s in selection:
-        for i, v in enumerate(s):
-            out[i] += v
-    return tuple(out)
+    return tuple(map(sum, zip(*selection)))
 
 
-def make_matching(family, selection, witness=None, coherent=None) -> Matching:
+def make_matching(family, selection, witness=None) -> Matching:
     selection = tuple(tuple(s) for s in selection)
     for f, s in zip(family, selection):
         if s not in f.terms:
             raise ValueError("selected exponent not in the generator's support")
-    return Matching(family=list(family), selection=selection,
-                    exponent_sum=_sum_exponents(selection),
-                    witness=witness, coherent=coherent)
+    return Matching(list(family), selection, _sum_exponents(selection), witness)
 
 
 def matching_from_weight(family, w) -> Matching:
     """Selection by a weight vector; raises TieError when w is not generic."""
     w = list(w)
     selection = tuple(weight_selects(f, w) for f in family)
-    return make_matching(family, selection, witness=w, coherent=True)
+    return make_matching(family, selection, witness=w)
 
 
 def term_diffs(f: Polynomial, t: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -238,27 +231,18 @@ def _diff_lists(family):
     return [[term_diffs(f, t) for t in sorted(f.terms)] for f in family]
 
 
-def _dfs_vertices(family, nvars, table, on_leaf, prefix=()):
-    """Depth-first walk of the selections (paths of sorted-term indices)
-    with exact feasibility verdicts, pruned by symmetry.
-
-    A child prefix is skipped before its LP when an action of table[L]
-    maps it to a smaller prefix (`_pruned`).  A prefix pins the leading
-    generators, which lets independent workers own disjoint subtrees; it
-    is checked and walked with the same steps as the whole tree, so the
-    leaves and witnesses of the subtrees concatenate to the serial ones.
-    """
+def _dfs_vertices(family, nvars, table):
+    """The kept leaves, as (path, witness), of the depth-first walk of the
+    selections (paths of sorted-term indices) with exact feasibility
+    verdicts, pruned by symmetry: a child prefix is skipped before its LP
+    when an action of table[L] maps it to a smaller prefix (`_pruned`)."""
     diff_lists = _diff_lists(family)
-    path = list(prefix)
-    if any(_pruned(path[:L], table[L]) for L in range(1, len(path) + 1)):
-        return
-    system, witness = _walk(diff_lists, nvars, path)
-    if witness is None:
-        return
+    leaves: list[tuple[tuple[int, ...], list[int]]] = []
+    path: list[int] = []
 
     def descend(level, system, witness):
         if level == len(family):
-            on_leaf(tuple(path), list(witness))
+            leaves.append((tuple(path), list(witness)))
             return
         actions = table[level + 1]
         for k, new_diffs in enumerate(diff_lists[level]):
@@ -269,13 +253,8 @@ def _dfs_vertices(family, nvars, table, on_leaf, prefix=()):
                     descend(level + 1, child, w)
             path.pop()
 
-    descend(len(path), system, witness)
-
-
-def _subtree_worker(args):
-    family, nvars, table, prefix = args
-    leaves: list[tuple[tuple, list[int]]] = []
-    _dfs_vertices(family, nvars, table, lambda s, w: leaves.append((s, w)), prefix)
+    # the root as `_walk` starts it, so re-walked witnesses agree
+    descend(0, *_walk(diff_lists, nvars, ()))
     return leaves
 
 
@@ -313,47 +292,22 @@ def _catalog_from_orbits(family, leaves, symmetries, group: CanonicalGroup,
         witness = witnesses[path] if path in witnesses else \
             _walk(diff_lists, nvars, path)[1]
         selection = [terms[k] for terms, k in zip(term_lists, path)]
-        entries.append(OrbitEntry(canonical=canon, size=size,
-                                  representative=make_matching(
-                                      family, selection, witness=witness,
-                                      coherent=True)))
+        entries.append(OrbitEntry(canon, size, make_matching(family, selection, witness)))
     return VertexCatalog(total=len(path_at), orbits=entries, exhaustive=True,
                          meta=meta)
 
 
 def enumerate_vertices_exhaustive(family, group: CanonicalGroup,
-                                  cap: int = 1 << 20,
-                                  workers: int = 1) -> VertexCatalog:
+                                  cap: int = 1 << 20) -> VertexCatalog:
     """Classify every selection by exact feasibility, one branch per
-    symmetry class.
-
-    With workers > 1 the selection tree is split at the leading
-    generators and subtrees run in a process pool; the merge order is
-    fixed, so reports do not depend on the worker count.
-    """
+    symmetry class."""
     family = list(family)
     space = prod(len(f.terms) for f in family)
     if space > cap:
         raise ValueError(f"selection space {space} exceeds cap {cap}")
-    nvars = family[0].ring.nvars
     symmetries = _support_symmetries(family, group)
-    table = _prune_table(symmetries, len(family))
-    leaves: list[tuple[tuple, list[int]]] = []
-    if workers <= 1 or len(family) < 4:
-        _dfs_vertices(family, nvars, table, lambda s, w: leaves.append((s, w)))
-    else:
-        from itertools import product as iproduct
-        from multiprocessing import Pool
-        depth = 0
-        width = 1
-        while depth < len(family) - 1 and width < 4 * workers:
-            width *= len(family[depth].terms)
-            depth += 1
-        prefixes = list(iproduct(*[range(len(f.terms)) for f in family[:depth]]))
-        with Pool(workers) as pool:
-            for chunk in pool.imap(_subtree_worker,
-                                   [(family, nvars, table, p) for p in prefixes]):
-                leaves.extend(chunk)
+    leaves = _dfs_vertices(family, family[0].ring.nvars,
+                           _prune_table(symmetries, len(family)))
     return _catalog_from_orbits(family, leaves, symmetries, group,
                                 {"mode": "exhaustive", "selections": space})
 
@@ -454,23 +408,9 @@ def extend_matching(matching: Matching, g: Polynomial, terms=None,
         _, w = certify(system, term_diffs(g, t), matching.witness)
         if w is not None:
             selection = matching.selection + (t,)
-            out.append(make_matching(family, selection, coherent=True,
-                                     witness=_checked(family, selection, w,
-                                                      homogeneous)))
+            out.append(make_matching(family, selection,
+                                     _checked(family, selection, w, homogeneous)))
     return out
-
-
-@lru_cache(maxsize=None)
-def _matrix_ring(m: int, n: int, characteristic: int) -> MatrixRing:
-    return MatrixRing(m, n, characteristic)
-
-
-@lru_cache(maxsize=None)
-def _sub_minor(m: int, n: int, characteristic: int, rows, cols) -> Minor:
-    """Minor of the m x n matrix ring, shared between restrictions (Minor
-    is frozen and no caller mutates its Polynomial)."""
-    return Minor(rows, cols,
-                 minor_polynomial(_matrix_ring(m, n, characteristic), rows, cols))
 
 
 def restrict_matching(matching: Matching, minor_infos: list[Minor],
@@ -479,8 +419,7 @@ def restrict_matching(matching: Matching, minor_infos: list[Minor],
     columns = sorted(columns)
     colset = set(columns)
     colmap = {c: i for i, c in enumerate(columns)}
-    char = M.ring.characteristic
-    Msub = _matrix_ring(M.m, len(columns), char)
+    Msub = MatrixRing(M.m, len(columns), M.ring.characteristic)
 
     def remap(exp):
         out = [0] * Msub.ring.nvars
@@ -499,12 +438,12 @@ def restrict_matching(matching: Matching, minor_infos: list[Minor],
         if not set(minor.cols) <= colset:
             continue
         cols2 = tuple(colmap[c] for c in minor.cols)
-        sub_minors.append(_sub_minor(M.m, len(columns), char, minor.rows, cols2))
+        sub_minors.append(Minor(minor.rows, cols2,
+                                minor_polynomial(Msub, minor.rows, cols2)))
         selection.append(remap(s))
     witness = None
     if matching.witness is not None:
         witness = [matching.witness[M.cell(i, j)]
                    for i in range(M.m) for j in columns]
     family = [mi.polynomial for mi in sub_minors]
-    return sub_minors, make_matching(family, selection, witness=witness,
-                                     coherent=matching.coherent)
+    return sub_minors, make_matching(family, selection, witness=witness)

@@ -2,7 +2,7 @@
 
 Exponents are plain tuples of naturals; a polynomial is a map from
 exponent tuples to nonzero coefficients.  All values are immutable after
-construction and safe to share between workers.
+construction and safe to share.
 """
 from __future__ import annotations
 

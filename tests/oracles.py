@@ -451,27 +451,14 @@ def minimize_by_rerun(gens: list[dict], key, p: int = 0,
     return kept
 
 
-def dfs_vertices_unpruned(family, nvars, on_leaf, prefix=()):
-    """Depth-first walk of all selections with exact feasibility verdicts.
-
-    A prefix pins the selections of the leading generators, which lets
-    independent workers own disjoint subtrees.  The prefix is walked with
-    the same `certify` steps as the whole tree, so every leaf gets the
-    same witness for any split.
-    """
+def dfs_vertices_unpruned(family, nvars, on_leaf):
+    """Depth-first walk of all selections with exact feasibility verdicts."""
     from sagbikit.lp import StrictSystem
     from sagbikit.matchings import certify, term_diffs
     term_lists = [sorted(f.terms) for f in family]
     diff_lists = [[term_diffs(f, t) for t in terms]
                   for f, terms in zip(family, term_lists)]
-    sel: list[tuple[int, ...]] = list(prefix)
-    # the zero witness clears no difference, so the first step is solved
-    system, witness = StrictSystem(nvars), [0] * nvars
-    for level, t in enumerate(prefix):
-        system, witness = certify(system, diff_lists[level][term_lists[level].index(t)],
-                                  witness)
-        if witness is None:
-            return
+    sel: list[tuple[int, ...]] = []
 
     def descend(level, system, witness):
         if level == len(family):
@@ -485,7 +472,8 @@ def dfs_vertices_unpruned(family, nvars, on_leaf, prefix=()):
             descend(level + 1, child, w)
             sel.pop()
 
-    descend(len(prefix), system, witness)
+    # the zero witness clears no difference, so the first step is solved
+    descend(0, StrictSystem(nvars), [0] * nvars)
 
 
 def catalog_unpruned(family, group):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import re
 
 import pytest
@@ -76,11 +77,17 @@ def test_matchings_json_deterministic(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
-def test_matchings_report_does_not_depend_on_workers(capsys, fmt):
+def test_matchings_report_does_not_depend_on_workers(capsys, monkeypatch, fmt):
+    # the walk is serial: starting a process pool fails the test
+    def no_pool(*args, **kwargs):
+        raise AssertionError("matchings started a process pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     argv = ["matchings", "--matrix", "3x3", "--minors", "2", "--format", fmt]
-    serial = _run(capsys, argv + ["--workers", "1"])
+    serial = _run(capsys, argv)
     assert serial[0] == 0
-    assert _run(capsys, argv + ["--workers", "2"]) == serial
+    for workers in ("1", "2", "4"):
+        assert _run(capsys, argv + ["--workers", workers]) == serial
 
 
 def test_matchings_random_requires_seed(capsys):
@@ -154,6 +161,33 @@ def test_config_gen_list_yields_to_explicit_gen(capsys, tmp_path):
                                  "--config", str(cfg)])
     assert code == 0
     assert "#SAGBI\t3" in out
+
+
+@pytest.mark.parametrize("command, text, needle", [
+    ("matchings", json.dumps({"kmax": "x"}), "config key 'kmax'"),
+    ("matchings", "{kmax: 3", "not JSON"),
+    ("matchings", json.dumps({"mode": "bogus", "seed": 1}), "config key 'mode'"),
+    ("sagbi", json.dumps({"gen": "x+y"}), "config key 'gen'"),
+], ids=["non-integer-kmax", "not-json", "unknown-choice", "gen-not-a-list"])
+def test_bad_config_is_one_line_usage_error(capsys, tmp_path, command, text, needle):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    ring = ["--matrix", "3x3", "--minors", "2"] if command == "matchings" else \
+        ["--vars", "x,y"]
+    code, out, err = _run(capsys, [command, *ring, "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and needle in err
+    assert err.count("\n") == 1
+
+
+def test_config_values_are_read_as_command_line_text(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kmax": "2", "mode": "exhaustive", "seed": None}))
+    code, out, _ = _run(capsys, ["matchings", "--matrix", "3x3", "--minors", "2",
+                                 "--format", "json", "--config", str(cfg)])
+    assert code == 0
+    assert len(json.loads(out)["reference"]) == 3
 
 
 @pytest.mark.parametrize("argv, needle", [

@@ -7,7 +7,7 @@ from oracles import catalog_unpruned, coherent_by_hull
 from sagbikit.formats import parse_polynomial
 from sagbikit.hilbert import expand_series, h_vector, krull_dim_monomial, semigroup_hilbert
 from sagbikit.matchings import (Matching, _dfs_vertices, _prune_table,
-                                _subtree_worker, _support_symmetries,
+                                _support_symmetries,
                                 enumerate_vertices_exhaustive,
                                 enumerate_vertices_random, extend_matching,
                                 full_support, is_coherent, make_matching,
@@ -29,7 +29,7 @@ def test_matching_from_weight_diagonal_matching():
     w = [3 ** (8 - k) for k in range(9)]
     m = matching_from_weight(fam, w)
     assert m.exponent_sum == (4, 2, 0, 2, 2, 2, 0, 2, 4)
-    assert m.coherent and m.witness == w
+    assert m.witness == w
 
 
 def test_matching_from_weight_dominant_diagonal_gives_q3():
@@ -122,34 +122,12 @@ def test_enumerate_3x3_catalog():
     assert fs[0].canonical == G.canonical(tuple(v for r in Q_matrix(3) for v in r))
 
 
-def test_enumerate_workers_deterministic():
-    def rows(catalog):
-        return [(o.canonical, o.size, o.representative.selection,
-                 o.representative.witness) for o in catalog.orbits]
-
-    for m, n in [(3, 3), (2, 4)]:
-        fam = [mi.polynomial for mi in minors(2, MatrixRing(m, n))]
-        G = full_group(m, n)
-        assert rows(enumerate_vertices_exhaustive(fam, G, workers=1)) == \
-            rows(enumerate_vertices_exhaustive(fam, G, workers=2))
-
-
 @pytest.mark.parametrize("m, n", [(3, 3), (2, 4)])
-@pytest.mark.parametrize("depth", [1, 2, 3])
-def test_subtree_leaves_concatenate_to_the_serial_leaves(m, n, depth):
-    # every prefix is checked and walked with the same steps as the whole
-    # tree, so witnesses as well as kept paths agree with the serial walk,
-    # and a pruned prefix yields no leaves
+def test_pruned_walk_keeps_fewer_leaves_than_vertices(m, n):
     fam = [mi.polynomial for mi in minors(2, MatrixRing(m, n))]
-    nvars = fam[0].ring.nvars
     table = _prune_table(_support_symmetries(fam, full_group(m, n)), len(fam))
-    serial = []
-    _dfs_vertices(fam, nvars, table, lambda s, w: serial.append((s, w)))
-    split = [leaf for prefix in product(*[range(len(f.terms)) for f in fam[:depth]])
-             for leaf in _subtree_worker((fam, nvars, table, prefix))]
-    assert split == serial
-    # the pruning keeps fewer leaves than there are vertices
-    assert 0 < len(serial) < enumerate_vertices_exhaustive(fam, full_group(m, n)).total
+    leaves = _dfs_vertices(fam, fam[0].ring.nvars, table)
+    assert 0 < len(leaves) < enumerate_vertices_exhaustive(fam, full_group(m, n)).total
 
 
 def _catalog_rows(catalog):
@@ -306,8 +284,7 @@ def test_restrict_matching_identity_and_columns():
     minor_list = minors(3, M)
     diag = diagonal_matching(M, minor_list)
     diag = make_matching(diag.family, diag.selection,
-                         witness=is_coherent(diag.family, diag.selection),
-                         coherent=True)
+                         witness=is_coherent(diag.family, diag.selection))
     subs, same = restrict_matching(diag, minor_list, M, range(6))
     assert same.selection == diag.selection
     subs, small = restrict_matching(diag, minor_list, M, [1, 2, 3, 4])
