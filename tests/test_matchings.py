@@ -6,8 +6,8 @@ import pytest
 from oracles import catalog_unpruned, coherent_by_hull
 from sagbikit.formats import parse_polynomial
 from sagbikit.hilbert import expand_series, h_vector, krull_dim_monomial, semigroup_hilbert
-from sagbikit.matchings import (Matching, _dfs_vertices, _prune_table,
-                                _support_symmetries,
+from sagbikit.matchings import (Matching, _dfs_vertices, _diff_lists,
+                                _prune_table, _pruned, _support_symmetries, _walk,
                                 enumerate_vertices_exhaustive,
                                 enumerate_vertices_random, extend_matching,
                                 full_support, is_coherent, make_matching,
@@ -123,11 +123,28 @@ def test_enumerate_3x3_catalog():
 
 
 @pytest.mark.parametrize("m, n", [(3, 3), (2, 4)])
-def test_pruned_walk_keeps_fewer_leaves_than_vertices(m, n):
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_subtree_leaves_concatenate_to_the_serial_leaves(m, n, depth):
+    # the leaves below each prefix, taken in prefix order, are the serial
+    # leaves; a leaf's witness is that of a re-walk of its path from the
+    # root (`_walk`), and a pruned or infeasible prefix yields no leaves
     fam = [mi.polynomial for mi in minors(2, MatrixRing(m, n))]
+    nvars = fam[0].ring.nvars
+    diff_lists = _diff_lists(fam)
     table = _prune_table(_support_symmetries(fam, full_group(m, n)), len(fam))
-    leaves = _dfs_vertices(fam, fam[0].ring.nvars, table)
-    assert 0 < len(leaves) < enumerate_vertices_exhaustive(fam, full_group(m, n)).total
+    serial = _dfs_vertices(fam, nvars, table)
+    split = []
+    for prefix in product(*[range(len(f.terms)) for f in fam[:depth]]):
+        below = [leaf for leaf in serial if leaf[0][:depth] == prefix]
+        for path, witness in below:
+            assert _walk(diff_lists, nvars, path)[1] == witness
+        if any(_pruned(prefix[:L], table[L]) for L in range(1, depth + 1)) or \
+                _walk(diff_lists, nvars, prefix)[1] is None:
+            assert below == []
+        split += below
+    assert split == serial
+    # the pruning keeps fewer leaves than there are vertices
+    assert 0 < len(serial) < enumerate_vertices_exhaustive(fam, full_group(m, n)).total
 
 
 def _catalog_rows(catalog):
