@@ -141,9 +141,10 @@ def _emit(lines):
 
 def _job_header(cmd, args, extra=()):
     head = [f"# sagbikit {cmd}"]
-    # --workers selects nothing, so it is left out
+    # --workers selects nothing, and --config only carries values that are
+    # listed under their own keys, so both are left out
     spec = {k: v for k, v in sorted(vars(args).items())
-            if k not in ("func", "_parser", "workers") and v is not None}
+            if k not in ("func", "_parser", "workers", "config") and v is not None}
     head.append(f"# job: {json.dumps(spec, sort_keys=True, default=str)}")
     head.extend(extra)
     return head

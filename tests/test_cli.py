@@ -163,6 +163,20 @@ def test_config_gen_list_yields_to_explicit_gen(capsys, tmp_path):
     assert "#SAGBI\t3" in out
 
 
+def test_same_config_at_two_paths_prints_one_report(capsys, tmp_path):
+    # the job line lists the values a config supplies, not the file's path
+    outs = []
+    for name in ("a.json", "b.json"):
+        cfg = tmp_path / name
+        cfg.write_text(json.dumps({"kmax": 3}))
+        code, out, _ = _run(capsys, ["matchings", "--matrix", "2x3", "--minors", "2",
+                                     "--config", str(cfg)])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert '"kmax": 3' in outs[0] and "config" not in outs[0]
+
+
 @pytest.mark.parametrize("command, text, needle", [
     ("matchings", json.dumps({"kmax": "x"}), "config key 'kmax'"),
     ("matchings", "{kmax: 3", "not JSON"),

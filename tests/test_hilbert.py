@@ -12,10 +12,12 @@ from oracles import (brute_product_values, rank_mod_p, rank_rational,
                      schur_rectangle_dim, semigroup_values_bruteforce,
                      subalgebra_values_mod_p, subalgebra_values_rational)
 from sagbikit.formats import parse_polynomial
-from sagbikit.hilbert import (RowSpace, expand_series, h_vector, krull_dim_monomial,
-                              lex_key, semigroup_hilbert, subalgebra_hilbert,
-                              vector_row)
-from sagbikit.minors import MatrixRing, diagonal_order, minors
+from sagbikit.hilbert import (RowSpace, expand_series, free_generators, h_vector,
+                              krull_dim_monomial, lex_key, normalized_degrees,
+                              semigroup_hilbert, semigroup_level_counts,
+                              subalgebra_hilbert, vector_row)
+from sagbikit.matchings import enumerate_vertices_exhaustive
+from sagbikit.minors import MatrixRing, diagonal_order, full_group, minors
 from sagbikit.orders import degrevlex_order, lex_order, weight_order
 from sagbikit.rings import Polynomial, RingContext
 from sagbikit.universal import diagonal_matching
@@ -276,6 +278,58 @@ def test_semigroup_hilbert_matches_bruteforce_oracle(case):
     ring = RingContext([f"x{i}" for i in range(len(weights))], 0, weights)
     values = semigroup_hilbert(exps, k_max, ring, grading).values
     assert values == semigroup_values_bruteforce(exps, weights, k_max, grading)
+
+
+@st.composite
+def _family_with_free_generators(draw):
+    """Core generators on the first nc variables and, for each of nf more
+    variables, a free generator that uses it (plus core variables), with
+    weighted degrees 1-3; nc = 0 makes every generator free, and a
+    duplicated generator is no longer free."""
+    nc, nf = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    nv = nc + nf
+    weights = draw(st.sampled_from([[1] * nv, [1 + v % 2 for v in range(nv)]]))
+
+    def vector(own):
+        cells = [st.integers(0, 2) if i < nc else st.just(0) for i in range(nv)]
+        if own is not None:
+            cells[own] = st.integers(1, 2)
+        return st.tuples(*cells).filter(
+            lambda e: 1 <= sum(w * v for w, v in zip(weights, e)) <= 3)
+
+    exps = draw(st.lists(vector(None), max_size=4 if nc else 0))
+    exps += [draw(vector(nc + i)) for i in range(nf)]
+    for i in draw(st.lists(st.integers(0, len(exps) - 1), max_size=1)):
+        exps.append(exps[i])
+    exps = draw(st.permutations(exps))
+    grading = draw(st.sampled_from(["normalized", "ambient"]))
+    return weights, exps, grading, draw(st.integers(0, 5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_family_with_free_generators())
+def test_split_semigroup_hilbert_matches_bruteforce_oracle(case):
+    # mixed-degree cores and free generators of degree up to 3, under both
+    # gradings, so a stride of 1 or a core renormalized on its own shows
+    weights, exps, grading, k_max = case
+    ring = RingContext([f"x{i}" for i in range(len(weights))], 0, weights)
+    values = semigroup_hilbert(exps, k_max, ring, grading).values
+    assert values == semigroup_values_bruteforce(exps, weights, k_max, grading)
+    rank = rank_rational(exps)
+    assert free_generators(exps) == [
+        j for j in range(len(exps)) if rank_rational(exps[:j] + exps[j + 1:]) < rank]
+
+
+def test_split_equals_unsplit_on_3x4_representatives():
+    M = MatrixRing(3, 4)
+    cat = enumerate_vertices_exhaustive([mi.polynomial for mi in minors(2, M)],
+                                        full_group(3, 4))
+    assert sum(1 for o in cat.orbits if free_generators(o.representative.selection)) == 22
+    for o in cat.orbits:
+        exps = o.representative.selection
+        degrees, _ = normalized_degrees([M.ring.degree(e) for e in exps])
+        assert (semigroup_hilbert(exps, 5, M.ring).values
+                == semigroup_level_counts(exps, degrees, 5))
 
 
 def test_negative_k_max_rejected():
