@@ -1,7 +1,7 @@
 """SAGBI bases, defining ideals and coherent matchings of algebras of minors."""
 
 from .engine import GeneratorFamily, SagbiResult, SubductionTrace, is_sagbi_up_to, sagbi_by_degree, sagbi_general, subduct, tete_a_tetes
-from .groebner import Binomial, PresentationRing, buchberger, normal_form, toric_kernel
+from .groebner import Binomial, buchberger, normal_form, toric_kernel
 from .hilbert import HilbertData, expand_series, h_vector, krull_dim_monomial, semigroup_hilbert, subalgebra_hilbert
 from .matchings import (Matching, VertexCatalog, enumerate_vertices_exhaustive,
                         enumerate_vertices_random, extend_matching, full_support,

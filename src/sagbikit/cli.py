@@ -15,10 +15,10 @@ from math import prod
 from .engine import GeneratorFamily, sagbi_by_degree, sagbi_general
 from .formats import ParseError, parse_polynomial, poly_to_text
 from .hilbert import h_vector, krull_dim_monomial, semigroup_hilbert, subalgebra_hilbert
-from .matchings import (enumerate_vertices_exhaustive, enumerate_vertices_random,
-                        first_defect, full_support)
-from .minors import (MatrixRing, diagonal_order, full_group, minors,
-                     submax_lex_order)
+from .matchings import (_support_symmetries, enumerate_vertices_exhaustive,
+                        enumerate_vertices_random, first_defect, full_support)
+from .minors import (MatrixRing, diagonal_order, full_group, full_group_generators,
+                     minors, submax_lex_order)
 from .orders import degrevlex_order, lex_order, weight_order
 from .relations import minimize_relations, sagbi_with_relations, verify_relations
 from .rings import RingContext
@@ -171,7 +171,7 @@ def cmd_sagbi(args) -> int:
             return 1
         bad = retract.mismatch(result.basis)
         if bad is not None:
-            _emit([f"FAIL retract image of {result.basis.tags()[bad]} does not "
+            _emit([f"FAIL retract image of {result.basis.tags[bad]} does not "
                    f"reproduce it: {poly_to_text(retract.image(bad))}"])
             return 1
     else:
@@ -186,7 +186,7 @@ def cmd_sagbi(args) -> int:
     if rels is not None:
         lines.append(f"#rel\t{len(rels.generators)}")
     for i, f in enumerate(result.basis.members):
-        tag = result.basis.presentation.tags[i]
+        tag = result.basis.tags[i]
         lines.append(f"{tag}\t{poly_to_text(f)}")
         if retract is not None and i >= result.basis.n_original:
             lines.append(f"{tag}=\t{poly_to_text(retract.image(i))}")
@@ -224,6 +224,12 @@ def cmd_matchings(args) -> int:
         for name in ("trials", "stall"):
             if getattr(args, name) < 1:
                 raise UsageError(f"--{name} must be positive, got {getattr(args, name)}")
+        # orbit sizes count coherent matchings only if the group permutes
+        # the supports; its generators decide that
+        generators = full_group_generators(matrix.m, matrix.n)
+        if len(_support_symmetries(gens, generators)) < len(generators):
+            raise UsageError("random mode needs generators whose supports the row "
+                             "and column permutations permute; use --mode exhaustive")
         catalog = enumerate_vertices_random(gens, group, trials=args.trials,
                                             stall_limit=args.stall, seed=args.seed)
     k_max = args.kmax

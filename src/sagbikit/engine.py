@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .groebner import Binomial, PresentationRing, toric_kernel
+from .groebner import Binomial, toric_kernel
 from .orders import MonomialOrder, leading_exponent, leading_term, make_monic
 from .rings import Polynomial, power_product
 
@@ -40,7 +40,8 @@ class SubductionTrace:
 
 
 class GeneratorFamily:
-    """Ordered monic generators with their tags and initial monomials."""
+    """Ordered monic generators with their initial monomials, and the
+    tag Y_u and degree of each, the variables of the presentation ring."""
 
     def __init__(self, polys: list[Polynomial], order: MonomialOrder):
         if not polys:
@@ -50,7 +51,8 @@ class GeneratorFamily:
         self.members: list[Polynomial] = []
         self.initials: list[tuple[int, ...]] = []
         self.norm_gcd = 0
-        self.presentation = PresentationRing([], [])
+        self.tags: list[str] = []
+        self.degrees: list[int] = []
         for f in polys:
             self.append(f)
         self.n_original = len(self.members)
@@ -66,17 +68,15 @@ class GeneratorFamily:
         d = self.ring.degree(self.initials[-1])
         self.norm_gcd = gcd(self.norm_gcd, d)
         idx = len(self.members) - 1
-        self.presentation.append(f"Y{idx + 1}", d)
+        self.tags.append(f"Y{idx + 1}")
+        self.degrees.append(d)
         return idx
 
     def __len__(self):
         return len(self.members)
 
-    def tags(self) -> list[str]:
-        return list(self.presentation.tags)
-
     def normalized_degree(self, idx: int) -> int:
-        return self.presentation.degrees[idx] // self.norm_gcd
+        return self.degrees[idx] // self.norm_gcd
 
     def is_homogeneous(self) -> bool:
         return all(f.is_homogeneous() for f in self.members)

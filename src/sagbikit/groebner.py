@@ -349,22 +349,6 @@ class Binomial:
         return sum(a * w for a, w in zip(self.plus, weights))
 
 
-class PresentationRing:
-    """Ring of tag variables Y_u, one per generator; extendable in place."""
-
-    def __init__(self, tags: list[str], degrees: list[int]):
-        self.tags = list(tags)
-        self.degrees = list(degrees)
-
-    def append(self, tag: str, degree: int) -> int:
-        self.tags.append(tag)
-        self.degrees.append(degree)
-        return len(self.tags) - 1
-
-    def __len__(self):
-        return len(self.tags)
-
-
 def toric_kernel(monomials: list[tuple[int, ...]], ring: RingContext) -> list[Binomial]:
     """Binomial generators of the kernel of Y_u -> X^{m_u}."""
     monomials = [tuple(m) for m in monomials]

@@ -16,7 +16,7 @@ Orchard-Hays), kept fraction-free (Bareiss): a tableau holds only
 den * B^-1 and den * B^-1 b, and a difference column A, with a trailing
 1 for the convexity row, is priced when needed.  It enters row r as
 sum_i T[r][art_i] * A[i] and has reduced cost
-sum_i (obj[art_i] - den) * A[i], both integral.  A grown tableau shares
+sum_i (obj[art_i] - den) * A[i], both integral.  A grown system shares
 its parent's rows until its first pivot.  The pivots are those of the
 dense tableau [A | I | b], column for column.  `strict_feasible` is the
 one-shot entry point.
@@ -32,64 +32,76 @@ _MAX_PIVOTS = 50000
 _ART = 1 << 62
 
 
-class _Tableau:
-    """An optimal phase-1 tableau in revised fraction-free form.
+class StrictSystem:
+    """The strict system w . d >= 1 over a set of integer difference
+    columns of length nvars, which grows by `extended`.
 
-    Only the basis inverse is kept: for the nvars + 1 constraint rows and
-    the objective row, rows holds den * B^-1 (the artificial block) and
-    den * B^-1 b (the rhs), short rows of length nvars + 2.  The y
-    columns are kept sparsely in cols, as the row positions of their
-    nonzero entries (the convexity row included) and the values there;
-    their tableau entries are computed when a pricing or a ratio test
-    needs them.  basis codes artificial i as _ART + i, above every column
-    index.  A tableau is not changed once it is optimal, so systems share
-    it, and a grown tableau shares its parent's rows until it pivots."""
+    A system is solved only when `solve` needs it: from its parent's
+    optimal tableau (solved first and kept for the parent's other
+    children) plus its own columns, or from the artificial basis for a
+    system made directly.  A solved feasible system holds that optimal
+    phase-1 tableau in revised fraction-free form and never changes it,
+    so its children share it.  Only the basis inverse is kept: for the
+    nvars + 1 constraint rows and the objective row, rows holds
+    den * B^-1 (the artificial block) and den * B^-1 b (the rhs), short
+    rows of length nvars + 2.  The difference columns are kept sparsely
+    in cols, as the row positions of their nonzero entries (the
+    convexity row included) and the values there; their tableau entries
+    are computed when a pricing or a ratio test needs them.  basis codes
+    artificial i as _ART + i, above every column index.  witness stays
+    None while the system is unsolved or infeasible.
+    """
 
-    __slots__ = ("rows", "basis", "den", "cols", "witness")
+    __slots__ = ("nvars", "_parent", "_new", "_zero", "_solved",
+                 "rows", "basis", "den", "cols", "witness")
 
-    def __init__(self, rows, basis, den, cols):
-        self.rows = rows
-        self.basis = basis
-        self.den = den
-        self.cols = cols
-        self.witness = None
+    def __init__(self, nvars: int, diffs=()):
+        self.nvars = nvars
+        self._parent: StrictSystem | None = None
+        self._new = [tuple(d) for d in diffs]
+        if any(len(d) != nvars for d in self._new):
+            raise ValueError("difference vector length mismatch")
+        # a zero column is never cleared: the system is infeasible
+        self._zero = not all(map(any, self._new))
+        self._solved = False
+        self.witness: list[int] | None = None
 
-    @classmethod
-    def empty(cls, nvars: int) -> _Tableau:
-        nrows = nvars + 1
-        rows = [[int(i == r) for i in range(nrows)] + [int(r == nvars)]
-                for r in range(nrows)]
-        rows.append([0] * nrows + [-1])
-        t = cls(rows, [_ART + i for i in range(nrows)], 1, [])
-        t.witness = [0] * nvars
-        return t
+    def extended(self, diffs) -> StrictSystem:
+        """This system with the columns of diffs added; self is unchanged."""
+        child = StrictSystem(self.nvars, diffs)
+        child._parent = self
+        return child
 
-    def grown(self, new) -> _Tableau | None:
-        """The optimal tableau after appending the distinct columns of
-        new, or None when the grown system is infeasible.  A column that
-        repeats one of this tableau's has its entries and a larger index,
-        so it never enters the basis and changes no pivot."""
-        new = list(dict.fromkeys(new))
+    def _optimal(self) -> StrictSystem | None:
+        """This system, solved, or None when it is infeasible."""
+        if not self._solved:
+            self._solved = True
+            base = None if self._zero else (
+                _root(self.nvars) if self._parent is None else self._parent._optimal())
+            if base is not None:
+                self._grow(base)
+        return None if self.witness is None else self
+
+    def _grow(self, base: StrictSystem) -> None:
+        """Pivot to optimality from base's optimal tableau with this
+        system's distinct columns appended, and keep the tableau and its
+        witness unless the system is infeasible.  A column that repeats
+        one of base's has its entries and a larger index, so it never
+        enters the basis and changes no pivot.  base's reduced costs are
+        nonnegative, so the first pricing skips its columns, and the rows
+        are shared with base until the first pivot."""
+        new = list(dict.fromkeys(self._new))
         if not new:
-            return self
-        last = len(self.basis) - 1
-        sparse = [(itemgetter(*[i for i, a in enumerate(c) if a], last),
-                   [a for a in c if a] + [1]) for c in new]
-        t = _Tableau(self.rows, self.basis, self.den, self.cols + sparse)
-        return t if t._optimize(len(self.cols)) else None
-
-    def _optimize(self, start: int) -> bool:
-        """Pivot to optimality from the current (primal feasible) basis;
-        False when the system is infeasible, else the witness is set.
-        The columns before start are those of an optimal parent, whose
-        reduced costs are nonnegative, so the first pricing skips them."""
-        T = self.rows
-        basis = self.basis
-        den = self.den
-        cols = self.cols
+            self.rows, self.basis, self.den = base.rows, base.basis, base.den
+            self.cols, self.witness = base.cols, base.witness
+            return
+        T, basis, den = base.rows, base.basis, base.den
+        start = len(base.cols)
         nrows = len(basis)
         rhs = nrows
         obj = T[nrows]
+        cols = base.cols + [(itemgetter(*[i for i, a in enumerate(c) if a], nrows - 1),
+                             [a for a in c if a] + [1]) for c in new]
 
         pivots = 0
         while True:
@@ -153,14 +165,11 @@ class _Tableau:
             pivots += 1
             if pivots > _MAX_PIVOTS:
                 raise RuntimeError("simplex pivot limit exceeded")
-        self.rows = T
-        self.basis = basis
-        self.den = den
 
         # objective value z* = -obj[rhs] / den; zero means 0 lies in the
         # convex hull of the d's, i.e. the strict system has no solution
         if obj[rhs] == 0:
-            return False
+            return
 
         # dual multipliers give the witness: w_i = obj[artificial i] - den
         w = [obj[i] - den for i in range(nrows - 1)]
@@ -174,54 +183,26 @@ class _Tableau:
         for pick, vals in cols:
             if sum(map(mul, pick(padded), vals)) < 1:
                 raise AssertionError("witness verification failed")
-        self.witness = w
-        return True
-
-
-class StrictSystem:
-    """The strict system w . d >= 1 over a set of integer difference
-    columns of length nvars, which grows by `extended`.
-
-    A system never changes once made.  Its tableau is built only when
-    `solve` needs it: from its parent's optimal tableau (solved first and
-    kept for the parent's other children) plus its own columns, or from
-    the artificial basis for a system made directly.
-    """
-
-    def __init__(self, nvars: int, diffs=()):
-        self.nvars = nvars
-        self._parent: StrictSystem | None = None
-        self._new = [tuple(d) for d in diffs]
-        if any(len(d) != nvars for d in self._new):
-            raise ValueError("difference vector length mismatch")
-        # a zero column is never cleared: the system is infeasible
-        self._zero = not all(map(any, self._new))
-        self._solved = False
-        self._tableau: _Tableau | None = None
-
-    def extended(self, diffs) -> StrictSystem:
-        """This system with the columns of diffs added; self is unchanged."""
-        child = StrictSystem(self.nvars, diffs)
-        child._parent = self
-        return child
-
-    def _optimal(self) -> _Tableau | None:
-        """This system's optimal tableau, or None when it is infeasible."""
-        if not self._solved:
-            if self._zero:
-                base = None
-            elif self._parent is None:
-                base = _Tableau.empty(self.nvars)
-            else:
-                base = self._parent._optimal()
-            self._tableau = None if base is None else base.grown(self._new)
-            self._solved = True
-        return self._tableau
+        self.rows, self.basis, self.den, self.cols, self.witness = T, basis, den, cols, w
 
     def solve(self) -> list[int] | None:
         """Integer w with w . d >= 1 for every column d, or None if infeasible."""
-        t = self._optimal()
-        return None if t is None else list(t.witness)
+        return None if self._optimal() is None else list(self.witness)
+
+
+def _root(nvars: int) -> StrictSystem:
+    """The solved system without columns: the artificial basis, optimal
+    with the zero witness."""
+    root = StrictSystem(nvars)
+    nrows = nvars + 1
+    root.rows = [[int(i == r) for i in range(nrows)] + [int(r == nvars)]
+                 for r in range(nrows)] + [[0] * nrows + [-1]]
+    root.basis = [_ART + i for i in range(nrows)]
+    root.den = 1
+    root.cols = []
+    root.witness = [0] * nvars
+    root._solved = True
+    return root
 
 
 def strict_feasible(diffs, nvars: int) -> list[int] | None:

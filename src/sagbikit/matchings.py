@@ -316,7 +316,9 @@ def enumerate_vertices_random(family, group: CanonicalGroup, *, trials: int,
                               stall_limit: int, seed: int) -> VertexCatalog:
     """Sample random integer weights; the total is a lower bound.
 
-    The sampling box [1, 10k] doubles k after every 64 consecutive
+    The total sums whole-group orbit sizes, so it counts coherent
+    matchings only when the group permutes the family's supports.  The
+    sampling box [1, 10k] doubles k after every 64 consecutive
     samples without a new orbit; stall_limit consecutive misses stop the
     search early.
     """
@@ -324,7 +326,6 @@ def enumerate_vertices_random(family, group: CanonicalGroup, *, trials: int,
     nvars = family[0].ring.nvars
     rng = random.Random(seed)
     found: dict[tuple[int, ...], Matching] = {}
-    seen_sums: set[tuple[int, ...]] = set()
     scale = 1
     stall = 0
     used = 0
@@ -336,17 +337,9 @@ def enumerate_vertices_random(family, group: CanonicalGroup, *, trials: int,
         except TieError:
             stall += 1
         else:
-            if m.exponent_sum in seen_sums:
-                stall += 1
-            else:
-                seen_sums.add(m.exponent_sum)
-                canon = group.canonical(m.exponent_sum)
-                if canon not in found:
-                    found[canon] = m
-                    seen_sums.update(group.orbit(m.exponent_sum))
-                    stall = 0
-                else:
-                    stall += 1
+            canon = group.canonical(m.exponent_sum)
+            stall = stall + 1 if canon in found else 0
+            found.setdefault(canon, m)
         if stall and stall % 64 == 0:
             scale = min(scale * 2, 1 << 20)
         if stall >= stall_limit:

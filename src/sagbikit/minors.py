@@ -348,6 +348,19 @@ def full_group(m: int, n: int) -> CanonicalGroup:
     return CanonicalGroup(m, n, elems, full=True)
 
 
+def full_group_generators(m: int, n: int) -> CanonicalGroup:
+    """Generators of full_group(m, n): a transposition and a full cycle of
+    the rows, the same of the columns, and the transpose when m == n."""
+    rows, cols = tuple(range(m)), tuple(range(n))
+    elems = [GroupElement(rows[1::-1] + rows[2:], cols),
+             GroupElement(rows[1:] + rows[:1], cols),
+             GroupElement(rows, cols[1::-1] + cols[2:]),
+             GroupElement(rows, cols[1:] + cols[:1])]
+    if m == n:
+        elems.append(GroupElement(rows, cols, True))
+    return CanonicalGroup(m, n, elems)
+
+
 def pattern_stabilizer(m: int, n: int, zero_cells: set[tuple[int, int]]) -> CanonicalGroup:
     """Row/column permutations preserving a set of zero positions."""
     elems = []

@@ -63,7 +63,7 @@ class RelationSet:
 class RelationBookkeeper:
     def __init__(self, family: GeneratorFamily):
         degrees = [family.normalized_degree(i) for i in range(len(family))]
-        p0 = RingContext(tuple(family.presentation.tags), family.ring.characteristic,
+        p0 = RingContext(tuple(family.tags), family.ring.characteristic,
                          tuple(degrees))
         self.retract = Retract(p0)
         self.relations: list[Polynomial] = []

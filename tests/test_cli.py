@@ -242,6 +242,9 @@ def test_config_values_are_read_as_command_line_text(capsys, tmp_path):
       "--seed", "1", "--trials", "-5"], "--trials must be positive"),
     (["matchings", "--matrix", "3x3", "--minors", "2", "--mode", "random",
       "--seed", "1", "--stall", "0"], "--stall must be positive"),
+    # whole-group orbit sizes would count 4 matchings; the exact total is 2
+    (["matchings", "--matrix", "2x2", "--gen", "X11+X12", "--mode", "random",
+      "--seed", "1"], "random mode needs generators whose supports"),
     (["matchings", "--matrix", "3x3", "--minors", "2", "--workers", "0"],
      "--workers must be positive"),
     (["matchings", "--matrix", "3x3", "--minors", "2", "--workers", "-3"],
@@ -252,7 +255,7 @@ def test_config_values_are_read_as_command_line_text(capsys, tmp_path):
         "degree-without-bound", "inhomogeneous-deg", "inhomogeneous-degree",
         "denominator-divisible-by-char", "inhomogeneous-subalgebra",
         "inhomogeneous-matchings", "negative-count", "negative-trials", "zero-stall",
-        "zero-workers", "negative-workers"])
+        "random-unpermuted-family", "zero-workers", "negative-workers"])
 def test_bad_input_is_one_line_usage_error(capsys, argv, needle):
     code, out, err = _run(capsys, argv)
     assert code == 2

@@ -14,7 +14,10 @@ transcript pins every witness byte; it was captured with the dense
 warm-started tableau, before the simplex took its revised form.  The
 semigroup count of a family with free generators of normalized degrees
 2 and 3 was captured before `semigroup_hilbert` split free generators off
-its enumeration.  `matchings-3x4-kmax8.out` (TSV, `--kmax 8`, the same
+its enumeration.  The random 3x7 JSON run that stops on --stall pins
+samples_used, the canonical forms found and their witnesses; it was
+captured while the random search still kept a cache of seen orbit sums.
+`matchings-3x4-kmax8.out` (TSV, `--kmax 8`, the same
 capture) is not a case here: at about 3 s it is diffed by CI instead.  To
 re-capture after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -46,6 +49,10 @@ CASES = {
     "matchings-3x7-random": ["matchings", "--matrix", "3x7", "--minors", "3",
                              "--mode", "random", "--trials", "40", "--stall", "20",
                              "--seed", "11", "--kmax", "3", "--workers", "1"],
+    "matchings-3x7-random-stall-json": ["matchings", "--matrix", "3x7", "--minors",
+                                        "3", "--mode", "random", "--trials", "120",
+                                        "--stall", "40", "--seed", "5", "--kmax", "2",
+                                        "--format", "json"],
     "verify-a233": ["verify", "--case", "A233"],
     "verify-g36": ["verify", "--case", "G36"],
     "verify-g37-sampled": ["verify", "--case", "G37_sampled", "--count", "50",

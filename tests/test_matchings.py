@@ -13,8 +13,9 @@ from sagbikit.matchings import (Matching, _dfs_vertices, _diff_lists,
                                 full_support, is_coherent, make_matching,
                                 matching_from_weight, restrict_matching,
                                 sagbi_defect)
-from sagbikit.minors import (MatrixRing, Q_matrix, determinant, full_group, minors,
-                             pattern_stabilizer, submax_lex_order)
+from sagbikit.minors import (MatrixRing, Q_matrix, determinant, full_group,
+                             full_group_generators, minors, pattern_stabilizer,
+                             submax_lex_order)
 from sagbikit.orders import TieError, leading_exponent, weight_selects
 from sagbikit.rings import Polynomial, RingContext
 from sagbikit.universal import (G36_TYPES, diagonal_matching, g36_reference,
@@ -185,6 +186,17 @@ def test_pruned_catalog_equals_the_unpruned_walk(name, family, group):
         assert len(symmetries) == len(group)
     assert _catalog_rows(enumerate_vertices_exhaustive(family, group)) == \
         catalog_unpruned(family, group)
+
+
+@pytest.mark.parametrize("name, family, group", [
+    case for case in _catalog_cases() if case.values[2].full] + [
+    pytest.param("2x2-one-row", [parse_polynomial(MatrixRing(2, 2).ring, "X11+X12")],
+                  full_group(2, 2), id="2x2-one-row")])
+def test_generators_decide_whether_the_group_permutes_the_family(name, family, group):
+    generators = full_group_generators(group.m, group.n)
+    permuted = len(_support_symmetries(family, group)) == len(group)
+    assert permuted == (len(_support_symmetries(family, generators)) == len(generators))
+    assert permuted == (name not in ("2x4-less-one", "2x4-repeat", "2x2-one-row"))
 
 
 def test_enumerate_cap():

@@ -9,6 +9,7 @@ from sagbikit.matchings import matching_from_weight
 from sagbikit.minors import (B_sets, CanonicalGroup, GroupElement, MatrixRing,
                              Q_matrix, act, bracket, canonical_form, compose,
                              delta_multiples, determinant, diagonal_order, full_group,
+                             full_group_generators,
                              matching_col_sum, matching_row_sum, minor_polynomial,
                              minors, of_orbit, pattern_stabilizer, submax_lex_order)
 from sagbikit.orders import leading_exponent
@@ -206,6 +207,17 @@ def test_full_group_sorting_route_matches_index_map_minimum():
             for _ in range(12):
                 flat = tuple(rng.randint(0, top) for _ in range(m * n))
                 assert G.canonical(flat) == oracle.canonical(flat) == min(G.orbit(flat))
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (3, 3), (2, 4), (3, 4)])
+def test_full_group_generators_generate_the_full_group(m, n):
+    gens = full_group_generators(m, n).elements
+    reached = set(gens)
+    frontier = reached
+    while frontier:
+        frontier = {compose(g, h) for g in frontier for h in gens} - reached
+        reached |= frontier
+    assert reached == set(full_group(m, n).elements)
 
 
 def test_transpose_of_vertex_two_stays_in_orbit():
