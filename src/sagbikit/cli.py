@@ -172,7 +172,7 @@ def cmd_sagbi(args) -> int:
         bad = retract.mismatch(result.basis)
         if bad is not None:
             _emit([f"FAIL retract image of {result.basis.tags[bad]} does not "
-                   f"reproduce it: {poly_to_text(retract.image(bad))}"])
+                   f"reproduce it: {poly_to_text(retract.images[bad])}"])
             return 1
     else:
         result = complete(GeneratorFamily(gens, order), **bounds)
@@ -189,7 +189,7 @@ def cmd_sagbi(args) -> int:
         tag = result.basis.tags[i]
         lines.append(f"{tag}\t{poly_to_text(f)}")
         if retract is not None and i >= result.basis.n_original:
-            lines.append(f"{tag}=\t{poly_to_text(retract.image(i))}")
+            lines.append(f"{tag}=\t{poly_to_text(retract.images[i])}")
     if rels is not None:
         for g in rels.generators:
             lines.append(f"rel\t{poly_to_text(g)}")

@@ -13,9 +13,9 @@ appends nothing or nothing is pending, and the run is complete at the
 first window that holds every tete-a-tete with nothing pending.  A round
 bound stops either variant before a pass that would exceed it.
 
-A bookkeeper with callbacks `on_new_element(binomial, trace, index,
-divisor)` and `on_relation(binomial, trace)` can observe every
-subduction outcome; the defining-ideal module plugs in there.
+A bookkeeper with callbacks `on_new_element(binomial, trace, divisor)`
+and `on_relation(binomial, trace)` can observe every subduction outcome;
+the defining-ideal module plugs in there.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ class SubductionTrace:
     """
     steps: list[tuple[object, dict[int, int]]]
     remainder: Polynomial
-    monic_divisor: object
 
 
 class GeneratorFamily:
@@ -57,20 +56,20 @@ class GeneratorFamily:
             self.append(f)
         self.n_original = len(self.members)
 
-    def append(self, f: Polynomial) -> int:
+    def append(self, f: Polynomial):
+        """Append f made monic; returns the coefficient divided out."""
         if f.is_zero():
             raise ValueError("zero generator")
         if f.ring != self.ring:
             raise ValueError("generator in wrong ring")
-        monic, _ = make_monic(self.order, f)
+        monic, divisor = make_monic(self.order, f)
         self.members.append(monic)
         self.initials.append(leading_exponent(self.order, monic))
         d = self.ring.degree(self.initials[-1])
         self.norm_gcd = gcd(self.norm_gcd, d)
-        idx = len(self.members) - 1
-        self.tags.append(f"Y{idx + 1}")
+        self.tags.append(f"Y{len(self.members)}")
         self.degrees.append(d)
-        return idx
+        return divisor
 
     def __len__(self):
         return len(self.members)
@@ -163,11 +162,7 @@ def subduct(g: Polynomial, family: GeneratorFamily, tail: bool = True) -> Subduc
             continue
         steps.append((lc, factor))
         current = current - family.phi_monomial(factor).scale(lc)
-    remainder = Polynomial(ring, remainder_terms)
-    divisor = ring.one()
-    if not remainder.is_zero():
-        divisor = leading_term(order, remainder)[1]
-    return SubductionTrace(steps=steps, remainder=remainder, monic_divisor=divisor)
+    return SubductionTrace(steps=steps, remainder=Polynomial(ring, remainder_terms))
 
 
 def tete_a_tetes(family: GeneratorFamily) -> list[Binomial]:
@@ -186,18 +181,9 @@ class SagbiResult:
         return max(self.basis.normalized_degree(i) for i in range(len(self.basis)))
 
 
-class _NullBookkeeper:
-    def on_new_element(self, binomial, trace, index, divisor):
-        pass
-
-    def on_relation(self, binomial, trace):
-        pass
-
-
 def _complete(family: GeneratorFamily, window: int | None, round_bound: int | None,
               degree_bound: int | None, bookkeeper) -> SagbiResult:
     """The completion loop; see the module docstring for the window."""
-    bk = bookkeeper or _NullBookkeeper()
     rounds = 0
     binomials = None
     while True:
@@ -216,14 +202,14 @@ def _complete(family: GeneratorFamily, window: int | None, round_bound: int | No
             for b in pending:
                 trace = subduct(family.phi_binomial(b), family, tail=True)
                 done.add((b.plus, b.minus))
-                if trace.remainder.is_zero():
-                    bk.on_relation(b, trace)
-                else:
+                if not trace.remainder.is_zero():
                     fresh.append((b, trace))
+                elif bookkeeper is not None:
+                    bookkeeper.on_relation(b, trace)
             for b, trace in fresh:
-                divisor = trace.monic_divisor
-                idx = family.append(trace.remainder.scale(family.ring.cinv(divisor)))
-                bk.on_new_element(b, trace, idx, divisor)
+                divisor = family.append(trace.remainder)
+                if bookkeeper is not None:
+                    bookkeeper.on_new_element(b, trace, divisor)
             if fresh:
                 binomials = None
                 continue

@@ -18,18 +18,16 @@ from .rings import Polynomial, RingContext, power_product
 
 
 class Retract:
-    """Rewrites every tag variable as a polynomial in the original tags."""
+    """The completion loop's bookkeeper: rewrites every tag variable as a
+    polynomial in the original tags, and collects the relations."""
 
-    def __init__(self, p0: RingContext):
-        self.p0 = p0
-        self.images: list[Polynomial] = [Polynomial.variable(p0, i)
-                                         for i in range(p0.nvars)]
-
-    def image(self, idx: int) -> Polynomial:
-        return self.images[idx]
-
-    def append(self, poly: Polynomial):
-        self.images.append(poly)
+    def __init__(self, family: GeneratorFamily):
+        degrees = tuple(family.normalized_degree(i) for i in range(len(family)))
+        self.p0 = RingContext(tuple(family.tags), family.ring.characteristic, degrees)
+        self.images: list[Polynomial] = [Polynomial.variable(self.p0, i)
+                                         for i in range(self.p0.nvars)]
+        self.relations: list[Polynomial] = []
+        self._seen: set = set()
 
     def of_monomial(self, factor) -> Polynomial:
         """Image of a presentation monomial (dict index->mult or tuple)."""
@@ -42,46 +40,30 @@ class Retract:
             out = out - self.of_monomial(factor).scale(coeff)
         return out
 
-    def mismatch(self, family: GeneratorFamily) -> int | None:
-        """First u whose pi(rho(Y_u)) is not the stored basis element f_u."""
-        originals = family.members[:family.n_original]
-        return next((idx for idx, img in enumerate(self.images)
-                     if img.substitute(originals) != family.members[idx]), None)
-
-    def verify(self, family: GeneratorFamily) -> bool:
-        """pi(rho(Y_u)) must reproduce the stored basis element f_u."""
-        return self.mismatch(family) is None
-
-
-@dataclass
-class RelationSet:
-    ring: RingContext
-    generators: list[Polynomial] = field(default_factory=list)
-    minimized: bool = False
-
-
-class RelationBookkeeper:
-    def __init__(self, family: GeneratorFamily):
-        degrees = [family.normalized_degree(i) for i in range(len(family))]
-        p0 = RingContext(tuple(family.tags), family.ring.characteristic,
-                         tuple(degrees))
-        self.retract = Retract(p0)
-        self.relations: list[Polynomial] = []
-        self._seen: set = set()
-
-    def on_new_element(self, binomial, trace, index, divisor):
-        img = self.retract.of_combination(binomial, trace.steps)
-        img = img.scale(img.ring.cinv(img.ring.coeff(divisor)))
-        self.retract.append(img)
+    def on_new_element(self, binomial, trace, divisor):
+        img = self.of_combination(binomial, trace.steps)
+        self.images.append(img.scale(img.ring.cinv(img.ring.coeff(divisor))))
 
     def on_relation(self, binomial, trace):
-        rel = self.retract.of_combination(binomial, trace.steps)
+        rel = self.of_combination(binomial, trace.steps)
         if rel.is_zero():
             return
         key = rel.key()
         if key not in self._seen:
             self._seen.add(key)
             self.relations.append(rel)
+
+    def mismatch(self, family: GeneratorFamily) -> int | None:
+        """First u whose pi(rho(Y_u)) is not the stored basis element f_u."""
+        originals = family.members[:family.n_original]
+        return next((idx for idx, img in enumerate(self.images)
+                     if img.substitute(originals) != family.members[idx]), None)
+
+
+@dataclass
+class RelationSet:
+    ring: RingContext
+    generators: list[Polynomial] = field(default_factory=list)
 
 
 def _p0_order(ring: RingContext) -> MonomialOrder:
@@ -107,13 +89,12 @@ def sagbi_with_relations(polys: list[Polynomial], order: MonomialOrder, *,
     `complete` is `sagbi_general` (the default) or `sagbi_by_degree`.
     """
     family = GeneratorFamily(polys, order)
-    bk = RelationBookkeeper(family)
+    retract = Retract(family)
     result = (complete or sagbi_general)(family, round_bound=round_bound,
-                                         degree_bound=degree_bound, bookkeeper=bk)
-    p0 = bk.retract.p0
-    gens = interreduce(bk.relations, _p0_order(p0))
+                                         degree_bound=degree_bound, bookkeeper=retract)
+    gens = interreduce(retract.relations, _p0_order(retract.p0))
     gens.sort(key=lambda g: (g.degree(), g.key()))
-    return result, bk.retract, RelationSet(ring=p0, generators=gens)
+    return result, retract, RelationSet(ring=retract.p0, generators=gens)
 
 
 def minimize_relations(rels: RelationSet) -> RelationSet:
@@ -126,8 +107,7 @@ def minimize_relations(rels: RelationSet) -> RelationSet:
     order = _p0_order(rels.ring)
     ordered = sorted(rels.generators, key=lambda g: (g.degree(), g.key()))
     kept = _PolynomialBasis(order, rels.ring).minimal_generators(ordered)
-    return RelationSet(ring=rels.ring, generators=[make_monic(order, g)[0] for g in kept],
-                       minimized=True)
+    return RelationSet(ring=rels.ring, generators=[make_monic(order, g)[0] for g in kept])
 
 
 def verify_relations(family: GeneratorFamily, rels: RelationSet):

@@ -126,7 +126,7 @@ class _CountingBookkeeper:
     def on_relation(self, binomial, trace):
         self.relations += 1
 
-    def on_new_element(self, binomial, trace, index, divisor):
+    def on_new_element(self, binomial, trace, divisor):
         self.new_elements += 1
 
 

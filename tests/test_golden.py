@@ -20,7 +20,9 @@ captured while the random search still kept a cache of seen orbit sums.
 `matchings-3x4-kmax8.out` (TSV, `--kmax 8`, the same
 capture) is not a case here: at about 3 s it is diffed by CI instead.  To
 re-capture after a deliberate output change, run
-`PYTHONPATH=src python tests/test_golden.py` and review the diff.
+`PYTHONPATH=src python tests/test_golden.py NAME...` with the names of the
+cases whose output is meant to change (no name re-captures every case),
+and review the diff.
 """
 from __future__ import annotations
 
@@ -98,9 +100,13 @@ def test_golden_transcript(name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown case: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        code, out = _transcript(argv)
+    for name in names:
+        code, out = _transcript(CASES[name])
         if code != 0:
             sys.exit(f"{name}: exit {code}")
         (GOLDEN / f"{name}.out").write_text(out)

@@ -31,7 +31,7 @@ def test_segre_determinant_relation():
     P = rels.ring
     det = parse_polynomial(P, "Y1*Y4 - Y2*Y3")
     assert g == det or g == -det
-    assert retract.verify(res.basis)
+    assert retract.mismatch(res.basis) is None
 
 
 def test_g24_single_pluecker_relation():
@@ -42,7 +42,7 @@ def test_g24_single_pluecker_relation():
     assert len(rels.generators) == 1
     assert poly_to_text(rels.generators[0]) == "Y1*Y6 - Y2*Y5 + Y3*Y4"
     assert verify_relations(res.basis, rels) == (True, None)
-    assert retract.verify(res.basis)
+    assert retract.mismatch(res.basis) is None
 
 
 def test_a233_relations_are_zero():
@@ -51,7 +51,7 @@ def test_a233_relations_are_zero():
         [mi.polynomial for mi in minors(2, M)], diagonal_order(M))
     assert res.status == "complete" and len(res.basis) == 11
     assert rels.generators == []
-    assert retract.verify(res.basis)
+    assert retract.mismatch(res.basis) is None
 
 
 def _mutual_containment(a, b, order):
@@ -86,7 +86,7 @@ def test_minimize_drops_multiples():
     monic = make_monic(_p0_order(P), f)[0]
     two_f = f.scale(2)
     rs = minimize_relations(RelationSet(ring=P, generators=[f, two_f]))
-    assert rs.generators == [monic] and rs.minimized
+    assert rs.generators == [monic]
     y1f = parse_polynomial(P, "Y1") * f
     rs = minimize_relations(RelationSet(ring=P, generators=[f, y1f]))
     assert rs.generators == [monic]
@@ -129,7 +129,7 @@ def test_relation_soundness_fuzz():
             continue
         res, retract, rels = sagbi_with_relations(polys, order, round_bound=4)
         assert verify_relations(res.basis, rels) == (True, None)
-        assert retract.verify(res.basis)
+        assert retract.mismatch(res.basis) is None
         if res.status == "complete" and len(res.basis) <= 6:
             _, elim = elimination_kernel([res.basis.members[i]
                                           for i in range(res.basis.n_original)])
@@ -213,7 +213,7 @@ def test_relations_over_prime_fields_match_elimination(case):
     assert rels.ring.characteristic == p
     assert all(type(c) is int and 0 < c < p for g in rels.generators for c in g.terms.values())
     assert verify_relations(res.basis, rels) == (True, None)
-    assert retract.verify(res.basis)
+    assert retract.mismatch(res.basis) is None
     mins = minimize_relations(rels)
     if res.status == "complete" and len(res.basis) <= 6:
         _, elim = elimination_kernel(res.basis.members[:res.basis.n_original])
