@@ -1,12 +1,13 @@
 """Subduction and the SAGBI completion loop.
 
 One loop serves both variants.  A pass subduces tete-a-tetes (binomial
-generators of the kernel of the initial monomials) against the frozen
-family, then appends every nonzero remainder, made monic; the kernel is
-recomputed only after an append.  The loop's one parameter is a degree
-window.  Without one (`sagbi_general`) a pass, or round, takes every
-tete-a-tete up to the degree bound, and a pass that appends nothing ends
-the run.  With one (`sagbi_by_degree`, homogeneous input) the window
+generators of the kernel of the initial monomials) against the family
+and appends each nonzero remainder, made monic, as soon as it is found,
+so the pass's later tete-a-tetes are subduced against it too and no two
+members share an initial monomial; the kernel is recomputed only after a
+pass that appended.  The loop's one parameter is a degree window.
+Without one (`sagbi_general`) a pass, or round, takes every tete-a-tete
+up to the degree bound, and a pass that appends nothing ends the run.  With one (`sagbi_by_degree`, homogeneous input) the window
 starts at 1 and a pass takes only the tete-a-tetes inside it not yet
 subduced against the current family; the window grows by one when a pass
 appends nothing or nothing is pending, and the run is complete at the
@@ -198,19 +199,17 @@ def _complete(family: GeneratorFamily, window: int | None, round_bound: int | No
             if round_bound is not None and rounds >= round_bound:
                 return SagbiResult(family, "truncated", rounds)
             rounds += 1
-            fresh = []
+            size = len(family)
             for b in pending:
                 trace = subduct(family.phi_binomial(b), family, tail=True)
                 done.add((b.plus, b.minus))
                 if not trace.remainder.is_zero():
-                    fresh.append((b, trace))
+                    divisor = family.append(trace.remainder)
+                    if bookkeeper is not None:
+                        bookkeeper.on_new_element(b, trace, divisor)
                 elif bookkeeper is not None:
                     bookkeeper.on_relation(b, trace)
-            for b, trace in fresh:
-                divisor = family.append(trace.remainder)
-                if bookkeeper is not None:
-                    bookkeeper.on_new_element(b, trace, divisor)
-            if fresh:
+            if len(family) > size:
                 binomials = None
                 continue
             if window is None:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sagbikit.engine import (GeneratorFamily, is_sagbi_up_to, sagbi_by_degree,
                              sagbi_general, subduct, tete_a_tetes)
@@ -8,7 +10,7 @@ from sagbikit.formats import parse_polynomial
 from sagbikit.groebner import Binomial
 from sagbikit.matchings import matching_from_weight
 from sagbikit.minors import MatrixRing, diagonal_order, minors, submax_lex_order
-from sagbikit.orders import lex_order, weight_order
+from sagbikit.orders import degrevlex_order, lex_order, weight_order
 from sagbikit.rings import Polynomial, RingContext
 
 
@@ -135,8 +137,57 @@ def test_sagbi_by_degree_reports_every_subduction_to_the_bookkeeper():
     gens = [parse_polynomial(R, t) for t in ("x+y", "x*y", "x*y^2")]
     bk = _CountingBookkeeper()
     res = sagbi_by_degree(GeneratorFamily(gens, lex_order(2)), 6, bk)
-    assert (bk.relations, bk.new_elements) == (8, 4)
-    assert res.rounds == 6 and len(res.basis) == 7
+    # x*y^5 is appended once: a later tete-a-tete of its pass subduces to zero
+    assert (bk.relations, bk.new_elements) == (8, 3)
+    assert res.rounds == 6 and len(res.basis) == 6
+
+
+def _xy_family():
+    R = RingContext(["x", "y"])
+    return GeneratorFamily([parse_polynomial(R, t) for t in ("x+y", "x*y", "x*y^2")],
+                           lex_order(2))
+
+
+def _3x3_family():
+    M = MatrixRing(3, 3)
+    return GeneratorFamily([mi.polynomial for mi in minors(2, M)], diagonal_order(M))
+
+
+@pytest.mark.parametrize("family, complete, bounds, size", [
+    (_xy_family, sagbi_by_degree, {"degree_bound": 6}, 6),
+    (_xy_family, sagbi_by_degree, {"degree_bound": 10}, 10),
+    (_xy_family, sagbi_general, {"degree_bound": 6}, 6),
+    (_xy_family, sagbi_general, {"degree_bound": 10}, 10),
+    # x*y^5 came twice out of the third round when a pass appended only at its end
+    (_xy_family, sagbi_general, {"round_bound": 3}, 6),
+    (_3x3_family, sagbi_by_degree, {"degree_bound": 4}, 11),
+    (_3x3_family, sagbi_general, {}, 11),
+], ids=["xy-degree-6", "xy-degree-10", "xy-general-6", "xy-general-10",
+        "xy-general-round-3", "3x3-degree", "3x3-general"])
+def test_basis_initial_monomials_are_distinct(family, complete, bounds, size):
+    basis = complete(family(), **bounds).basis
+    assert len(basis) == size
+    assert len(set(basis.initials)) == len(basis)
+
+
+_POOL = ("x", "y", "x+y", "x*y", "x^2+y^2", "x^2-x*y", "x+y^2", "x*y^2+y^3", "x^3")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_POOL), min_size=1, max_size=3),
+       st.sampled_from(["lex", "degrevlex"]), st.booleans())
+def test_no_two_basis_members_share_an_initial_monomial(gens, order, by_degree):
+    R = RingContext(["x", "y"])
+    polys = [parse_polynomial(R, t) for t in gens]
+    family = GeneratorFamily(polys, (lex_order if order == "lex" else degrevlex_order)(2))
+    if by_degree and family.is_homogeneous():
+        basis = sagbi_by_degree(family, 5, round_bound=4).basis
+    else:
+        basis = sagbi_general(family, round_bound=2, degree_bound=5).basis
+    # the inputs may repeat a lead; every appended member has a new one
+    initials = basis.initials
+    assert len(set(initials[basis.n_original:])) == len(basis) - basis.n_original
+    assert not set(initials[:basis.n_original]) & set(initials[basis.n_original:])
 
 
 def test_sagbi_by_degree_rejects_inhomogeneous():

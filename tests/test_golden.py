@@ -75,6 +75,10 @@ CASES = {
     "relations-xy-degree": ["relations", "--vars", "x,y", "--gen", "x+y",
                             "--gen", "x*y", "--gen", "x*y^2", "--order", "lex",
                             "--variant", "degree", "--degree-bound", "6"],
+    # the benchmark's xy-degree-loop job
+    "relations-xy-degree-10": ["relations", "--vars", "x,y", "--gen", "x+y",
+                               "--gen", "x*y", "--gen", "x*y^2", "--order", "lex",
+                               "--variant", "degree", "--degree-bound", "10"],
     "sagbi-2x4-degree": ["sagbi", "--matrix", "2x4", "--minors", "2",
                          "--order", "diag", "--variant", "deg",
                          "--degree-bound", "8"],
