@@ -102,8 +102,8 @@ def _build_order(spec: str, ring: RingContext, matrix: MatrixRing | None):
             raise UsageError("order 'diag' needs a matrix ring")
         return diagonal_order(matrix)
     if kind == "submax":
-        if matrix is None:
-            raise UsageError("order 'submax' needs a matrix ring")
+        if matrix is None or matrix.m != matrix.n:
+            raise UsageError("order 'submax' needs a square matrix ring")
         return submax_lex_order(matrix)
     if kind in ("lex", "degrevlex"):
         perm = None
@@ -477,6 +477,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
+        return 2
+    except OverflowError as exc:
+        # an exponent past the packed field width of the Buchberger core
+        sys.stderr.write(f"usage error: {exc}\n")
         return 2
 
 

@@ -1,4 +1,4 @@
-"""Text and JSON forms for polynomials, CSV grids for exponent matrices.
+"""The text form of polynomials: a parser and a printer.
 
 Grammar for polynomial text (whitespace-insensitive):
 
@@ -163,7 +163,7 @@ def poly_to_text(f: Polynomial) -> str:
         c = f.terms[e]
         factors = [f"{names[i]}^{k}" if k > 1 else names[i]
                    for i, k in enumerate(e) if k]
-        neg = c < 0 if not isinstance(c, Fraction) else c < 0
+        neg = c < 0
         mag = -c if neg else c
         body = "*".join(([] if mag == 1 and factors else [_coeff_text(mag)]) + factors)
         if not parts:
@@ -172,39 +172,3 @@ def poly_to_text(f: Polynomial) -> str:
             parts.append((" - " if neg else " + ") + body)
     return "".join(parts)
 
-
-def poly_to_json(f: Polynomial) -> list[dict]:
-    out = []
-    for e in sorted(f.terms, reverse=True):
-        c = f.terms[e]
-        if isinstance(c, Fraction):
-            cs = f"{c.numerator}/{c.denominator}"
-        else:
-            cs = str(int(c))
-        out.append({"e": list(e), "c": cs})
-    return out
-
-
-def poly_from_json(ring: RingContext, data: list[dict]) -> Polynomial:
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for item in data:
-        exp = tuple(int(v) for v in item["e"])
-        cs = item["c"]
-        c = Fraction(cs) if "/" in cs else Fraction(int(cs))
-        terms[exp] = terms.get(exp, Fraction(0)) + c
-    return Polynomial(ring, terms)
-
-
-def matrix_to_csv(rows: list[list[int]] | tuple) -> str:
-    return "\n".join(",".join(str(v) for v in row) for row in rows)
-
-
-def matrix_from_csv(text: str) -> tuple[tuple[int, ...], ...]:
-    rows = []
-    for line in text.strip().splitlines():
-        line = line.strip()
-        if line:
-            rows.append(tuple(int(v) for v in line.split(",")))
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged csv matrix")
-    return tuple(rows)

@@ -249,13 +249,21 @@ def test_config_values_are_read_as_command_line_text(capsys, tmp_path):
      "--workers must be positive"),
     (["matchings", "--matrix", "3x3", "--minors", "2", "--workers", "-3"],
      "--workers must be positive"),
+    (["relations", "--matrix", "2x3", "--minors", "2", "--order", "submax"],
+     "order 'submax' needs a square matrix ring"),
+    (["hilbert", "--matrix", "2x3", "--minors", "2", "--order", "submax"],
+     "order 'submax' needs a square matrix ring"),
+    (["sagbi", "--vars", "x,y", "--gen", "x^40000", "--gen", "x^40000*y",
+      "--gen", "y^40000"], "exponent out of range 0..32767"),
 ], ids=["negative-kmax", "cap-exceeded", "minors-too-large", "constant-generator",
         "negative-weight", "empty-matrix", "zero-var-degree", "non-integer-perm",
         "repeated-perm", "non-integer-weight", "composite-char",
         "degree-without-bound", "inhomogeneous-deg", "inhomogeneous-degree",
         "denominator-divisible-by-char", "inhomogeneous-subalgebra",
         "inhomogeneous-matchings", "negative-count", "negative-trials", "zero-stall",
-        "random-unpermuted-family", "zero-workers", "negative-workers"])
+        "random-unpermuted-family", "zero-workers", "negative-workers",
+        "submax-non-square-relations", "submax-non-square-hilbert",
+        "packed-exponent-overflow"])
 def test_bad_input_is_one_line_usage_error(capsys, argv, needle):
     code, out, err = _run(capsys, argv)
     assert code == 2
@@ -348,7 +356,9 @@ def _hilbert_argv(draw):
         argv += [a for g in draw(st.lists(st.sampled_from(_POOL), min_size=1,
                                           max_size=3)) for a in ("--gen", g)]
     else:
-        argv = ["--matrix", "2x2", "--minors", str(draw(st.integers(0, 3)))]
+        argv = ["--matrix", draw(st.sampled_from(["2x2", "2x3"])),
+                "--minors", str(draw(st.integers(0, 3))),
+                "--order", draw(st.sampled_from(["diag", "submax"]))]
     argv += _flag(draw, "--kind", ("subalgebra", "semigroup"))
     argv += _flag(draw, "--kmax", (-1, 0, 2, 3))
     argv += _flag(draw, "--grading", ("normalized", "ambient"))

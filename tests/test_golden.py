@@ -1,7 +1,7 @@
 """Golden CLI transcripts: stdout must stay byte-identical.
 
 Each case is a README example (with small parameters where the README
-one is slow), the G(2,6) and G(3,6) Pluecker relations jobs, and four
+one is slow), the G(2,6) and G(3,6) Pluecker relations jobs, and five
 runs of the SAGBI completion loop (degree windows, --degree-bound and
 --round-bound truncation).  The first ten transcripts in tests/golden/
 were captured before the binomial toric kernel replaced the coefficient
@@ -18,8 +18,11 @@ its enumeration.  The random 3x7 JSON run that stops on --stall pins
 samples_used, the canonical forms found and their witnesses; it was
 captured while the random search still kept a cache of seen orbit sums.
 `matchings-3x4-kmax8.out` (TSV, `--kmax 8`, the same
-capture) is not a case here: at about 3 s it is diffed by CI instead.  To
-re-capture after a deliberate output change, run
+capture) is not a case here: at about 3 s it is diffed by CI instead.
+`relations-xy-degree.out` was re-captured when a pass began to append each
+new element as soon as it is found: the second `x*y^5` (Y7) is gone.  The
+same loop at `--degree-bound 10`, the benchmark's job, was captured then.
+To re-capture after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden.py NAME...` with the names of the
 cases whose output is meant to change (no name re-captures every case),
 and review the diff.

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import buchberger_all_pairs, minimize_by_rerun
-from sagbikit.engine import GeneratorFamily
 from sagbikit.formats import parse_polynomial, poly_to_text
 from sagbikit.groebner import buchberger, normal_form
 from sagbikit.minors import MatrixRing, diagonal_order, minors

@@ -1,11 +1,8 @@
-import json
 from fractions import Fraction
 
 import pytest
 
-from sagbikit.formats import (ParseError, matrix_from_csv, matrix_to_csv,
-                              parse_polynomial, poly_from_json, poly_to_json,
-                              poly_to_text)
+from sagbikit.formats import ParseError, parse_polynomial, poly_to_text
 from sagbikit.orders import lex_order, make_monic
 from sagbikit.rings import Polynomial, RingContext
 
@@ -99,17 +96,3 @@ def test_parse_errors_carry_position(R):
         parse_polynomial(R, "x ++ y")
     with pytest.raises(ParseError):
         parse_polynomial(R, "x^")
-
-
-def test_json_round_trip(R):
-    f = parse_polynomial(R, "x^2 - 1/3*y")
-    data = json.loads(json.dumps(poly_to_json(f)))
-    assert poly_from_json(R, data) == f
-    assert data[0]["c"] == "1/1"
-
-
-def test_matrix_csv_round_trip():
-    m = ((4, 1, 1), (1, 4, 1), (1, 1, 4))
-    assert matrix_from_csv(matrix_to_csv(m)) == m
-    with pytest.raises(ValueError):
-        matrix_from_csv("1,2\n3")
