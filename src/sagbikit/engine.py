@@ -7,12 +7,13 @@ so the pass's later tete-a-tetes are subduced against it too and no two
 members share an initial monomial; the kernel is recomputed only after a
 pass that appended.  The loop's one parameter is a degree window.
 Without one (`sagbi_general`) a pass, or round, takes every tete-a-tete
-up to the degree bound, and a pass that appends nothing ends the run.  With one (`sagbi_by_degree`, homogeneous input) the window
-starts at 1 and a pass takes only the tete-a-tetes inside it not yet
-subduced against the current family; the window grows by one when a pass
-appends nothing or nothing is pending, and the run is complete at the
-first window that holds every tete-a-tete with nothing pending.  A round
-bound stops either variant before a pass that would exceed it.
+up to the degree bound, and a pass that appends nothing ends the run.
+With one (`sagbi_by_degree`, homogeneous input) the window starts at 1
+and a pass takes only the tete-a-tetes inside it not yet subduced against
+the current family; the window grows by one when a pass appends nothing
+or nothing is pending, and the run is complete at the first window that
+holds every tete-a-tete with nothing pending.  A round bound stops either
+variant before a pass that would exceed it.
 
 A bookkeeper with callbacks `on_new_element(binomial, trace, divisor)`
 and `on_relation(binomial, trace)` can observe every subduction outcome;

@@ -158,7 +158,8 @@ def _3x3_family():
     (_xy_family, sagbi_by_degree, {"degree_bound": 10}, 10),
     (_xy_family, sagbi_general, {"degree_bound": 6}, 6),
     (_xy_family, sagbi_general, {"degree_bound": 10}, 10),
-    # x*y^5 came twice out of the third round when a pass appended only at its end
+    # two tete-a-tetes of the third round subduce to x*y^5 against the family
+    # that the round starts with
     (_xy_family, sagbi_general, {"round_bound": 3}, 6),
     (_3x3_family, sagbi_by_degree, {"degree_bound": 4}, 11),
     (_3x3_family, sagbi_general, {}, 11),
