@@ -151,6 +151,11 @@ def _job_header(cmd, args, extra=()):
 
 
 def cmd_sagbi(args) -> int:
+    for flag in ("round_bound", "degree_bound"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise UsageError(f"--{flag.replace('_', '-')} must be nonnegative, "
+                             f"got {value}")
     ring, matrix = _build_ring(args)
     gens = _build_generators(args, ring, matrix)
     order = _build_order(args.order, ring, matrix)

@@ -11,7 +11,12 @@ margins are re-verified against every column before returning.
 A `StrictSystem` grows by columns and is warm-started: adding columns
 keeps the current basis primal feasible, so a child system continues
 pivoting from its parent's optimal tableau instead of from the
-artificial basis.  The simplex is the revised one (Dantzig and
+artificial basis.  Before that, two rules read the columns alone.  A
+system that holds a column d and also -d (d = 0 included) is infeasible,
+since w . d >= 1 and -w . d >= 1 exclude each other; it is refused
+without a tableau and without solving its parent.  A new column that an
+ancestor already holds is dropped, since it never enters the basis.  The
+simplex is the revised one (Dantzig and
 Orchard-Hays), kept fraction-free (Bareiss): a tableau holds only
 den * B^-1 and den * B^-1 b, and a difference column A, with a trailing
 1 for the convexity row, is priced when needed.  It enters row r as
@@ -24,7 +29,7 @@ one-shot entry point.
 from __future__ import annotations
 
 from math import gcd
-from operator import itemgetter, mul
+from operator import itemgetter, mul, neg
 
 _BLAND_AFTER = 200
 _MAX_PIVOTS = 50000
@@ -36,33 +41,40 @@ class StrictSystem:
     """The strict system w . d >= 1 over a set of integer difference
     columns of length nvars, which grows by `extended`.
 
-    A system is solved only when `solve` needs it: from its parent's
-    optimal tableau (solved first and kept for the parent's other
-    children) plus its own columns, or from the artificial basis for a
-    system made directly.  A solved feasible system holds that optimal
-    phase-1 tableau in revised fraction-free form and never changes it,
-    so its children share it.  Only the basis inverse is kept: for the
-    nvars + 1 constraint rows and the objective row, rows holds
-    den * B^-1 (the artificial block) and den * B^-1 b (the rhs), short
-    rows of length nvars + 2.  The difference columns are kept sparsely
-    in cols, as the row positions of their nonzero entries (the
-    convexity row included) and the values there; their tableau entries
-    are computed when a pricing or a ratio test needs them.  basis codes
-    artificial i as _ART + i, above every column index.  witness stays
-    None while the system is unsolved or infeasible.
+    Each system indexes its own distinct new columns (a dict, in order).
+    When `solve` first needs it, two rules read those indexes along the
+    ancestor chain before anything is pivoted.  Opposite columns: a
+    system with a new column whose negation is among its own new columns
+    (a zero column is its own negation) or among an ancestor's is
+    infeasible, and so are its children; its parent is not solved for it.
+    Repeated columns: a new column that an ancestor already has is
+    dropped from the index.
+
+    A system that passes is solved from its parent's optimal tableau
+    (solved first and kept for the parent's other children) plus its own
+    columns, or from the artificial basis for a system made directly.  A
+    solved feasible system holds that optimal phase-1 tableau in revised
+    fraction-free form and never changes it, so its children share it.
+    Only the basis inverse is kept: for the nvars + 1 constraint rows and
+    the objective row, rows holds den * B^-1 (the artificial block) and
+    den * B^-1 b (the rhs), short rows of length nvars + 2.  The
+    difference columns are kept sparsely in cols, as the row positions of
+    their nonzero entries (the convexity row included) and the values
+    there; their tableau entries are computed when a pricing or a ratio
+    test needs them.  basis codes artificial i as _ART + i, above every
+    column index.  witness stays None while the system is unsolved or
+    infeasible.
     """
 
-    __slots__ = ("nvars", "_parent", "_new", "_zero", "_solved",
+    __slots__ = ("nvars", "_parent", "_new", "_solved",
                  "rows", "basis", "den", "cols", "witness")
 
     def __init__(self, nvars: int, diffs=()):
         self.nvars = nvars
         self._parent: StrictSystem | None = None
-        self._new = [tuple(d) for d in diffs]
+        self._new = dict.fromkeys(map(tuple, diffs))
         if any(len(d) != nvars for d in self._new):
             raise ValueError("difference vector length mismatch")
-        # a zero column is never cleared: the system is infeasible
-        self._zero = not all(map(any, self._new))
         self._solved = False
         self.witness: list[int] | None = None
 
@@ -76,21 +88,37 @@ class StrictSystem:
         """This system, solved, or None when it is infeasible."""
         if not self._solved:
             self._solved = True
-            base = None if self._zero else (
-                _root(self.nvars) if self._parent is None else self._parent._optimal())
-            if base is not None:
-                self._grow(base)
+            if self._sifted():
+                base = (_root(self.nvars) if self._parent is None
+                        else self._parent._optimal())
+                if base is not None:
+                    self._grow(base)
         return None if self.witness is None else self
+
+    def _sifted(self) -> bool:
+        """Drop the new columns an ancestor already has; False when a new
+        column's negation is a column too, among the new ones or an
+        ancestor's."""
+        new = self._new
+        negated = {tuple(map(neg, c)) for c in new}
+        if not negated.isdisjoint(new.keys()):
+            return False
+        a = self._parent
+        while a is not None:
+            if not a._new.keys().isdisjoint(negated):
+                return False
+            for c in new.keys() & a._new.keys():
+                del new[c]
+            a = a._parent
+        return True
 
     def _grow(self, base: StrictSystem) -> None:
         """Pivot to optimality from base's optimal tableau with this
-        system's distinct columns appended, and keep the tableau and its
-        witness unless the system is infeasible.  A column that repeats
-        one of base's has its entries and a larger index, so it never
-        enters the basis and changes no pivot.  base's reduced costs are
+        system's sifted columns appended, and keep the tableau and its
+        witness unless the system is infeasible.  base's reduced costs are
         nonnegative, so the first pricing skips its columns, and the rows
         are shared with base until the first pivot."""
-        new = list(dict.fromkeys(self._new))
+        new = self._new
         if not new:
             self.rows, self.basis, self.den = base.rows, base.basis, base.den
             self.cols, self.witness = base.cols, base.witness

@@ -6,12 +6,14 @@ feasibility problem (`lp.StrictSystem`).  A matching grows by a
 generator in one place, `certify`: the matching's system is extended by
 the new term's differences (`term_diffs`), its witness is kept when it
 clears them, and otherwise the extended system is solved warm from the
-matching's own solved system, which is solved at most once however many
-extensions ask for it.  The depth-first walk of all selections carries
-one system per level, and `extend_matching` and the sampled G(3,7)
-checks extend one system per matching; in the walk an infeasible partial
-selection prunes its subtree (every extension of an infeasible system is
-infeasible).
+matching's own solved system.  That one is solved at most once however
+many extensions ask for it, and not at all when every extension is
+cleared by the witness or refused by its columns alone (a difference
+whose negation is also one).  The depth-first walk of all selections
+carries one system per level, and `extend_matching` and the sampled
+G(3,7) checks extend one system per matching; in the walk an infeasible
+partial selection prunes its subtree (every extension of an infeasible
+system is infeasible).
 
 The walk also prunes by symmetry (orderly generation).  H is the set of
 elements of the given group whose cell map permutes the generators'
@@ -390,7 +392,8 @@ def extend_matching(matching: Matching, g: Polynomial, terms=None,
 
     The matching's witness, if any, is tried first for every term; the
     matching's system (`matching_system`, or the one given, which callers
-    extending one matching several times share) is solved at most once.
+    extending one matching several times share) is solved at most once,
+    and only for a term whose differences hold no column's negation.
     """
     family = matching.family + [g]
     homogeneous = _homogeneous(tuple(matching.family)) and g.is_homogeneous()

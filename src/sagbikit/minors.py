@@ -6,9 +6,10 @@ interchangeable with m x n exponent matrices (row-major flattening).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations
-from math import comb
+from math import comb, factorial, prod
 
 from .orders import MonomialOrder, lex_order
 from .rings import Polynomial, RingContext
@@ -298,12 +299,17 @@ class CanonicalGroup:
             maps.append(tuple(idx))
         self.index_maps = maps
 
+    def _placements(self, flat: tuple[int, ...]):
+        """The rows of flat's matrix, and the matrices a row permutation is
+        applied to: the matrix and, when square, its transpose."""
+        n = self.n
+        rows = [flat[i:i + n] for i in range(0, len(flat), n)]
+        return rows, ([rows, list(zip(*rows))] if self.m == n else [rows])
+
     def canonical(self, flat: tuple[int, ...]) -> tuple[int, ...]:
         if not self.full:
             return min(tuple(flat[i] for i in idx) for idx in self.index_maps)
-        n = self.n
-        rows = [flat[i:i + n] for i in range(0, len(flat), n)]
-        mats = [rows, list(zip(*rows))] if self.m == n else [rows]
+        rows, mats = self._placements(flat)
 
         def flattened(mat, row_perm):
             # with the rows placed, the smallest row-major flattening
@@ -318,7 +324,22 @@ class CanonicalGroup:
         return {tuple(flat[i] for i in idx) for idx in self.index_maps}
 
     def orbit_size(self, flat: tuple[int, ...]) -> int:
-        return len(self.orbit(flat))
+        """The orbit's size; for the full group |G| / |Stab(flat)|.
+
+        An element with row permutation r fixes the matrix M, or maps it
+        to its transpose M^T when it transposes, exactly when its column
+        permutation carries the columns of M, with rows permuted by r, onto
+        the columns of M (resp. of M^T).  That needs the two to hold the
+        same columns with the same multiplicities, and then there are
+        prod(multiplicity!) such column permutations."""
+        if not self.full:
+            return len(self.orbit(flat))
+        rows, mats = self._placements(flat)
+        targets = [sorted(zip(*mat)) for mat in mats]
+        fixing = sum(sorted(zip(*[rows[i] for i in rp])) == target
+                     for rp in permutations(range(self.m)) for target in targets)
+        ways = prod(map(factorial, Counter(zip(*rows)).values()))
+        return len(self) // (fixing * ways)
 
     def __len__(self):
         return len(self.elements)

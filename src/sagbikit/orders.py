@@ -9,6 +9,7 @@ bounded entries one linear form (`linear_key`) orders them the same way.
 """
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable
 
 from .rings import Polynomial
@@ -148,7 +149,7 @@ def weight_selects(f: Polynomial, w: Iterable[int]) -> tuple[int, ...]:
     best_val = None
     tied: list[tuple[int, ...]] = []
     for e in f.terms:
-        v = sum(a * b for a, b in zip(w, e))
+        v = sum(map(mul, w, e))
         if best is None or v > best_val:
             best, best_val, tied = e, v, [e]
         elif v == best_val:

@@ -182,7 +182,10 @@ def test_same_config_at_two_paths_prints_one_report(capsys, tmp_path):
     ("matchings", "{kmax: 3", "not JSON"),
     ("matchings", json.dumps({"mode": "bogus", "seed": 1}), "config key 'mode'"),
     ("sagbi", json.dumps({"gen": "x+y"}), "config key 'gen'"),
-], ids=["non-integer-kmax", "not-json", "unknown-choice", "gen-not-a-list"])
+    ("sagbi", json.dumps({"round-bound": -1}), "--round-bound must be nonnegative"),
+    ("relations", json.dumps({"degree-bound": -2}), "--degree-bound must be nonnegative"),
+], ids=["non-integer-kmax", "not-json", "unknown-choice", "gen-not-a-list",
+        "sagbi-negative-round-bound", "relations-negative-degree-bound"])
 def test_bad_config_is_one_line_usage_error(capsys, tmp_path, command, text, needle):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -255,6 +258,14 @@ def test_config_values_are_read_as_command_line_text(capsys, tmp_path):
      "order 'submax' needs a square matrix ring"),
     (["sagbi", "--vars", "x,y", "--gen", "x^40000", "--gen", "x^40000*y",
       "--gen", "y^40000"], "exponent out of range 0..32767"),
+    (["sagbi", "--matrix", "2x2", "--minors", "2", "--order", "diag",
+      "--round-bound", "-1"], "--round-bound must be nonnegative"),
+    (["sagbi", "--vars", "x,y", "--gen", "x+y", "--gen", "x*y", "--gen", "x*y^2",
+      "--order", "lex", "--degree-bound", "-2"], "--degree-bound must be nonnegative"),
+    (["relations", "--matrix", "2x2", "--minors", "2", "--order", "diag",
+      "--round-bound", "-1"], "--round-bound must be nonnegative"),
+    (["relations", "--vars", "x,y", "--gen", "x+y", "--gen", "x*y",
+      "--variant", "degree", "--degree-bound", "-2"], "--degree-bound must be nonnegative"),
 ], ids=["negative-kmax", "cap-exceeded", "minors-too-large", "constant-generator",
         "negative-weight", "empty-matrix", "zero-var-degree", "non-integer-perm",
         "repeated-perm", "non-integer-weight", "composite-char",
@@ -263,7 +274,9 @@ def test_config_values_are_read_as_command_line_text(capsys, tmp_path):
         "inhomogeneous-matchings", "negative-count", "negative-trials", "zero-stall",
         "random-unpermuted-family", "zero-workers", "negative-workers",
         "submax-non-square-relations", "submax-non-square-hilbert",
-        "packed-exponent-overflow"])
+        "packed-exponent-overflow", "sagbi-negative-round-bound",
+        "sagbi-negative-degree-bound", "relations-negative-round-bound",
+        "relations-negative-degree-bound"])
 def test_bad_input_is_one_line_usage_error(capsys, argv, needle):
     code, out, err = _run(capsys, argv)
     assert code == 2

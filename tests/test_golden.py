@@ -19,6 +19,9 @@ samples_used, the canonical forms found and their witnesses; it was
 captured while the random search still kept a cache of seen orbit sums.
 `matchings-3x4-kmax8.out` (TSV, `--kmax 8`, the same
 capture) is not a case here: at about 3 s it is diffed by CI instead.
+So is `verify-g37-sampled-200.out`, the benchmark's sampled G(3,7) job
+(`--count 200 --seed 11`), captured before the strict systems refused
+opposite columns and dropped repeated ones.
 `relations-xy-degree.out` was re-captured when a pass began to append each
 new element as soon as it is found: the second `x*y^5` (Y7) is gone.  The
 same loop at `--degree-bound 10`, the benchmark's job, was captured then.

@@ -269,3 +269,22 @@ def test_orbit_sizes_match_group_theory():
     assert G.orbit_size(v5) == 6
     d5 = (0, 4, 3, 3, 0, 4, 4, 3, 0)
     assert G.orbit_size(d5) == 12
+
+
+def test_full_group_orbit_size_is_order_over_stabilizer():
+    # the orbit set is the oracle; small entries repeat columns and make
+    # square matrices symmetric often enough to give large stabilizers
+    rng = random.Random(45)
+    stabilized = 0
+    for m, n in [(1, 1), (1, 4), (2, 2), (2, 3), (3, 3), (3, 4), (2, 5), (4, 4)]:
+        G = full_group(m, n)
+        for top in (0, 1, 2, 5):
+            for _ in range(8):
+                flat = tuple(rng.randint(0, top) for _ in range(m * n))
+                if rng.random() < 0.3 and m == n:
+                    flat = tuple(flat[min(i, j) * n + max(i, j)]
+                                 for i in range(m) for j in range(n))
+                size = len(G.orbit(flat))
+                assert G.orbit_size(flat) == size
+                stabilized += size < len(G)
+    assert stabilized > 50
