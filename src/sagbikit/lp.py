@@ -103,12 +103,15 @@ class StrictSystem:
         negated = {tuple(map(neg, c)) for c in new}
         if not negated.isdisjoint(new.keys()):
             return False
+        # one lookup pass per ancestor that shares no column either way
+        probe = negated.union(new)
         a = self._parent
         while a is not None:
-            if not a._new.keys().isdisjoint(negated):
-                return False
-            for c in new.keys() & a._new.keys():
-                del new[c]
+            if not a._new.keys().isdisjoint(probe):
+                if not a._new.keys().isdisjoint(negated):
+                    return False
+                for c in new.keys() & a._new.keys():
+                    del new[c]
             a = a._parent
         return True
 
