@@ -12,14 +12,14 @@ A `StrictSystem` grows by columns and is warm-started: adding columns
 keeps the current basis primal feasible, so a child system continues
 pivoting from its parent's optimal tableau instead of from the
 artificial basis.  Before that, two rules read the columns alone.  A
-system that holds a column d and also -d (d = 0 included) is infeasible,
-since w . d >= 1 and -w . d >= 1 exclude each other; it is refused
-without a tableau and without solving its parent.  A new column that an
-ancestor already holds is dropped, since it never enters the basis.  The
-simplex is the revised one (Dantzig and
-Orchard-Hays), kept fraction-free (Bareiss): a tableau holds only
-den * B^-1 and den * B^-1 b, and a difference column A, with a trailing
-1 for the convexity row, is priced when needed.  It enters row r as
+system that holds a column d and also -d (d = 0 included) is
+infeasible, since w . d >= 1 and -w . d >= 1 exclude each other; it is
+refused without a tableau and without solving its parent.  A new column
+that an ancestor already holds is dropped, since it never enters the
+basis.  The simplex is the revised one (Dantzig and Orchard-Hays), kept
+fraction-free (Bareiss): a tableau holds only den * B^-1 and
+den * B^-1 b, and a difference column A, with a trailing 1 for the
+convexity row, is priced when needed.  It enters row r as
 sum_i T[r][art_i] * A[i] and has reduced cost
 sum_i (obj[art_i] - den) * A[i], both integral.  A grown system shares
 its parent's rows until its first pivot.  The pivots are those of the

@@ -7,6 +7,7 @@ construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping
 
 
@@ -60,7 +61,7 @@ class RingContext:
         return self._name_index[name]
 
     def degree(self, exp: tuple[int, ...]) -> int:
-        return sum(g * e for g, e in zip(self.grading, exp))
+        return sum(map(mul, self.grading, exp))
 
     # coefficient arithmetic, dispatched on characteristic
     def coeff(self, c) -> object:

@@ -380,9 +380,9 @@ def verify_g37_sampled(count: int, seed: int) -> CaseReport:
             raise VerificationError(
                 f"sample {sample_idx}: matching rank {len(span)} != 13", T)
         # one system of T's differences serves every extension below; it
-        # is solved at most once, and not at all when T's witness clears a
-        # candidate or the candidate's differences hold the negation of
-        # one of T's or of each other (the LP would only find that
+        # is solved at most once, and not at all when T's witness clears
+        # every candidate or the candidate's differences hold the negation
+        # of one of T's or of each other (the LP would only find that
         # infeasible)
         system = matching_system(T)
         term_choices = []
