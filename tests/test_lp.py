@@ -56,8 +56,8 @@ def test_grown_system_agrees_with_cold_and_hull_oracles():
 
 
 def test_child_without_pivot_shares_its_parents_rows():
-    # a repeated column prices out like its first copy, so the child makes
-    # no pivot and keeps the parent's basis inverse and witness
+    # a repeated column is dropped, so the child has no column of its own,
+    # makes no pivot and keeps the parent's basis inverse and witness
     rng = random.Random(7)
     shared = 0
     for _ in range(60):
