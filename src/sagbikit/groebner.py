@@ -21,7 +21,12 @@ Nakayama): the one greedy pass, `_Basis.minimal_generators`.
 
 The toric kernel of Y_u -> X^{m_u} is the part free of X of the binomial
 ideal (Y_u - X^{m_u}) under a block order with X first; it is zero, and
-no basis is computed, when the exponent vectors are independent.
+no basis is computed, when the exponent vectors are independent.  The
+elimination is graded by deg X_i = ring.grading[i] and deg Y_u =
+deg X^{m_u}, so every input Y_u - X^{m_u} and every S-pair is
+homogeneous, and the pair heap works one degree at a time.  The grading
+changes only the order in which pairs are taken: the reduced basis is
+unique, so the kernel is the one the all-ones grading gives.
 """
 from __future__ import annotations
 
@@ -361,8 +366,9 @@ def toric_kernel(monomials: list[tuple[int, ...]], ring: RingContext) -> list[Bi
         return []
 
     nx = ring.nvars
+    weights = [ring.degree(m) for m in monomials]
     order = weight_order((1,) * nx + (0,) * p, degrevlex_order(nx + p))
-    basis = _BinomialBasis(order)
+    basis = _BinomialBasis(order, ring.grading + tuple(weights))
     for u, m in enumerate(monomials):
         basis.add(Binomial(m + (0,) * p, (0,) * (nx + u) + (1,) + (0,) * (p - u - 1)))
     basis.complete()
@@ -378,6 +384,5 @@ def toric_kernel(monomials: list[tuple[int, ...]], ring: RingContext) -> list[Bi
         if psi(b.plus) != psi(b.minus):
             raise AssertionError("binomial does not evaluate to zero under psi")
         out.append(b)
-    weights = [ring.degree(m) for m in monomials]
     out.sort(key=lambda b: (b.degree(weights), b.plus, b.minus))
     return _BinomialBasis(degrevlex_order(p), weights).minimal_generators(out)

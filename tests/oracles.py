@@ -11,7 +11,9 @@ on tuple exponents with no pair criterion at all.  Strict feasibility
 verdicts are checked against a cold phase-1 simplex that builds a fresh
 tableau and pivots from the artificial basis on every call, and vertex
 catalogs against the walk of every selection, with no symmetry pruning,
-folded by canonical form leaf by leaf.
+folded by canonical form leaf by leaf.  The graded toric kernel is
+checked against the same elimination with its S-pairs taken in the
+all-ones grading, in which its inputs are not homogeneous.
 """
 from __future__ import annotations
 
@@ -497,3 +499,24 @@ def catalog_unpruned(family, group):
         orbits[canon] = (size + 1, best)
     rows = [(c, orbits[c][0], orbits[c][1][1], orbits[c][1][2]) for c in sorted(orbits)]
     return len(leaves), rows
+
+
+def toric_kernel_ungraded(monomials, ring):
+    """`groebner.toric_kernel` by its elimination basis without a grading:
+    the same block order (X first) and reduced basis, with S-pairs taken
+    by lcm degree in the all-ones grading on the nx + p variables, so the
+    inputs Y_u - X^{m_u} are not homogeneous and no degree truncation
+    applies.  The X-free part is sorted and minimized as there."""
+    from sagbikit.groebner import Binomial, _BinomialBasis
+    from sagbikit.orders import degrevlex_order, weight_order
+    monomials = [tuple(m) for m in monomials]
+    nx, p = ring.nvars, len(monomials)
+    basis = _BinomialBasis(weight_order((1,) * nx + (0,) * p, degrevlex_order(nx + p)))
+    for u, m in enumerate(monomials):
+        basis.add(Binomial(m + (0,) * p, (0,) * (nx + u) + (1,) + (0,) * (p - u - 1)))
+    basis.complete()
+    weights = [ring.degree(m) for m in monomials]
+    out = sorted((Binomial(lead[nx:], trail[nx:]) for lead, trail in basis.reduced()
+                  if not any(lead[:nx])),
+                 key=lambda b: (b.degree(weights), b.plus, b.minus))
+    return _BinomialBasis(degrevlex_order(p), weights).minimal_generators(out)

@@ -1,7 +1,7 @@
 """Golden CLI transcripts: stdout must stay byte-identical.
 
 Each case is a README example (with small parameters where the README
-one is slow), the G(2,6) and G(3,6) Pluecker relations jobs, and five
+one is slow), the G(2,6), G(3,6) and G(3,7) Pluecker relations jobs, and five
 runs of the SAGBI completion loop (degree windows, --degree-bound and
 --round-bound truncation).  The first ten transcripts in tests/golden/
 were captured before the binomial toric kernel replaced the coefficient
@@ -22,6 +22,10 @@ capture) is not a case here: at about 3 s it is diffed by CI instead.
 So is `verify-g37-sampled-200.out`, the benchmark's sampled G(3,7) job
 (`--count 200 --seed 11`), captured before the strict systems refused
 opposite columns and dropped repeated ones.
+`relations-3x7-diag.out`, the 140 quadrics of G(3,7), was captured once
+the toric kernel's elimination took its pairs in the grading that makes
+every input homogeneous; before that the job took minutes.  CI also runs
+it under a 60-s timeout, so a return to the all-ones grading fails there.
 `relations-xy-degree.out` was re-captured when a pass began to append each
 new element as soon as it is found: the second `x*y^5` (Y7) is gone.  The
 same loop at `--degree-bound 10`, the benchmark's job, was captured then.
@@ -76,6 +80,8 @@ CASES = {
     "relations-2x6-diag": ["relations", "--matrix", "2x6", "--minors", "2",
                            "--order", "diag"],
     "relations-3x6-diag": ["relations", "--matrix", "3x6", "--minors", "3",
+                           "--order", "diag"],
+    "relations-3x7-diag": ["relations", "--matrix", "3x7", "--minors", "3",
                            "--order", "diag"],
     # the completion loop: degree windows, both bounds, comp-degree 3
     "relations-xy-degree": ["relations", "--vars", "x,y", "--gen", "x+y",

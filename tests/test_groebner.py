@@ -3,10 +3,11 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_product_values, buchberger_all_pairs, divides, lcm_exponent
+from oracles import (brute_product_values, buchberger_all_pairs, divides, lcm_exponent,
+                     toric_kernel_ungraded)
 from sagbikit.formats import parse_polynomial
 from sagbikit.groebner import (Binomial, _BinomialBasis, _PolynomialBasis, buchberger,
                                normal_form, toric_kernel)
@@ -176,6 +177,42 @@ def _monomial_family(draw):
 def test_toric_kernel_matches_elimination_oracle(case):
     nv, monomials = case
     _same_ideal_as_elimination(monomials, RingContext([f"x{i}" for i in range(nv)]))
+
+
+@pytest.mark.parametrize("grading, characteristic, monomials", [
+    # deg Y = 2, 3, 4, 6, 5: Y_2^2 - Y_4 and Y_1*Y_2 - Y_5 have mixed degrees
+    ((1, 2, 3), 0, [(0, 1, 0), (0, 0, 1), (2, 1, 0), (0, 0, 2), (0, 1, 1)]),
+    ((2, 1), 3, [(1, 0), (1, 1), (1, 2), (2, 1)]),
+])
+def test_toric_kernel_weighted_grading_matches_elimination(grading, characteristic,
+                                                           monomials):
+    ring = RingContext([f"x{i}" for i in range(len(grading))], characteristic, grading)
+    assert _same_ideal_as_elimination(monomials, ring)
+
+
+@st.composite
+def _graded_monomial_family(draw):
+    nv = draw(st.integers(1, 4))
+    grading = tuple(draw(st.lists(st.integers(1, 4), min_size=nv, max_size=nv)))
+    exp = st.lists(st.integers(0, 3), min_size=nv, max_size=nv).filter(any).map(tuple)
+    return (grading, draw(st.sampled_from([0, 2, 3, 32003])),
+            draw(st.lists(exp, min_size=1, max_size=6)))
+
+
+# the initials of x+y, x*y, x*y^2 under lex, as the degree loop grows them
+_XY_INITIALS = [(1, 0)] + [(1, k) for k in range(1, 10)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_graded_monomial_family())
+@example(((1, 1), 0, _XY_INITIALS[:3]))
+@example(((1, 1), 0, _XY_INITIALS))
+@example(((1, 2, 3), 32003, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 1), (1, 1, 1)]))
+def test_graded_toric_kernel_equals_ungraded_elimination(case):
+    """The reduced basis is unique, so the pair order cannot change it."""
+    grading, characteristic, monomials = case
+    ring = RingContext([f"x{i}" for i in range(len(grading))], characteristic, grading)
+    assert toric_kernel(monomials, ring) == toric_kernel_ungraded(monomials, ring)
 
 
 @pytest.mark.parametrize("n", [5, 6])

@@ -1,11 +1,13 @@
 import random
 from itertools import product
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import buchberger_all_pairs, minimize_by_rerun
+from oracles import buchberger_all_pairs, minimize_by_rerun, rank_rational, schur_rectangle_dim
 from sagbikit.formats import parse_polynomial, poly_to_text
 from sagbikit.groebner import buchberger, normal_form
 from sagbikit.minors import MatrixRing, diagonal_order, minors
@@ -42,6 +44,23 @@ def test_g24_single_pluecker_relation():
     assert poly_to_text(rels.generators[0]) == "Y1*Y6 - Y2*Y5 + Y3*Y4"
     assert verify_relations(res.basis, rels) == (True, None)
     assert retract.mismatch(res.basis) is None
+
+
+def test_g37_golden_relations_are_the_quadratic_pluecker_relations():
+    """The 140 relations of the G(3,7) golden span the degree-2 part of the
+    Pluecker ideal: they vanish on the 3-minors, are linearly independent,
+    and number dim Sym^2(K^35) minus the degree-2 part of the coordinate
+    ring of G(3,7)."""
+    lines = (Path(__file__).parent / "golden" / "relations-3x7-diag.out").read_text().splitlines()
+    maximal = [mi.polynomial for mi in minors(3, MatrixRing(3, 7))]
+    assert [ln.split("\t")[1] for ln in lines if ln.startswith("Y")] == [
+        poly_to_text(f) for f in maximal]
+    P = RingContext([f"Y{u}" for u in range(1, 36)])
+    rels = [parse_polynomial(P, ln.split("\t")[1]) for ln in lines if ln.startswith("rel\t")]
+    assert all(g.degree() == 2 and g.substitute(maximal).is_zero() for g in rels)
+    monomials = sorted({e for g in rels for e in g.terms})
+    assert rank_rational([[g.terms.get(e, 0) for e in monomials] for g in rels]) == len(rels)
+    assert len(rels) == comb(36, 2) - schur_rectangle_dim(3, 2, 7) == 140
 
 
 def test_a233_relations_are_zero():
