@@ -1,6 +1,6 @@
 """SAGBI bases, defining ideals and coherent matchings of algebras of minors."""
 
-from .engine import GeneratorFamily, SagbiResult, SubductionTrace, is_sagbi_up_to, sagbi_by_degree, sagbi_general, subduct, tete_a_tetes
+from .engine import GeneratorFamily, SagbiResult, SubductionTrace, sagbi_by_degree, sagbi_general, subduct, tete_a_tetes
 from .groebner import Binomial, buchberger, normal_form, toric_kernel
 from .hilbert import HilbertData, expand_series, h_vector, krull_dim_monomial, semigroup_hilbert, subalgebra_hilbert
 from .matchings import (Matching, VertexCatalog, enumerate_vertices_exhaustive,
@@ -8,11 +8,10 @@ from .matchings import (Matching, VertexCatalog, enumerate_vertices_exhaustive,
                         is_coherent, make_matching, matching_from_weight,
                         restrict_matching, sagbi_defect)
 from .minors import (CanonicalGroup, GroupElement, MatrixRing, Minor, B_sets, Q_matrix,
-                     act, bracket, canonical_form, compose, delta_multiples,
-                     determinant, diagonal_order, full_group, minors, of_orbit,
-                     pattern_stabilizer, submax_lex_order)
+                     act, bracket, compose, delta_multiples, determinant, diagonal_order,
+                     full_group, minors, of_orbit, pattern_stabilizer, submax_lex_order)
 from .orders import MonomialOrder, TieError, degrevlex_order, leading_term, lex_order, make_monic, weight_order, weight_selects
-from .relations import (RelationSet, Retract, elimination_kernel, minimize_relations,
+from .relations import (RelationSet, Retract, minimize_relations,
                         sagbi_with_relations, verify_relations)
 from .rings import Polynomial, RingContext
 from .universal import CaseReport, VerificationError, verify_universal

@@ -19,7 +19,7 @@ from .matchings import (_support_symmetries, enumerate_vertices_exhaustive,
                         enumerate_vertices_random, first_defect, full_support)
 from .minors import (MatrixRing, diagonal_order, full_group, full_group_generators,
                      minors, submax_lex_order)
-from .orders import degrevlex_order, lex_order, weight_order
+from .orders import degrevlex_order, leading_exponent, lex_order, weight_order
 from .relations import minimize_relations, sagbi_with_relations, verify_relations
 from .rings import RingContext
 from .universal import VerificationError, diagonal_matching, verify_universal
@@ -40,6 +40,8 @@ def _build_ring(args) -> tuple[RingContext, MatrixRing | None]:
     if args.matrix and args.vars:
         raise UsageError("--matrix and --vars are mutually exclusive")
     if args.matrix:
+        if args.var_degrees is not None:
+            raise UsageError("--var-degrees applies only to a --vars ring")
         try:
             m, n = (int(v) for v in args.matrix.lower().split("x"))
         except ValueError:
@@ -52,7 +54,7 @@ def _build_ring(args) -> tuple[RingContext, MatrixRing | None]:
     if args.vars:
         names = [v.strip() for v in args.vars.split(",") if v.strip()]
         grading = None
-        if getattr(args, "var_degrees", None):
+        if args.var_degrees is not None:
             grading = _int_list(args.var_degrees, "--var-degrees")
         try:
             return RingContext(names, args.char, grading), None
@@ -74,8 +76,11 @@ def _build_generators(args, ring: RingContext, matrix: MatrixRing | None):
         return [mi.polynomial for mi in minors(args.minors, matrix)]
     texts = []
     if args.gens_file:
-        with open(args.gens_file) as fh:
-            texts = [line.strip() for line in fh if line.strip()]
+        with open(args.gens_file, encoding="utf-8") as fh:
+            try:
+                texts = [line.strip() for line in fh if line.strip()]
+            except UnicodeDecodeError as exc:
+                raise UsageError(f"--gens-file {args.gens_file}: not UTF-8 ({exc})")
     else:
         texts = list(args.gen)
     out = []
@@ -323,7 +328,6 @@ def cmd_hilbert(args) -> int:
         data = subalgebra_hilbert(gens, args.kmax, order, args.grading)
         exps = None
     else:
-        from .orders import leading_exponent
         exps = [leading_exponent(order, f) for f in gens]
         data = semigroup_hilbert(exps, args.kmax, ring, args.grading)
     dim = krull_dim_monomial(exps) if exps is not None else None
@@ -450,7 +454,7 @@ def _apply_config(args, argv):
     """Fill defaults from a JSON config file; explicit flags win."""
     if not getattr(args, "config", None):
         return args
-    with open(args.config) as fh:
+    with open(args.config, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:
@@ -474,7 +478,9 @@ def main(argv=None) -> int:
     try:
         args = _apply_config(args, argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OverflowError) as exc:
+        # OverflowError: an exponent past the packed field width of the
+        # Buchberger core
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except ParseError as exc:
@@ -482,10 +488,6 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
-        return 2
-    except OverflowError as exc:
-        # an exponent past the packed field width of the Buchberger core
-        sys.stderr.write(f"usage error: {exc}\n")
         return 2
 
 

@@ -133,12 +133,11 @@ class GeneratorFamily:
         return factor
 
 
-def subduct(g: Polynomial, family: GeneratorFamily, tail: bool = True) -> SubductionTrace:
+def subduct(g: Polynomial, family: GeneratorFamily) -> SubductionTrace:
     """Subduction of g modulo the family.
 
-    With tail=False the loop stops at the first leading monomial that is
-    not a product of initials; with tail=True such monomials migrate to
-    the remainder and subduction continues on the lower terms.
+    A leading monomial that is not a product of initials migrates to the
+    remainder, and subduction continues on the lower terms.
     """
     order = family.order
     ring = g.ring
@@ -155,10 +154,6 @@ def subduct(g: Polynomial, family: GeneratorFamily, tail: bool = True) -> Subduc
         prev_key = lk
         factor = family.factor_initial(lead)
         if factor is None:
-            if not tail:
-                for e, c in current.terms.items():
-                    remainder_terms[e] = c
-                break
             remainder_terms[lead] = lc
             current = current - Polynomial.monomial(ring, lead, lc)
             continue
@@ -202,7 +197,7 @@ def _complete(family: GeneratorFamily, window: int | None, round_bound: int | No
             rounds += 1
             size = len(family)
             for b in pending:
-                trace = subduct(family.phi_binomial(b), family, tail=True)
+                trace = subduct(family.phi_binomial(b), family)
                 done.add((b.plus, b.minus))
                 if not trace.remainder.is_zero():
                     divisor = family.append(trace.remainder)
@@ -238,17 +233,3 @@ def sagbi_by_degree(family: GeneratorFamily, degree_bound: int,
     if not family.is_homogeneous():
         raise ValueError("degree-by-degree variant needs homogeneous generators")
     return _complete(family, 1, round_bound, degree_bound, bookkeeper)
-
-
-def is_sagbi_up_to(family: GeneratorFamily, k_max: int,
-                   grading: str = "normalized") -> int | None:
-    """Smallest degree where the initial-monomial algebra falls short, or None."""
-    from .hilbert import semigroup_hilbert, subalgebra_hilbert
-    if not family.is_homogeneous():
-        raise ValueError("Hilbert comparison needs homogeneous generators")
-    sub = subalgebra_hilbert(family.members, k_max, family.order, grading)
-    semi = semigroup_hilbert(family.initials, k_max, family.ring, grading)
-    for k in range(k_max + 1):
-        if semi.values[k] != sub.values[k]:
-            return k
-    return None

@@ -52,9 +52,9 @@ class _Tokenizer:
             if ch in "+-*/^()":
                 out.append((ch, ch, line, col))
                 self._advance(1)
-            elif ch.isdigit():
+            elif ch.isdecimal():
                 j = self.pos
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
                 out.append(("num", int(text[self.pos:j]), line, col))
                 self._advance(j - self.pos)

@@ -10,7 +10,7 @@ into integers with a guard bit per variable, and the order is read off
 one integer per exponent (`MonomialOrder.linear_key`).  The core keeps
 the live set (elements whose lead no later lead divides), prunes pairs
 by the Gebauer-Moeller criteria and takes them in order of their lcm's
-degree in a grading, all ones unless given.
+degree in a grading.
 
 Truncation: `complete(d)` leaves the pairs whose lcm has degree above d
 pending.  For generators homogeneous in the grading, every element of
@@ -59,13 +59,13 @@ class _Basis:
     form).
     """
 
-    def __init__(self, order: MonomialOrder, grading=None):
+    def __init__(self, order: MonomialOrder, grading):
         n = self.nvars = order.nvars
         self.fields = struct.Struct(f"<{n}H")
         ones = self._pack((1,) * n)
         self.guard = ones << (_FIELD - 1)
         self.values = self.guard - ones
-        self.grading = tuple(grading) if grading is not None else (1,) * n
+        self.grading = tuple(grading)
         self.ranks = order.linear_key((1 << (_FIELD - 1)) - 1)
         self.leads: list[int] = []
         self.bodies: list = []

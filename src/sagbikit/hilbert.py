@@ -47,7 +47,6 @@ relations among them (`free_generators`) and span membership tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import islice
 from math import comb, gcd, lcm
 from operator import mul
@@ -64,14 +63,12 @@ class HilbertData:
     values: list[int]
 
 
-def normalized_degrees(degrees: Sequence[int]) -> tuple[list[int], int]:
-    """Degrees divided by their gcd, plus the gcd itself."""
-    g = 0
-    for d in degrees:
-        g = gcd(g, d)
+def normalized_degrees(degrees: Sequence[int]) -> list[int]:
+    """Degrees divided by their gcd."""
+    g = gcd(*degrees)
     if g == 0:
         raise ValueError("constant generator has no degree")
-    return [d // g for d in degrees], g
+    return [d // g for d in degrees]
 
 
 def lex_key(nvars: int, bound: int) -> tuple[int, ...]:
@@ -104,7 +101,7 @@ def semigroup_hilbert(exps: Iterable[tuple[int, ...]], k_max: int,
     if any(d < 1 for d in degrees):
         raise ValueError("constant monomial in generator list")
     if grading == "normalized":
-        degrees, _ = normalized_degrees(degrees)
+        degrees = normalized_degrees(degrees)
     free = set(free_generators(exps)) if k_max >= 4 else set()
     core = [j for j in range(len(exps)) if j not in free]
     if core:
@@ -214,7 +211,7 @@ class RowSpace:
                 c = pow(row[lead], -1, p)
                 self.pivots[lead] = {e: v * c % p for e, v in row.items()}
             else:
-                c = reduce(gcd, row.values()) * (1 if row[lead] > 0 else -1)
+                c = gcd(*row.values()) * (1 if row[lead] > 0 else -1)
                 self.pivots[lead] = {e: v // c for e, v in row.items()}
 
     def _reduce(self, row: dict[int, int]) -> dict[int, int]:
@@ -303,7 +300,7 @@ def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
     if any(d < 1 for d in degrees):
         raise ValueError("constant generator")
     if grading == "normalized":
-        degrees, _ = normalized_degrees(degrees)
+        degrees = normalized_degrees(degrees)
     p = ring.characteristic
     bound = max(max(e) for f in polys for e in f.terms) * max(k_max, 1)
     c = order.linear_key(bound)

@@ -204,9 +204,7 @@ class StrictSystem:
 
         # dual multipliers give the witness: w_i = obj[artificial i] - den
         w = [obj[i] - den for i in range(nrows - 1)]
-        g = 0
-        for v in w:
-            g = gcd(g, v)
+        g = gcd(*w)
         if g > 1:
             w = [v // g for v in w]
         # the convexity position picks 0, so each sum is w . d

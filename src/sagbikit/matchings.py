@@ -42,6 +42,7 @@ from functools import lru_cache
 from math import prod
 from operator import mul, sub
 
+from .hilbert import semigroup_hilbert
 from .lp import StrictSystem, strict_feasible
 from .minors import CanonicalGroup, MatrixRing, Minor, minor_polynomial
 from .orders import TieError, weight_selects
@@ -355,17 +356,15 @@ def enumerate_vertices_random(family, group: CanonicalGroup, *, trials: int,
                          exhaustive=False, meta=meta)
 
 
-def full_support(matrix_or_flat) -> bool:
-    if matrix_or_flat and isinstance(matrix_or_flat[0], tuple):
-        return all(v > 0 for row in matrix_or_flat for v in row)
-    return all(v > 0 for v in matrix_or_flat)
+def full_support(flat) -> bool:
+    """Every entry of a flat exponent matrix is positive."""
+    return all(v > 0 for v in flat)
 
 
 def sagbi_defect(matching: Matching, reference_values, k_max: int,
                  grading: str = "normalized") -> int | None:
     """First degree where the matching's semigroup falls short of the
     reference Hilbert values, or None."""
-    from .hilbert import semigroup_hilbert
     ring = matching.family[0].ring
     return first_defect(semigroup_hilbert(matching.selection, k_max, ring, grading).values,
                         reference_values, k_max)

@@ -307,6 +307,9 @@ class CanonicalGroup:
         return rows, ([rows, list(zip(*rows))] if self.m == n else [rows])
 
     def canonical(self, flat: tuple[int, ...]) -> tuple[int, ...]:
+        """Lexicographically smallest row-major flattening over the orbit:
+        two exponent matrices lie in one orbit exactly when their canonical
+        forms agree."""
         if not self.full:
             return min(tuple(flat[i] for i in idx) for idx in self.index_maps)
         rows, mats = self._placements(flat)
@@ -343,19 +346,6 @@ class CanonicalGroup:
 
     def __len__(self):
         return len(self.elements)
-
-
-def canonical_form(matrix_or_flat, group: CanonicalGroup):
-    """Lexicographically smallest row-major flattening over the group orbit.
-
-    Two exponent matrices lie in one orbit exactly when their canonical
-    forms agree.
-    """
-    if matrix_or_flat and isinstance(matrix_or_flat[0], tuple):
-        flat = tuple(v for row in matrix_or_flat for v in row)
-    else:
-        flat = tuple(matrix_or_flat)
-    return group.canonical(flat)
 
 
 def full_group(m: int, n: int) -> CanonicalGroup:

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import GeneratorFamily, SagbiResult, sagbi_general
-from .groebner import Binomial, _PolynomialBasis, buchberger, normal_form
-from .hilbert import normalized_degrees
+from .groebner import Binomial, _PolynomialBasis, normal_form
 from .orders import MonomialOrder, degrevlex_order, make_monic, weight_order
 from .rings import Polynomial, RingContext, power_product
 
@@ -120,24 +119,3 @@ def verify_relations(family: GeneratorFamily, rels: RelationSet):
         if not g.substitute(originals).is_zero():
             return False, g
     return True, None
-
-
-def elimination_kernel(polys: list[Polynomial], tag_prefix: str = "Y"
-                       ) -> tuple[RingContext, list[Polynomial]]:
-    """Ker(Y_u -> f_u) by elimination; the independent cross-check route."""
-    if not polys:
-        raise ValueError("empty generator list")
-    ring = polys[0].ring
-    nx, p = ring.nvars, len(polys)
-    degrees = [f.degree() for f in polys]
-    tags = tuple(f"{tag_prefix}{u + 1}" for u in range(p))
-    combined = RingContext(tuple(f"x{i}" for i in range(nx)) + tags, ring.characteristic,
-                           ring.grading + tuple(degrees))
-    order = weight_order((1,) * nx + (0,) * p, degrevlex_order(nx + p))
-    # Y_u - f_u, where f_u has no Y term
-    gens = [Polynomial(combined, {(0,) * (nx + u) + (1,) + (0,) * (p - u - 1): 1,
-                                  **{e + (0,) * p: ring.cneg(c) for e, c in f.terms.items()}})
-            for u, f in enumerate(polys)]
-    p0 = RingContext(tags, ring.characteristic, normalized_degrees(degrees)[0])
-    return p0, [Polynomial(p0, {e[nx:]: c for e, c in f.terms.items()})
-                for f in buchberger(gens, order) if not any(any(e[:nx]) for e in f.terms)]

@@ -247,14 +247,11 @@ class Polynomial:
             k >>= 1
         return result
 
-    def mul_monomial(self, exp: tuple[int, ...], c=1) -> "Polynomial":
-        ring = self.ring
-        c = ring.coeff(c)
+    def mul_monomial(self, exp: tuple[int, ...]) -> "Polynomial":
         res = Polynomial.__new__(Polynomial)
-        res.ring = ring
+        res.ring = self.ring
         res._key = None
-        res.terms = {tuple(a + b for a, b in zip(e, exp)): ring.cmul(v, c)
-                     for e, v in self.terms.items()} if c else {}
+        res.terms = {tuple(a + b for a, b in zip(e, exp)): v for e, v in self.terms.items()}
         return res
 
     def substitute(self, images: list["Polynomial"]) -> "Polynomial":

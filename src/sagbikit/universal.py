@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from itertools import product as iproduct
 from math import comb
 from operator import mul
@@ -20,9 +20,9 @@ from .hilbert import RowSpace, expand_series, lex_key, semigroup_hilbert, vector
 from .matchings import (Matching, certify, enumerate_vertices_exhaustive,
                         extend_matching, make_matching, matching_from_weight,
                         matching_system, term_diffs)
-from .minors import (MatrixRing, bracket, bracket_name, determinant, full_group,
-                     minors, pattern_stabilizer)
-from .orders import TieError
+from .minors import (MatrixRing, bracket, bracket_name, determinant, diagonal_order,
+                     full_group, minors, pattern_stabilizer)
+from .orders import TieError, leading_exponent
 from .rings import Polynomial
 
 
@@ -42,11 +42,14 @@ class CaseReport:
 
 # ---------------------------------------------------------------- A2(3,3)
 
+A233_KMAX = 6
+
+
 def _zero_cells(flat, m, n):
     return [(i, j) for i in range(m) for j in range(n) if flat[i * n + j] == 0]
 
 
-def verify_a233(k_max: int = 6) -> CaseReport:
+def verify_a233() -> CaseReport:
     """Every coherent matching of the 2-minors extends, by determinant
     multiples at its zero cells, to a free-algebra Hilbert function."""
     M = MatrixRing(3, 3)
@@ -57,7 +60,7 @@ def verify_a233(k_max: int = 6) -> CaseReport:
     if catalog.total != 102 or catalog.orbit_count != 5:
         raise VerificationError(
             f"expected 102 vertices in 5 orbits, got {catalog.total}/{catalog.orbit_count}")
-    free = [comb(k + 8, 8) for k in range(k_max + 1)]
+    free = [comb(k + 8, 8) for k in range(A233_KMAX + 1)]
     details = []
     for entry in catalog.orbits:
         rep = entry.representative
@@ -77,7 +80,7 @@ def verify_a233(k_max: int = 6) -> CaseReport:
                 e[M.cell(i, j)] += 1
                 additions.append(tuple(e))
             exps = list(rep.selection) + additions
-            values = semigroup_hilbert(exps, k_max, M.ring).values
+            values = semigroup_hilbert(exps, A233_KMAX, M.ring).values
             if values != free:
                 raise VerificationError(
                     f"repaired Hilbert values {values} != free algebra {free}", ext)
@@ -92,6 +95,7 @@ def verify_a233(k_max: int = 6) -> CaseReport:
 # numerator of the Hilbert series of the Grassmannian of 3-spaces in 6-space
 G36_NUMERATOR = (1, 10, 20, 10, 1)
 G36_DIM = 10
+G36_KMAX = 5
 # numerator of the one defective orbit per structured type
 G36_BAD_NUMERATOR = (1, 10, 19, 8)
 
@@ -137,8 +141,8 @@ def drop_cells(f: Polynomial, M: MatrixRing, cells) -> Polynomial:
                                if not any(e[k] for k in idx)})
 
 
-def g36_reference(k_max: int = 5) -> list[int]:
-    return expand_series(G36_NUMERATOR, G36_DIM, k_max)
+def g36_reference() -> list[int]:
+    return expand_series(G36_NUMERATOR, G36_DIM, G36_KMAX)
 
 
 def structured_family(M: MatrixRing, zeros) -> list[Polynomial]:
@@ -151,14 +155,14 @@ def structured_family(M: MatrixRing, zeros) -> list[Polynomial]:
     return fam
 
 
-def verify_g36(k_max: int = 5) -> CaseReport:
+def verify_g36() -> CaseReport:
     """Per structured type: enumerate vertices, find the unique defective
     orbit, confirm it is the all-even one, and repair it by one orbit
     element of the quadratic bracket difference."""
     M = MatrixRing(3, 6)
     full_minors = [mi.polynomial for mi in minors(3, M)]
-    ref = g36_reference(k_max)
-    bad_ref = expand_series(G36_BAD_NUMERATOR, G36_DIM, k_max)
+    ref = g36_reference()
+    bad_ref = expand_series(G36_BAD_NUMERATOR, G36_DIM, G36_KMAX)
     details = []
     meta = {}
     for spec_t in G36_TYPES:
@@ -175,7 +179,7 @@ def verify_g36(k_max: int = 5) -> CaseReport:
                 f"expected {spec_t['vertices']}/{spec_t['orbits']}")
         defective = []
         for entry in catalog.orbits:
-            values = semigroup_hilbert(entry.representative.selection, k_max,
+            values = semigroup_hilbert(entry.representative.selection, G36_KMAX,
                                        M.ring).values
             is_even = all(v % 2 == 0 for v in entry.representative.exponent_sum)
             if values == ref:
@@ -194,8 +198,7 @@ def verify_g36(k_max: int = 5) -> CaseReport:
         if bad_values != bad_ref:
             raise VerificationError(
                 f"{name}: defective values {bad_values} != {bad_ref}")
-        bad_flat = tuple(v for row in spec_t["bad"] for v in row)
-        if group.canonical(bad_flat) != entry.canonical:
+        if group.canonical(M.to_flat(spec_t["bad"])) != entry.canonical:
             raise VerificationError(f"{name}: defective orbit is not the recorded one",
                                     entry.representative)
         # repair: the bracket element is tied to the recorded representative,
@@ -218,7 +221,7 @@ def verify_g36(k_max: int = 5) -> CaseReport:
             if any(ext.selection[-1][k] for k in fv):
                 raise VerificationError(f"{name}: extension uses a forgotten "
                                         f"variable", ext)
-            values = semigroup_hilbert(ext.selection, k_max, M.ring).values
+            values = semigroup_hilbert(ext.selection, G36_KMAX, M.ring).values
             if values != ref:
                 raise VerificationError(f"{name}: repair gives {values} != {ref}", ext)
         g_name = (bracket_name([m - 1 for m in mapped[:3]])
@@ -235,22 +238,17 @@ def verify_g36(k_max: int = 5) -> CaseReport:
 # ---------------------------------------------------------------- G(3,7)
 
 def diagonal_matching(M: MatrixRing, minor_list) -> Matching:
-    """Main-diagonal selection of every minor (the diagonal-order matching)."""
-    sel = []
-    for mi in minor_list:
-        e = [0] * M.ring.nvars
-        for r, c in zip(mi.rows, mi.cols):
-            e[M.cell(r, c)] += 1
-        sel.append(tuple(e))
+    """The diagonal order's selection of every minor: its main diagonal."""
+    order = diagonal_order(M)
     fam = [mi.polynomial for mi in minor_list]
-    return make_matching(fam, sel)
+    return make_matching(fam, [leading_exponent(order, f) for f in fam])
 
 
-def random_coherent_matching(fam, rng, box: int = 10 ** 6) -> Matching:
-    """Rejection-sample a generic positive integer weight vector."""
+def random_coherent_matching(fam, rng) -> Matching:
+    """Rejection-sample a generic integer weight vector, entries in 1..10^6."""
     nvars = fam[0].ring.nvars
     while True:
-        w = [rng.randint(1, box) for _ in range(nvars)]
+        w = [rng.randint(1, 10 ** 6) for _ in range(nvars)]
         try:
             return matching_from_weight(fam, w)
         except TieError:
@@ -259,22 +257,20 @@ def random_coherent_matching(fam, rng, box: int = 10 ** 6) -> Matching:
 
 def transport_bracket_tuple(bad_rep, target_matrix, g_tuple, col_labels):
     """Find a symmetry carrying the recorded all-even representative to the
-    restriction matrix, and push the bracket 6-tuple through it."""
-    from itertools import permutations
-    m, n = 3, 6
-    target = tuple(tuple(r) for r in target_matrix)
-    for rp in permutations(range(m)):
-        for cp in permutations(range(n)):
-            ok = True
-            for i in range(m):
-                for j in range(n):
-                    if bad_rep[i][j] != target[rp[i]][cp[j]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return tuple(col_labels[cp[c - 1]] + 1 for c in g_tuple)
+    restriction matrix, and push the bracket 6-tuple through it.  Per row
+    placement, each column goes to the first unused equal target column:
+    equal columns are interchangeable, so this finds the lexicographically
+    first symmetry whenever there is one."""
+    for rp in permutations(range(len(bad_rep))):
+        placed = list(zip(*[target_matrix[r] for r in rp]))
+        cp = []
+        for col in zip(*bad_rep):
+            k = next((k for k, c in enumerate(placed) if c == col and k not in cp), None)
+            if k is None:
+                break
+            cp.append(k)
+        else:
+            return tuple(col_labels[cp[c - 1]] + 1 for c in g_tuple)
     return None
 
 

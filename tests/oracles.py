@@ -13,13 +13,17 @@ tableau and pivots from the artificial basis on every call, and vertex
 catalogs against the walk of every selection, with no symmetry pruning,
 folded by canonical form leaf by leaf.  The graded toric kernel is
 checked against the same elimination with its S-pairs taken in the
-all-ones grading, in which its inputs are not homogeneous.
+all-ones grading, in which its inputs are not homogeneous.  Defining
+ideals are checked against elimination by a Groebner basis of the graph
+ideal, SAGBI completeness up to a degree against a comparison of Hilbert
+values, and the transport of a bracket element against a scan of every
+row and column permutation pair.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd
 
 _BLAND_AFTER = 200
@@ -511,7 +515,8 @@ def toric_kernel_ungraded(monomials, ring):
     from sagbikit.orders import degrevlex_order, weight_order
     monomials = [tuple(m) for m in monomials]
     nx, p = ring.nvars, len(monomials)
-    basis = _BinomialBasis(weight_order((1,) * nx + (0,) * p, degrevlex_order(nx + p)))
+    basis = _BinomialBasis(weight_order((1,) * nx + (0,) * p, degrevlex_order(nx + p)),
+                           (1,) * (nx + p))
     for u, m in enumerate(monomials):
         basis.add(Binomial(m + (0,) * p, (0,) * (nx + u) + (1,) + (0,) * (p - u - 1)))
     basis.complete()
@@ -520,3 +525,61 @@ def toric_kernel_ungraded(monomials, ring):
                   if not any(lead[:nx])),
                  key=lambda b: (b.degree(weights), b.plus, b.minus))
     return _BinomialBasis(degrevlex_order(p), weights).minimal_generators(out)
+
+
+def is_sagbi_up_to(family, k_max: int, grading: str = "normalized"):
+    """Smallest degree where the initial-monomial algebra falls short, or None."""
+    from sagbikit.hilbert import semigroup_hilbert, subalgebra_hilbert
+    if not family.is_homogeneous():
+        raise ValueError("Hilbert comparison needs homogeneous generators")
+    sub = subalgebra_hilbert(family.members, k_max, family.order, grading)
+    semi = semigroup_hilbert(family.initials, k_max, family.ring, grading)
+    for k in range(k_max + 1):
+        if semi.values[k] != sub.values[k]:
+            return k
+    return None
+
+
+def elimination_kernel(polys, tag_prefix: str = "Y"):
+    """Ker(Y_u -> f_u) by elimination; the independent cross-check route."""
+    from sagbikit.groebner import buchberger
+    from sagbikit.hilbert import normalized_degrees
+    from sagbikit.orders import degrevlex_order, weight_order
+    from sagbikit.rings import Polynomial, RingContext
+    if not polys:
+        raise ValueError("empty generator list")
+    ring = polys[0].ring
+    nx, p = ring.nvars, len(polys)
+    degrees = [f.degree() for f in polys]
+    tags = tuple(f"{tag_prefix}{u + 1}" for u in range(p))
+    combined = RingContext(tuple(f"x{i}" for i in range(nx)) + tags, ring.characteristic,
+                           ring.grading + tuple(degrees))
+    order = weight_order((1,) * nx + (0,) * p, degrevlex_order(nx + p))
+    # Y_u - f_u, where f_u has no Y term
+    gens = [Polynomial(combined, {(0,) * (nx + u) + (1,) + (0,) * (p - u - 1): 1,
+                                  **{e + (0,) * p: ring.cneg(c) for e, c in f.terms.items()}})
+            for u, f in enumerate(polys)]
+    p0 = RingContext(tags, ring.characteristic, normalized_degrees(degrees))
+    return p0, [Polynomial(p0, {e[nx:]: c for e, c in f.terms.items()})
+                for f in buchberger(gens, order) if not any(any(e[:nx]) for e in f.terms)]
+
+
+def transport_bracket_tuple_brute(bad_rep, target_matrix, g_tuple, col_labels):
+    """`universal.transport_bracket_tuple` by scanning every row and column
+    permutation pair of a 3 x 6 matrix, cell by cell, in lexicographic
+    order."""
+    m, n = 3, 6
+    target = tuple(tuple(r) for r in target_matrix)
+    for rp in permutations(range(m)):
+        for cp in permutations(range(n)):
+            ok = True
+            for i in range(m):
+                for j in range(n):
+                    if bad_rep[i][j] != target[rp[i]][cp[j]]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                return tuple(col_labels[cp[c - 1]] + 1 for c in g_tuple)
+    return None

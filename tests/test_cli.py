@@ -184,8 +184,11 @@ def test_same_config_at_two_paths_prints_one_report(capsys, tmp_path):
     ("sagbi", json.dumps({"gen": "x+y"}), "config key 'gen'"),
     ("sagbi", json.dumps({"round-bound": -1}), "--round-bound must be nonnegative"),
     ("relations", json.dumps({"degree-bound": -2}), "--degree-bound must be nonnegative"),
+    ("matchings", json.dumps({"var-degrees": "1,1,1,1,1,1,1,1,1"}),
+     "--var-degrees applies only to a --vars ring"),
 ], ids=["non-integer-kmax", "not-json", "unknown-choice", "gen-not-a-list",
-        "sagbi-negative-round-bound", "relations-negative-degree-bound"])
+        "sagbi-negative-round-bound", "relations-negative-degree-bound",
+        "var-degrees-with-matrix"])
 def test_bad_config_is_one_line_usage_error(capsys, tmp_path, command, text, needle):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -205,6 +208,21 @@ def test_config_values_are_read_as_command_line_text(capsys, tmp_path):
                                  "--format", "json", "--config", str(cfg)])
     assert code == 0
     assert len(json.loads(out)["reference"]) == 3
+
+
+@pytest.mark.parametrize("flag, needle", [("--gens-file", "not UTF-8"),
+                                          ("--config", "not JSON ('utf-8' codec")])
+def test_non_utf8_file_is_one_line_usage_error(capsys, tmp_path, flag, needle):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfex+y\n")
+    argv = ["sagbi", "--vars", "x,y", flag, str(path)]
+    if flag == "--config":
+        argv += ["--gen", "x"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and needle in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -266,6 +284,15 @@ def test_config_values_are_read_as_command_line_text(capsys, tmp_path):
       "--round-bound", "-1"], "--round-bound must be nonnegative"),
     (["relations", "--vars", "x,y", "--gen", "x+y", "--gen", "x*y",
       "--variant", "degree", "--degree-bound", "-2"], "--degree-bound must be nonnegative"),
+    # superscript digits are digits to str.isdigit but not to int()
+    (["sagbi", "--vars", "x,y", "--gen", "x*\u00b2", "--gen", "y"],
+     "unexpected character"),
+    (["sagbi", "--vars", "x,y", "--gen", "2\u00b2", "--gen", "y"], "unexpected character"),
+    (["sagbi", "--vars", "x,y", "--gen", "x^\u00b2", "--gen", "y"], "unexpected character"),
+    (["sagbi", "--matrix", "2x2", "--minors", "1", "--var-degrees", "5"],
+     "--var-degrees applies only to a --vars ring"),
+    (["sagbi", "--vars", "x,y", "--var-degrees", "", "--gen", "x"],
+     "--var-degrees expects comma-separated integers"),
 ], ids=["negative-kmax", "cap-exceeded", "minors-too-large", "constant-generator",
         "negative-weight", "empty-matrix", "zero-var-degree", "non-integer-perm",
         "repeated-perm", "non-integer-weight", "composite-char",
@@ -276,7 +303,8 @@ def test_config_values_are_read_as_command_line_text(capsys, tmp_path):
         "submax-non-square-relations", "submax-non-square-hilbert",
         "packed-exponent-overflow", "sagbi-negative-round-bound",
         "sagbi-negative-degree-bound", "relations-negative-round-bound",
-        "relations-negative-degree-bound"])
+        "relations-negative-degree-bound", "superscript-factor", "superscript-number",
+        "superscript-exponent", "var-degrees-with-matrix", "empty-var-degrees"])
 def test_bad_input_is_one_line_usage_error(capsys, argv, needle):
     code, out, err = _run(capsys, argv)
     assert code == 2

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_product_values, buchberger_all_pairs, divides, lcm_exponent,
-                     toric_kernel_ungraded)
+from oracles import (brute_product_values, buchberger_all_pairs, divides, elimination_kernel,
+                     lcm_exponent, toric_kernel_ungraded)
 from sagbikit.formats import parse_polynomial
 from sagbikit.groebner import (Binomial, _BinomialBasis, _PolynomialBasis, buchberger,
                                normal_form, toric_kernel)
 from sagbikit.minors import MatrixRing, diagonal_order, minors
 from sagbikit.orders import degrevlex_order, leading_exponent, lex_order, weight_order
-from sagbikit.relations import elimination_kernel
 from sagbikit.rings import Polynomial, RingContext
 
 
@@ -246,7 +245,7 @@ def _binomial_family(draw):
 def test_binomial_basis_equals_general_buchberger(case):
     nv, pairs, order_name = case
     order = _ORDERS[order_name](nv)
-    basis = _BinomialBasis(order)
+    basis = _BinomialBasis(order, (1,) * nv)
     for a, b in pairs:
         basis.add(Binomial(a, b))
     basis.complete()
@@ -280,7 +279,7 @@ def test_polynomial_basis_equals_criterion_free_buchberger(case):
 def test_packed_divisibility_and_lcm_agree_with_tuples():
     rng = random.Random(5)
     top = (1 << 15) - 1
-    basis = _BinomialBasis(degrevlex_order(4))
+    basis = _BinomialBasis(degrevlex_order(4), (1,) * 4)
     values = [0, 1, 2, top - 1, top]
     cases = [((0, 0, 0, 0), (0, 0, 0, 0)), ((top,) * 4, (top,) * 4),
              ((top, 0, 1, 2), (top, 0, 1, 2)), ((1, 0, 0, 0), (0, top, top, top))]
@@ -298,12 +297,12 @@ def test_packed_divisibility_and_lcm_agree_with_tuples():
 
 
 def test_packed_exponents_out_of_range_raise():
-    basis = _BinomialBasis(degrevlex_order(2))
+    basis = _BinomialBasis(degrevlex_order(2), (1, 1))
     for bad in [(1 << 15, 0), (0, -1), (1 << 16, 1)]:
         with pytest.raises(OverflowError):
             basis._pack(bad)
     # x - y^32767 under lex: reducing x*y would need y^32768
-    basis = _BinomialBasis(lex_order(2))
+    basis = _BinomialBasis(lex_order(2), (1, 1))
     basis.add(Binomial((1, 0), (0, (1 << 15) - 1)))
     with pytest.raises(OverflowError):
         basis.minimal_generators([Binomial((1, 1), (0, 0))])

@@ -7,7 +7,7 @@ from oracles import cofactor_det
 from sagbikit.hilbert import krull_dim_monomial
 from sagbikit.matchings import matching_from_weight
 from sagbikit.minors import (B_sets, CanonicalGroup, GroupElement, MatrixRing,
-                             Q_matrix, act, bracket, canonical_form, compose,
+                             Q_matrix, act, bracket, compose,
                              delta_multiples, determinant, diagonal_order, full_group,
                              full_group_generators,
                              matching_col_sum, matching_row_sum, minor_polynomial,
@@ -187,11 +187,11 @@ def test_canonical_form_constant_on_orbits_and_idempotent():
     for _ in range(50):
         E = tuple(tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(3))
         flat = tuple(v for row in E for v in row)
-        canon = canonical_form(E, G)
-        assert canonical_form(canon, G) == canon
+        canon = G.canonical(flat)
+        assert G.canonical(canon) == canon
         for idx in rng.sample(range(len(G)), 10):
             g = G.elements[idx]
-            assert canonical_form(act(g, E), G) == canon
+            assert G.canonical(tuple(v for row in act(g, E) for v in row)) == canon
         assert canon in G.orbit(flat)
 
 
@@ -223,8 +223,8 @@ def test_full_group_generators_generate_the_full_group(m, n):
 def test_transpose_of_vertex_two_stays_in_orbit():
     G = full_group(3, 3)
     v2 = ((4, 2, 0), (2, 1, 3), (0, 3, 3))
-    t = tuple(tuple(v2[j][i] for j in range(3)) for i in range(3))
-    assert canonical_form(t, G) == canonical_form(v2, G)
+    t = tuple(v2[j][i] for i in range(3) for j in range(3))
+    assert G.canonical(t) == G.canonical(tuple(v for row in v2 for v in row))
 
 
 def test_pattern_stabilizer_orders():

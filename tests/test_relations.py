@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import buchberger_all_pairs, minimize_by_rerun, rank_rational, schur_rectangle_dim
+from oracles import (buchberger_all_pairs, elimination_kernel, minimize_by_rerun, rank_rational,
+                     schur_rectangle_dim)
 from sagbikit.formats import parse_polynomial, poly_to_text
 from sagbikit.groebner import buchberger, normal_form
 from sagbikit.minors import MatrixRing, diagonal_order, minors
 from sagbikit.orders import degrevlex_order, lex_order
-from sagbikit.relations import (RelationSet, _p0_order, elimination_kernel,
-                                minimize_relations, sagbi_with_relations,
-                                verify_relations)
+from sagbikit.relations import (RelationSet, _p0_order, minimize_relations,
+                                sagbi_with_relations, verify_relations)
 from sagbikit.rings import Polynomial, RingContext
 
 

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from oracles import find_selection
+from oracles import find_selection, transport_bracket_tuple_brute
 from sagbikit.hilbert import expand_series, semigroup_hilbert
 from sagbikit.matchings import make_matching, matching_from_weight, restrict_matching
-from sagbikit.minors import MatrixRing, bracket, minors
+from sagbikit.minors import GroupElement, MatrixRing, act, bracket, minors
 from sagbikit.universal import (G36_TYPES, VerificationError, bracket_pair,
                                 column_restrictions, diagonal_matching, drop_cells,
                                 g36_reference, random_coherent_matching,
@@ -14,7 +14,7 @@ from sagbikit.universal import (G36_TYPES, VerificationError, bracket_pair,
 
 
 def test_g36_reference_values():
-    assert g36_reference(5) == [1, 20, 175, 980, 4116, 14112]
+    assert g36_reference() == [1, 20, 175, 980, 4116, 14112]
 
 
 def test_structured_family_type1_supports():
@@ -136,6 +136,41 @@ def test_prop_87_worked_example():
             - bracket(M7, (3, 5, 4)) * bracket(M7, (1, 2, 6)))
     assert want.key() in candidates
     assert bracket_pair(M7, mapped).key() in candidates
+
+
+def test_transport_bracket_tuple_matches_the_permutation_scan():
+    # small entries repeat columns; half the targets permute the recorded
+    # matrix, the other half are drawn on their own and mostly not conjugate
+    rng = random.Random(23)
+    seen = {"conjugate": 0, "not conjugate": 0, "repeated column": 0}
+    for trial in range(300):
+        top = rng.choice((1, 2, 3))
+        bad = tuple(tuple(rng.randint(0, top) for _ in range(6)) for _ in range(3))
+        if trial % 2:
+            symmetry = GroupElement(tuple(rng.sample(range(3), 3)),
+                                    tuple(rng.sample(range(6), 6)))
+            target = act(symmetry, bad)
+        else:
+            target = tuple(tuple(rng.randint(0, top) for _ in range(6)) for _ in range(3))
+        g = tuple(rng.sample(range(1, 7), 6))
+        cols = rng.sample(range(7), 6)
+        got = transport_bracket_tuple(bad, target, g, cols)
+        assert got == transport_bracket_tuple_brute(bad, target, g, cols)
+        seen["not conjugate" if got is None else "conjugate"] += 1
+        seen["repeated column"] += len(set(zip(*bad))) < 6
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("m, n, t", [(2, 4, 2), (3, 3, 2), (3, 4, 2), (3, 6, 3), (4, 5, 3)])
+def test_diagonal_matching_selects_every_main_diagonal(m, n, t):
+    M = MatrixRing(m, n)
+    minor_list = minors(t, M)
+    selection = diagonal_matching(M, minor_list).selection
+    for mi, e in zip(minor_list, selection, strict=True):
+        diagonal = [0] * M.ring.nvars
+        for r, c in zip(mi.rows, mi.cols):
+            diagonal[M.cell(r, c)] += 1
+        assert e == tuple(diagonal)
 
 
 def test_verify_universal_dispatch():
