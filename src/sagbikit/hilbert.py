@@ -38,9 +38,12 @@ eliminated fraction-free, over GF(p) they are residues.  Its products
 are built level by level with the same least-index rule applied to
 multisets of generators: a product whose largest factor index is j is
 a product of level k - d_j with largest index at most j, times g_j.
+Each product goes into its level's `RowSpace` as it is made; only the
+levels below k_max are kept, as sources, and the top one is never stored.
 
 `RowSpace` is the one exact row space: sparse integer rows over Q or
-GF(p), keyed by packed monomial or by position.  It takes the subalgebra
+GF(p), keyed by packed monomial or by position, each pivot kept as
+(lead coefficient, keys, values) with flat lists.  It takes the subalgebra
 route's ranks, the rank of exponent vectors (`krull_dim_monomial`), the
 relations among them (`free_generators`) and span membership tests.
 """
@@ -129,9 +132,9 @@ def free_generators(exps: Sequence[tuple[int, ...]]) -> list[int]:
     space = RowSpace({**{m + i: v for i, v in enumerate(e) if v}, j: 1}
                      for j, e in enumerate(exps))
     dependent = set()
-    for lead, row in space.pivots.items():
+    for lead, (_, keys, _) in space.pivots.items():
         if lead < m:
-            dependent.update(row)
+            dependent.update(keys)
     return [j for j in range(m) if j not in dependent]
 
 
@@ -182,17 +185,20 @@ def vector_row(vector: Iterable[int]) -> dict[int, int]:
 class RowSpace:
     """The span of sparse rows (dicts key -> int) over Q or GF(p).
 
-    A row is reduced by the pivot at its largest key until that key has
-    no pivot.  Over Q the entries stay ints: each step is the
+    A row is read through a copy of its nonzero entries, reduced mod p
+    over GF(p), and reduced by the pivot at its largest key until that
+    key has no pivot.  Over Q the entries stay ints: each step is the
     fraction-free b * row - a * pivot with gcd(a, b) taken out, and a new
-    pivot is divided by its content; over GF(p) rows are residues and a
-    new pivot is made monic.  Pivots have distinct leading keys, so a row
-    lies in the span exactly when it reduces to zero.
+    pivot is divided by its content; over GF(p) a new pivot is made
+    monic.  A pivot is kept under its lead as (lead coefficient, keys,
+    values), keys and values flat lists: small tuples, once freed, stay
+    parked on the interpreter's free lists.  Pivots have distinct leading
+    keys, so a row lies in the span exactly when it reduces to zero.
     """
 
     def __init__(self, rows: Iterable[dict[int, int]] = (), p: int = 0):
         self.p = p
-        self.pivots: dict[int, dict[int, int]] = {}
+        self.pivots: dict[int, tuple[int, list[int], list[int]]] = {}
         for row in rows:
             self.add(row)
 
@@ -209,32 +215,34 @@ class RowSpace:
             p = self.p
             if p:
                 c = pow(row[lead], -1, p)
-                self.pivots[lead] = {e: v * c % p for e, v in row.items()}
+                vals = [v * c % p for v in row.values()]
             else:
                 c = gcd(*row.values()) * (1 if row[lead] > 0 else -1)
-                self.pivots[lead] = {e: v // c for e, v in row.items()}
+                vals = [v // c for v in row.values()]
+            self.pivots[lead] = (1 if p else row[lead] // c, list(row), vals)
 
     def _reduce(self, row: dict[int, int]) -> dict[int, int]:
         """A copy of the row reduced until its lead has no pivot, {} if
         the row lies in the span."""
-        row = dict(row)
         p = self.p
+        row = ({e: v % p for e, v in row.items() if v % p} if p else dict(row)
+               if all(row.values()) else {e: v for e, v in row.items() if v})
         pivots = self.pivots
         while row:
             lead = max(row)
             piv = pivots.get(lead)
             if piv is None:
                 break
+            b, keys, vals = piv
             a = row[lead]
             if not p:
                 # b * row - a * piv, with the common factor g taken out
-                b = piv[lead]
                 g = gcd(a, b)
                 a //= g
                 if b != g:
                     b //= g
                     row = {e: v * b for e, v in row.items()}
-            for e, v in piv.items():
+            for e, v in zip(keys, vals):
                 v = row.get(e, 0) - a * v
                 if p:
                     v %= p
@@ -284,7 +292,8 @@ def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
     lists its products ordered by largest factor index, with prefix
     counts, and generator j multiplies the products of level k - d_j
     whose factors all have index at most j.  Each product of generators
-    is thus made once, by one multiplication, and a level more than
+    is thus made once, by one multiplication, and goes straight into the
+    level's `RowSpace`; level k_max is not stored, and a level more than
     max(degrees) below the current one is freed.
     """
     polys = list(polys)
@@ -316,15 +325,19 @@ def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
     for k in range(1, k_max + 1):
         if k > d_max:
             levels[k - d_max - 1] = None
+        space = RowSpace(p=p)
         rows: list[dict[int, int]] = []
         ends: list[int] = []
         for j, (g, d) in enumerate(zip(gens, degrees)):
             if d <= k:
                 src, src_ends = levels[k - d]
-                rows.extend(_times(r, g, p) for r in islice(src, src_ends[j]))
+                for r in islice(src, src_ends[j]):
+                    space.add(row := _times(r, g, p))
+                    if k < k_max:  # the top level is only ranked
+                        rows.append(row)
             ends.append(len(rows))
         levels.append((rows, ends))
-        values.append(len(RowSpace(rows, p)))
+        values.append(len(space))
     return HilbertData(values=values)
 
 
@@ -335,29 +348,16 @@ def h_vector(values: Sequence[int], dim: int) -> tuple[int, ...] | str:
     numerator coefficients vanish, which signals stabilization.
     """
     kmax = len(values) - 1
-    coeffs = []
-    for j in range(kmax + 1):
-        c = 0
-        for i in range(min(j, dim) + 1):
-            c += (-1) ** i * comb(dim, i) * values[j - i]
-        coeffs.append(c)
-    tail = min(3, kmax)
-    if kmax < 3 or any(coeffs[-i] != 0 for i in range(1, tail + 1)):
+    coeffs = [sum((-1) ** i * comb(dim, i) * values[j - i] for i in range(min(j, dim) + 1))
+              for j in range(kmax + 1)]
+    if kmax < 3 or any(coeffs[-3:]):
         return "truncated"
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    if not coeffs:
-        return (0,)
-    return tuple(coeffs)
+    return tuple(coeffs) or (0,)
 
 
 def expand_series(numerator: Sequence[int], dim: int, k_max: int) -> list[int]:
     """Coefficients of (sum numerator_j z^j) / (1-z)^dim up to degree k_max."""
-    out = []
-    for k in range(k_max + 1):
-        v = 0
-        for j, h in enumerate(numerator):
-            if j <= k:
-                v += h * comb(k - j + dim - 1, dim - 1)
-        out.append(v)
-    return out
+    return [sum(h * comb(k - j + dim - 1, dim - 1) for j, h in enumerate(numerator[:k + 1]))
+            for k in range(k_max + 1)]

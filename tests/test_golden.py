@@ -26,6 +26,9 @@ opposite columns and dropped repeated ones.
 the toric kernel's elimination took its pairs in the grading that makes
 every input homogeneous; before that the job took minutes.  CI also runs
 it under a 60-s timeout, so a return to the all-ones grading fails there.
+The subalgebra Hilbert route's two transcripts, the benchmark's G(3,6)
+job at --kmax 3 and the GF(2) job, were captured while the route still
+stored its top level of products and kept each pivot as a dict.
 `relations-xy-degree.out` was re-captured when a pass began to append each
 new element as soon as it is found: the second `x*y^5` (Y7) is gone.  The
 same loop at `--degree-bound 10`, the benchmark's job, was captured then.
@@ -72,6 +75,13 @@ CASES = {
     "hilbert-3x6-semigroup": ["hilbert", "--matrix", "3x6", "--minors", "3",
                               "--order", "diag", "--kind", "semigroup",
                               "--kmax", "5"],
+    # the benchmark's g36-hilbert and gf2-hilbert jobs
+    "hilbert-3x6-subalgebra": ["hilbert", "--matrix", "3x6", "--minors", "3",
+                               "--order", "diag", "--kind", "subalgebra",
+                               "--kmax", "3"],
+    "hilbert-gf2-subalgebra": ["hilbert", "--vars", "x,y,z", "--gen", "x+y",
+                               "--gen", "y+z", "--gen", "x+z", "--char", "2",
+                               "--kind", "subalgebra", "--kmax", "3"],
     # z^4 and w^6 lie outside the span of the others: free, of degrees 2 and 3
     "hilbert-free-semigroup": ["hilbert", "--vars", "x,y,z,w", "--gen", "x^2",
                                "--gen", "x*y", "--gen", "y^2", "--gen", "z^4",

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -185,6 +186,22 @@ def test_mixed_degree_grading_conventions():
     assert amb == [1, 0, 1, 0, 2, 0, 2, 0, 3]
 
 
+def test_g36_subalgebra_route_memory_peak():
+    # the top level (1,540 degree-3 products) is ranked as it is made and
+    # never stored, and pivots are flat lists: about 7.6 MB traced, where
+    # storing the level and keeping dict pivots peaked at 28.5 MB
+    M = MatrixRing(3, 6)
+    polys = [mi.polynomial for mi in minors(3, M)]
+    tracemalloc.start()
+    try:
+        values = subalgebra_hilbert(polys, 3, diagonal_order(M)).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == [1, 20, 175, 980]
+    assert peak < 10_000_000
+
+
 def test_subalgebra_over_gf2_ranks_mod_2():
     # K[x+y, y+z, x+z] = K[x+y, y+z] in characteristic 2
     R = RingContext(["x", "y", "z"], 2)
@@ -254,6 +271,33 @@ def test_subalgebra_hilbert_matches_rational_rank_oracle(case):
     values = subalgebra_hilbert(polys, k_max, order, grading).values
     assert values == subalgebra_values_rational(gens, _degrees(weights, gens, grading),
                                                 k_max)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([0, 2, 3, 32003]).flatmap(
+    lambda p: st.tuples(st.just(p), _homogeneous_family(p))))
+def test_streamed_top_level_agrees_with_stored_level(case):
+    # level k is the streamed top at k_max = k and a stored source at k + 1
+    p, (weights, gens, order, grading, _) = case
+    ring = RingContext([f"x{i}" for i in range(len(weights))], p, weights)
+    polys = [Polynomial(ring, g) for g in gens]
+    for k in range(4):
+        assert (subalgebra_hilbert(polys, k, order, grading).values
+                == subalgebra_hilbert(polys, k + 1, order, grading).values[:k + 1])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([0, 2, 3, 32003]), st.lists(
+    st.dictionaries(st.integers(0, 6), st.integers(-40000, 40000), max_size=5),
+    min_size=1, max_size=6))
+def test_row_space_leaves_the_callers_rows_unchanged(p, rows):
+    space = RowSpace((), p)
+    for row in rows:
+        before = dict(row)
+        _ = row in space
+        assert row == before
+        space.add(row)
+        assert row == before
 
 
 @st.composite
@@ -363,6 +407,39 @@ def test_row_span_membership_matches_rational_rank(p, data):
     if inside:
         assert vector_row(v) in space
     space.add(vector_row(v))
+    assert len(space) == rank(rows + [v])
+
+
+def test_row_space_reads_zero_entries_and_unreduced_residues():
+    assert {0: 1} in RowSpace([{1: 0, 0: 1}])
+    assert RowSpace([{1: 0, 0: 1}]).pivots == {0: (1, [0], [1])}
+    assert {1: 3} in RowSpace([{0: 1}], p=3)
+    assert RowSpace([{1: 3, 0: 1}], p=3).pivots == {0: (1, [0], [1])}
+    assert RowSpace([{0: 2, 1: 1}], p=2).pivots == {1: (1, [1], [1])}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([0, 2, 3, 5]), st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-7, 7), min_size=n, max_size=n), max_size=5),
+    st.lists(st.integers(-7, 7), min_size=n, max_size=n),
+    st.lists(st.integers(-2, 2), min_size=5, max_size=5),
+    st.booleans())))
+def test_row_span_membership_with_explicit_zeros_and_unreduced_entries(p, data):
+    # every position is a key, zeros included, and over GF(p) the entries
+    # are not reduced; the rows are read as the vectors they stand for
+    rows, v, coeffs, inside = data
+    if inside:
+        v = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(len(v))]
+    rank = (lambda m: rank_mod_p(m, p)) if p else rank_rational
+    space = RowSpace((dict(enumerate(r)) for r in rows), p)
+    assert len(space) == rank(rows)
+    for lead, (b, keys, vals) in space.pivots.items():
+        assert lead == max(keys) and b == vals[keys.index(lead)]
+        assert all(vals) and (not p or all(0 < x < p for x in vals))
+    assert (dict(enumerate(v)) in space) == (rank(rows + [v]) == rank(rows))
+    if inside:
+        assert dict(enumerate(v)) in space
+    space.add(dict(enumerate(v)))
     assert len(space) == rank(rows + [v])
 
 
