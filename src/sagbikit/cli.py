@@ -13,7 +13,7 @@ import sys
 from math import prod
 
 from .engine import GeneratorFamily, sagbi_by_degree, sagbi_general
-from .formats import ParseError, parse_polynomial, poly_to_text
+from .formats import ParseError, is_identifier, parse_polynomial, poly_to_text
 from .hilbert import h_vector, krull_dim_monomial, semigroup_hilbert, subalgebra_hilbert
 from .matchings import (_support_symmetries, enumerate_vertices_exhaustive,
                         enumerate_vertices_random, first_defect, full_support)
@@ -53,6 +53,10 @@ def _build_ring(args) -> tuple[RingContext, MatrixRing | None]:
         return M.ring, M
     if args.vars:
         names = [v.strip() for v in args.vars.split(",") if v.strip()]
+        bad = next((v for v in names if not is_identifier(v)), None)
+        if bad is not None:
+            raise UsageError(f"--vars: {bad!r} is not a variable name (a letter or "
+                             "'_', then letters, digits or '_')")
         grading = None
         if args.var_degrees is not None:
             grading = _int_list(args.var_degrees, "--var-degrees")

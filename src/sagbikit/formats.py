@@ -8,7 +8,9 @@ Grammar for polynomial text (whitespace-insensitive):
     coeff  := nat ('/' nat)?
 
 Identifiers must match the ring's variable names exactly.  Over GF(p)
-a denominator must be prime to p.
+a denominator must be prime to p.  The parser reads a coefficient as an
+int, or as a Fraction for an `a/b` literal, and leaves its normal form to
+`RingContext.coeff`; the printer prints that normal form as it is.
 """
 from __future__ import annotations
 
@@ -70,6 +72,16 @@ class _Tokenizer:
         return out
 
 
+def is_identifier(text: str) -> bool:
+    """Whether text reads as one identifier of the grammar, the rule a
+    variable name must meet to appear in polynomial text."""
+    try:
+        toks = _Tokenizer(text).tokens()
+    except ParseError:
+        return False
+    return len(toks) == 2 and toks[0][:2] == ("ident", text)
+
+
 def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
     toks = _Tokenizer(text).tokens()
     pos = 0
@@ -98,7 +110,7 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
                     raise ParseError(f"denominator {denom[1]} is not invertible mod "
                                      f"{ring.characteristic}", denom[2], denom[3])
                 return Fraction(val, denom[1]), None
-            return Fraction(val), None
+            return val, None
         if kind == "ident":
             take()
             if val not in ring._name_index:
@@ -112,7 +124,7 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
         raise ParseError(f"expected coefficient or variable, found {val!r}", line, col)
 
     def parse_term():
-        coeff = Fraction(1)
+        coeff = 1
         exp = [0] * ring.nvars
         while True:
             c, v = parse_factor()
@@ -125,7 +137,7 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
                 continue
             return tuple(exp), coeff
 
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], object] = {}
     sign = 1
     kind = peek()[0]
     if kind in "+-":
@@ -134,7 +146,7 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
     while True:
         exp, coeff = parse_term()
         coeff *= sign
-        terms[exp] = terms.get(exp, Fraction(0)) + coeff
+        terms[exp] = terms.get(exp, 0) + coeff
         kind, val, line, col = peek()
         if kind == "end":
             break
@@ -148,12 +160,6 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
     return Polynomial(ring, terms)
 
 
-def _coeff_text(c) -> str:
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(int(c))
-
-
 def poly_to_text(f: Polynomial) -> str:
     if f.is_zero():
         return "0"
@@ -165,7 +171,7 @@ def poly_to_text(f: Polynomial) -> str:
                    for i, k in enumerate(e) if k]
         neg = c < 0
         mag = -c if neg else c
-        body = "*".join(([] if mag == 1 and factors else [_coeff_text(mag)]) + factors)
+        body = "*".join(([] if mag == 1 and factors else [str(mag)]) + factors)
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:

@@ -214,8 +214,8 @@ class _PolynomialBasis(_Basis):
     def _store(self, work: dict) -> int:
         k = max(work)
         m, c = work.pop(k)
-        inv, cmul = self.ring.cinv(c), self.ring.cmul
-        self.bodies.append((m, k, [(tk, tm, cmul(tc, inv)) for tk, (tm, tc) in work.items()]))
+        inv, coeff = self.ring.cinv(c), self.ring.coeff
+        self.bodies.append((m, k, [(tk, tm, coeff(tc * inv)) for tk, (tm, tc) in work.items()]))
         return m
 
     def _subtract(self, work: dict, c, dk: int, dm: int, tail):
@@ -260,7 +260,7 @@ class _PolynomialBasis(_Basis):
     def _interreduced(self, body) -> Polynomial:
         lead, lk, tail = body
         rem = self._remainder({tk: (tm, tc) for tk, tm, tc in tail}) or {}
-        rem[lk] = (lead, self.ring.one())
+        rem[lk] = (lead, 1)
         return self._poly(rem)
 
 

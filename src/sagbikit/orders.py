@@ -130,7 +130,7 @@ def leading_exponent(order: MonomialOrder, f: Polynomial) -> tuple[int, ...]:
 def make_monic(order: MonomialOrder, f: Polynomial) -> tuple[Polynomial, object]:
     """Divide by the leading coefficient; returns (monic, divisor)."""
     _, c = leading_term(order, f)
-    if c == f.ring.one():
+    if c == 1:
         return f, c
     return f.scale(f.ring.cinv(c)), c
 

@@ -41,7 +41,7 @@ class Retract:
 
     def on_new_element(self, binomial, trace, divisor):
         img = self.of_combination(binomial, trace.steps)
-        self.images.append(img.scale(img.ring.cinv(img.ring.coeff(divisor))))
+        self.images.append(img.scale(img.ring.cinv(divisor)))
 
     def on_relation(self, binomial, trace):
         rel = self.of_combination(binomial, trace.steps)

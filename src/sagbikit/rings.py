@@ -3,11 +3,16 @@
 Exponents are plain tuples of naturals; a polynomial is a map from
 exponent tuples to nonzero coefficients.  All values are immutable after
 construction and safe to share.
+
+One rule says what a coefficient is, `RingContext.coeff`: over Q an int
+when it is integral and a Fraction with denominator > 1 otherwise, over
+GF(p) an int in [0, p).  Polynomial arithmetic is Python's arithmetic on
+those values, with each result passed through `coeff`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Mapping
 
 
@@ -27,9 +32,10 @@ def _is_prime(p: int) -> bool:
 class RingContext:
     """Polynomial ring data: variable names, characteristic, grading.
 
-    characteristic 0 means coefficients are Fractions; a prime p means
-    coefficients are ints in [1, p).  The grading assigns a positive
-    degree to each variable (all 1 by default).
+    characteristic 0 means coefficients in Q, a prime p coefficients in
+    GF(p); `coeff` and `cinv` are the only code that tells them apart.
+    The grading assigns a positive degree to each variable (all 1 by
+    default).
     """
 
     __slots__ = ("names", "characteristic", "grading", "_name_index")
@@ -63,39 +69,20 @@ class RingContext:
     def degree(self, exp: tuple[int, ...]) -> int:
         return sum(map(mul, self.grading, exp))
 
-    # coefficient arithmetic, dispatched on characteristic
-    def coeff(self, c) -> object:
-        """Normalize a raw coefficient into this ring's field."""
-        if self.characteristic == 0:
-            return c if isinstance(c, Fraction) else Fraction(c)
-        if isinstance(c, Fraction):
-            num = c.numerator % self.characteristic
-            den = c.denominator % self.characteristic
-            return num * pow(den, -1, self.characteristic) % self.characteristic
-        return c % self.characteristic
-
-    def cadd(self, a, b):
-        if self.characteristic == 0:
-            return a + b
-        return (a + b) % self.characteristic
-
-    def cmul(self, a, b):
-        if self.characteristic == 0:
-            return a * b
-        return (a * b) % self.characteristic
-
-    def cneg(self, a):
-        if self.characteristic == 0:
-            return -a
-        return (-a) % self.characteristic
+    def coeff(self, c):
+        """The normal form of a rational c (an int or a Fraction): over Q
+        an int when c is integral, else c; over GF(p) an int in [0, p)."""
+        p = self.characteristic
+        if p:
+            if isinstance(c, Fraction):
+                return c.numerator * pow(c.denominator, -1, p) % p
+            return c % p
+        return c.numerator if c.denominator == 1 else c
 
     def cinv(self, a):
-        if self.characteristic == 0:
-            return Fraction(1) / a
-        return pow(a, -1, self.characteristic)
-
-    def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
+        """The inverse of a nonzero coefficient, in normal form."""
+        p = self.characteristic
+        return pow(a, -1, p) if p else self.coeff(Fraction(1, a))
 
     def __eq__(self, other):
         return (isinstance(other, RingContext)
@@ -117,7 +104,8 @@ def _check_same_ring(a: "Polynomial", b: "Polynomial"):
 
 
 class Polynomial:
-    """Immutable sparse polynomial: dict from exponent tuple to coefficient."""
+    """Immutable sparse polynomial: dict from exponent tuple to nonzero
+    coefficient, each in the normal form of `RingContext.coeff`."""
 
     __slots__ = ("ring", "terms", "_key")
 
@@ -133,6 +121,13 @@ class Polynomial:
         self.ring = ring
         self.terms = clean
         self._key = None
+
+    @staticmethod
+    def _of(ring: RingContext, terms: dict) -> "Polynomial":
+        """A polynomial on terms already normalized and nonzero, unchecked."""
+        res = Polynomial.__new__(Polynomial)
+        res.ring, res.terms, res._key = ring, terms, None
+        return res
 
     @staticmethod
     def zero(ring: RingContext) -> "Polynomial":
@@ -175,65 +170,51 @@ class Polynomial:
         degs = {deg(e) for e in self.terms}
         return len(degs) == 1
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _plus(self, other: "Polynomial", op) -> "Polynomial":
+        """self op other for op add or sub."""
         _check_same_ring(self, other)
-        ring = self.ring
+        coeff = self.ring.coeff
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms.items():
-            s = ring.cadd(out.get(e, 0), c) if e in out else c
+            s = coeff(op(get(e, 0), c))
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        res = Polynomial.__new__(Polynomial)
-        res.ring, res.terms, res._key = ring, out, None
-        return res
+                del out[e]
+        return Polynomial._of(self.ring, out)
 
-    def __neg__(self) -> "Polynomial":
-        ring = self.ring
-        res = Polynomial.__new__(Polynomial)
-        res.ring = ring
-        res.terms = {e: ring.cneg(c) for e, c in self.terms.items()}
-        res._key = None
-        return res
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._plus(other, add)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._plus(other, sub)
+
+    def __neg__(self) -> "Polynomial":
+        coeff = self.ring.coeff
+        return Polynomial._of(self.ring, {e: coeff(-c) for e, c in self.terms.items()})
 
     def scale(self, c) -> "Polynomial":
-        ring = self.ring
-        c = ring.coeff(c)
-        res = Polynomial.__new__(Polynomial)
-        res.ring = ring
-        res._key = None
-        if not c:
-            res.terms = {}
-        else:
-            res.terms = {e: ring.cmul(v, c) for e, v in self.terms.items()}
-        return res
+        coeff = self.ring.coeff
+        c = coeff(c)
+        return Polynomial._of(self.ring, {e: coeff(v * c) for e, v in self.terms.items()}
+                              if c else {})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """Raw products summed first, each sum normalized once."""
         _check_same_ring(self, other)
-        ring = self.ring
         out: dict[tuple[int, ...], object] = {}
+        get = out.get
         small, large = (self.terms, other.terms)
         if len(small) > len(large):
             small, large = large, small
         for e1, c1 in small.items():
             for e2, c2 in large.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                prod = ring.cmul(c1, c2)
-                if e in out:
-                    s = ring.cadd(out[e], prod)
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-                elif prod:
-                    out[e] = prod
-        res = Polynomial.__new__(Polynomial)
-        res.ring, res.terms, res._key = ring, out, None
-        return res
+                out[e] = get(e, 0) + c1 * c2
+        coeff = self.ring.coeff
+        return Polynomial._of(self.ring, {e: v for e, v in zip(out, map(coeff, out.values()))
+                                          if v})
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -248,11 +229,8 @@ class Polynomial:
         return result
 
     def mul_monomial(self, exp: tuple[int, ...]) -> "Polynomial":
-        res = Polynomial.__new__(Polynomial)
-        res.ring = self.ring
-        res._key = None
-        res.terms = {tuple(a + b for a, b in zip(e, exp)): v for e, v in self.terms.items()}
-        return res
+        return Polynomial._of(self.ring, {tuple(a + b for a, b in zip(e, exp)): v
+                                          for e, v in self.terms.items()})
 
     def substitute(self, images: list["Polynomial"]) -> "Polynomial":
         """Evaluate by mapping variable i to images[i] (a ring map on generators)."""

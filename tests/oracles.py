@@ -557,7 +557,7 @@ def elimination_kernel(polys, tag_prefix: str = "Y"):
     order = weight_order((1,) * nx + (0,) * p, degrevlex_order(nx + p))
     # Y_u - f_u, where f_u has no Y term
     gens = [Polynomial(combined, {(0,) * (nx + u) + (1,) + (0,) * (p - u - 1): 1,
-                                  **{e + (0,) * p: ring.cneg(c) for e, c in f.terms.items()}})
+                                  **{e + (0,) * p: ring.coeff(-c) for e, c in f.terms.items()}})
             for u, f in enumerate(polys)]
     p0 = RingContext(tags, ring.characteristic, normalized_degrees(degrees))
     return p0, [Polynomial(p0, {e[nx:]: c for e, c in f.terms.items()})

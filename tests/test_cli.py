@@ -201,6 +201,17 @@ def test_bad_config_is_one_line_usage_error(capsys, tmp_path, command, text, nee
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("names", ["2x,y", "x^2,y", "a b,y"])
+def test_config_vars_must_be_identifiers(capsys, tmp_path, names):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"vars": names}))
+    code, out, err = _run(capsys, ["sagbi", "--gen", "y", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: --vars:") and "is not a variable name" in err
+    assert err.count("\n") == 1
+
+
 def test_config_values_are_read_as_command_line_text(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kmax": "2", "mode": "exhaustive", "seed": None}))
@@ -293,6 +304,10 @@ def test_non_utf8_file_is_one_line_usage_error(capsys, tmp_path, flag, needle):
      "--var-degrees applies only to a --vars ring"),
     (["sagbi", "--vars", "x,y", "--var-degrees", "", "--gen", "x"],
      "--var-degrees expects comma-separated integers"),
+    # names the polynomial grammar cannot read as one identifier
+    (["sagbi", "--vars", "2x,y", "--gen", "y"], "--vars: '2x' is not a variable name"),
+    (["relations", "--vars", "x^2,y", "--gen", "y"], "--vars: 'x^2' is not a variable name"),
+    (["hilbert", "--vars", "a b,y", "--gen", "y"], "--vars: 'a b' is not a variable name"),
 ], ids=["negative-kmax", "cap-exceeded", "minors-too-large", "constant-generator",
         "negative-weight", "empty-matrix", "zero-var-degree", "non-integer-perm",
         "repeated-perm", "non-integer-weight", "composite-char",
@@ -304,7 +319,8 @@ def test_non_utf8_file_is_one_line_usage_error(capsys, tmp_path, flag, needle):
         "packed-exponent-overflow", "sagbi-negative-round-bound",
         "sagbi-negative-degree-bound", "relations-negative-round-bound",
         "relations-negative-degree-bound", "superscript-factor", "superscript-number",
-        "superscript-exponent", "var-degrees-with-matrix", "empty-var-degrees"])
+        "superscript-exponent", "var-degrees-with-matrix", "empty-var-degrees",
+        "vars-leading-digit", "vars-power", "vars-space"])
 def test_bad_input_is_one_line_usage_error(capsys, argv, needle):
     code, out, err = _run(capsys, argv)
     assert code == 2

@@ -29,6 +29,11 @@ it under a 60-s timeout, so a return to the all-ones grading fails there.
 The subalgebra Hilbert route's two transcripts, the benchmark's G(3,6)
 job at --kmax 3 and the GF(2) job, were captured while the route still
 stored its top level of products and kept each pivot as a dict.
+Two relations transcripts pin coefficients that no other case prints:
+`relations-fractions` (3/2, -1/9 and 1/18 in basis elements and retract
+images) and `relations-2x4-gf3` (residues mod 3, such as 2*X12*X21).
+Both were captured while every coefficient over Q was a Fraction, before
+`RingContext.coeff` made integral ones ints.
 `relations-xy-degree.out` was re-captured when a pass began to append each
 new element as soon as it is found: the second `x*y^5` (Y7) is gone.  The
 same loop at `--degree-bound 10`, the benchmark's job, was captured then.
@@ -93,6 +98,13 @@ CASES = {
                            "--order", "diag"],
     "relations-3x7-diag": ["relations", "--matrix", "3x7", "--minors", "3",
                            "--order", "diag"],
+    # coefficients 3/2, -1/9 and 1/18 in basis elements and retract images
+    "relations-fractions": ["relations", "--vars", "x,y,z", "--gen", "x+y",
+                            "--gen", "2*x*y+3*z^2", "--gen", "x^2-1/2*y^2",
+                            "--order", "degrevlex", "--round-bound", "2"],
+    # residues mod 3, such as 2*X12*X21
+    "relations-2x4-gf3": ["relations", "--matrix", "2x4", "--minors", "2",
+                          "--order", "diag", "--char", "3"],
     # the completion loop: degree windows, both bounds, comp-degree 3
     "relations-xy-degree": ["relations", "--vars", "x,y", "--gen", "x+y",
                             "--gen", "x*y", "--gen", "x*y^2", "--order", "lex",

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import _monic, _multiply, _remainder, buchberger_all_pairs
 from sagbikit.formats import ParseError, parse_polynomial, poly_to_text
-from sagbikit.orders import lex_order, make_monic
+from sagbikit.groebner import buchberger, normal_form
+from sagbikit.orders import degrevlex_order, lex_order, make_monic
 from sagbikit.rings import Polynomial, RingContext
 
 
@@ -96,3 +100,86 @@ def test_parse_errors_carry_position(R):
         parse_polynomial(R, "x ++ y")
     with pytest.raises(ParseError):
         parse_polynomial(R, "x^")
+
+
+def _in_field(ref: dict, p: int) -> dict:
+    """A Fraction-valued polynomial read in Q (p = 0) or in GF(p), zeros dropped."""
+    if p:
+        ref = {e: c.numerator * pow(c.denominator, -1, p) % p for e, c in ref.items()}
+    return {e: c for e, c in ref.items() if c}
+
+
+def _text(names, ref: dict) -> str:
+    terms = []
+    for e, c in ref.items():
+        body = "*".join([f"{abs(c.numerator)}/{c.denominator}"]
+                        + [f"{n}^{k}" for n, k in zip(names, e) if k])
+        terms.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(terms) or "0"
+
+
+def _assert_normal(f: Polynomial, ref: dict | None = None):
+    """Each coefficient is in normal form: over Q an int exactly when it is
+    integral (else a Fraction), over GF(p) an int in [1, p)."""
+    p = f.ring.characteristic
+    for c in f.terms.values():
+        if p:
+            assert type(c) is int and 1 <= c < p
+        else:
+            assert type(c) in (int, Fraction) and c
+            assert (type(c) is int) == (Fraction(c).denominator == 1)
+    if ref is not None:
+        assert f.terms == _in_field(ref, p)
+
+
+@st.composite
+def _coefficient_case(draw):
+    p = draw(st.sampled_from([0, 2, 3, 32003]))
+    nv = draw(st.integers(1, 3))
+    exp = st.lists(st.integers(0, 2), min_size=nv, max_size=nv).map(tuple)
+    den = st.integers(1, 4).filter(lambda d: p == 0 or d % p)
+    coeff = st.builds(Fraction, st.integers(-6, 6).filter(bool), den)
+    poly = st.dictionaries(exp, coeff, max_size=3)
+    return p, nv, draw(poly), draw(poly), draw(coeff), draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_coefficient_case())
+def test_every_result_obeys_the_coefficient_rule(case):
+    """Values equal a reference computed on Fractions alone (over GF(p),
+    read mod p), and every coefficient is in the ring's normal form."""
+    p, nv, f, g, s, k = case
+    ring = RingContext([f"x{i}" for i in range(nv)], p)
+    order = degrevlex_order(nv)
+    F, G = Polynomial(ring, f), Polynomial(ring, g)
+    _assert_normal(F, f)
+    _assert_normal(parse_polynomial(ring, _text(ring.names, f)), f)
+    zero = Fraction(0)
+    _assert_normal(F + G, {e: f.get(e, zero) + g.get(e, zero) for e in f.keys() | g.keys()})
+    _assert_normal(F - G, {e: f.get(e, zero) - g.get(e, zero) for e in f.keys() | g.keys()})
+    _assert_normal(-F, {e: -c for e, c in f.items()})
+    _assert_normal(F.scale(s), {e: c * s for e, c in f.items()})
+    _assert_normal(F * G, _multiply(f, g))
+    power = {(0,) * nv: Fraction(1)}
+    for _ in range(k):
+        power = _multiply(power, f)
+    _assert_normal(F ** k, power)
+    images = [G, F, G][:nv]
+    image = {}
+    for e, c in f.items():
+        term = {(0,) * nv: c}
+        for i, d in enumerate(e):
+            for _ in range(d):
+                term = _multiply(term, (g, f, g)[i])
+        image = {t: image.get(t, zero) + term.get(t, zero) for t in image.keys() | term.keys()}
+    _assert_normal(F.substitute(images), image)
+    # over GF(p) the division steps read the inputs' residues
+    fp, gp = _in_field(f, p), _in_field(g, p)
+    if fp:
+        _assert_normal(make_monic(order, F)[0], _monic(fp, order.key, p))
+    if gp:
+        _assert_normal(normal_form(F, [G], order),
+                       _remainder(fp, [_monic(gp, order.key, p)], order.key, p))
+    basis = buchberger([F, G], order)
+    for mine, ref in zip(basis, buchberger_all_pairs([fp, gp], order.key, p), strict=True):
+        _assert_normal(mine, ref)
