@@ -1,16 +1,17 @@
 """Buchberger machinery and binomial kernels of monomial maps.
 
 One Buchberger core, `_Basis`, serves polynomials (`_PolynomialBasis`,
-over Q or GF(p), behind `buchberger` and `normal_form`) and pure
-differences x^a - x^b (`_BinomialBasis`, coefficient-free: an S-pair is
-two shifted monomials, a monomial reduces to a monomial, and a remainder
-is zero exactly when the two reduced monomials agree; Sturmfels, Groebner
-Bases and Convex Polytopes, 1996, ch. 4 and 12).  Exponents are packed
-into integers with a guard bit per variable, and the order is read off
-one integer per exponent (`MonomialOrder.linear_key`).  The core keeps
-the live set (elements whose lead no later lead divides), prunes pairs
-by the Gebauer-Moeller criteria and takes them in order of their lcm's
-degree in a grading.
+over Q or GF(p), behind `buchberger`, `normal_form` and `interreduce`)
+and pure differences x^a - x^b (`_BinomialBasis`, coefficient-free: an
+S-pair is two shifted monomials, a monomial reduces to a monomial, and
+a remainder is zero exactly when the two reduced monomials agree;
+Sturmfels, Groebner Bases and Convex Polytopes, 1996, ch. 4 and 12).
+Exponents are packed into integers with a guard bit per variable, a
+divisor is held as a `_body` (packed lead first), and the order is read
+off one integer per exponent (`MonomialOrder.linear_key`).  The core
+keeps the live set (elements whose lead no later lead divides), prunes
+pairs by the Gebauer-Moeller criteria and takes them in order of their
+lcm's degree in a grading.
 
 Truncation: `complete(d)` leaves the pairs whose lcm has degree above d
 pending.  For generators homogeneous in the grading, every element of
@@ -52,11 +53,11 @@ class _Basis:
     reaches 2**(_FIELD - 1) raises OverflowError.
 
     A subclass fixes the form of an element and supplies `_load` (from
-    the caller's form), `_degree` (None unless homogeneous), `_store`
-    (append the element's body, return its packed lead), `_s_pair`,
-    `_remainder` (full reduction by the live elements, None for zero)
-    and `_interreduced` (a body with its tail reduced, in the caller's
-    form).
+    the caller's form), `_degree` (None unless homogeneous), `_body`
+    (the stored form of an element, packed lead first; only `_add`
+    appends bodies), `_s_pair`, `_remainder` (full reduction by the
+    bodies in `elems`, None for zero) and `_interreduced` (a body with
+    its tail reduced, in the caller's form).
     """
 
     def __init__(self, order: MonomialOrder, grading):
@@ -105,7 +106,8 @@ class _Basis:
         self._add(self._load(x))
 
     def _add(self, elem):
-        lt = self._store(elem)
+        self.bodies.append(self._body(elem))
+        lt = self.bodies[-1][0]
         leads = self.leads
         t = len(leads)
         leads.append(lt)
@@ -211,12 +213,11 @@ class _PolynomialBasis(_Basis):
         degrees = {self._deg(m) for m, _ in work.values()}
         return degrees.pop() if len(degrees) == 1 else None
 
-    def _store(self, work: dict) -> int:
+    def _body(self, work: dict) -> tuple:
         k = max(work)
-        m, c = work.pop(k)
+        m, c = work[k]
         inv, coeff = self.ring.cinv(c), self.ring.coeff
-        self.bodies.append((m, k, [(tk, tm, coeff(tc * inv)) for tk, (tm, tc) in work.items()]))
-        return m
+        return m, k, [(tk, tm, coeff(tc * inv)) for tk, (tm, tc) in work.items() if tk != k]
 
     def _subtract(self, work: dict, c, dk: int, dm: int, tail):
         """work -= c * x^dm * tail, where dk is the rank of x^dm."""
@@ -269,13 +270,28 @@ def normal_form(f: Polynomial, basis: list[Polynomial], order: MonomialOrder) ->
 
     Each leading term is divided by the first element whose lead divides it.
     """
+    basis = [g for g in basis if not g.is_zero()]
     if not basis:
         return f
     reducers = _PolynomialBasis(order, f.ring)
-    for g in basis:
-        reducers._store(reducers._load(g))
-    reducers.elems = reducers.bodies
+    reducers.elems = [reducers._body(reducers._load(g)) for g in basis]
     return reducers._poly(reducers._remainder(reducers._load(f)))
+
+
+def interreduce(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
+    """One pass of reducing each generator, in list order, by the current
+    others (`normal_form`'s rule), dropping zeros; each is loaded once."""
+    polys = [f for f in polys if not f.is_zero()]
+    if not polys:
+        return []
+    basis = _PolynomialBasis(order, polys[0].ring)
+    loaded = [basis._load(f) for f in polys]
+    bodies = [basis._body(work) for work in loaded]
+    for i, work in enumerate(loaded):
+        basis.elems = [b for b in bodies[:i] + bodies[i + 1:] if b]
+        loaded[i] = basis._remainder(work)
+        bodies[i] = loaded[i] and basis._body(loaded[i])
+    return [basis._poly(r) for r in loaded if r]
 
 
 def buchberger(gens: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
@@ -304,12 +320,11 @@ class _BinomialBasis(_Basis):
         a, b = map(self._deg, elem)
         return a if a == b else None
 
-    def _store(self, elem) -> int:
+    def _body(self, elem) -> tuple[int, int]:
         a, b = elem
         if a == b:
             raise ValueError("zero binomial")
-        self.bodies.append((a, b) if self._rank(a) > self._rank(b) else (b, a))
-        return self.bodies[-1][0]
+        return (a, b) if self._rank(a) > self._rank(b) else (b, a)
 
     def _shift(self, m: int, lead: int, trail: int) -> int:
         """x^m / x^lead * x^trail, for x^lead dividing x^m."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import GeneratorFamily, SagbiResult, sagbi_general
-from .groebner import Binomial, _PolynomialBasis, normal_form
+from .groebner import Binomial, _PolynomialBasis, interreduce
 from .orders import MonomialOrder, degrevlex_order, make_monic, weight_order
 from .rings import Polynomial, RingContext, power_product
 
@@ -67,16 +67,6 @@ class RelationSet:
 
 def _p0_order(ring: RingContext) -> MonomialOrder:
     return weight_order(ring.grading, degrevlex_order(ring.nvars))
-
-
-def interreduce(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    """One pass of reducing each generator against all the others."""
-    out = list(polys)
-    for i in range(len(out)):
-        others = [g for j, g in enumerate(out) if j != i and not g.is_zero()]
-        if others:
-            out[i] = normal_form(out[i], others, order)
-    return [g for g in out if not g.is_zero()]
 
 
 def sagbi_with_relations(polys: list[Polynomial], order: MonomialOrder, *,

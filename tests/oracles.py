@@ -17,7 +17,9 @@ all-ones grading, in which its inputs are not homogeneous.  Defining
 ideals are checked against elimination by a Groebner basis of the graph
 ideal, SAGBI completeness up to a degree against a comparison of Hilbert
 values, and the transport of a bracket element against a scan of every
-row and column permutation pair.
+row and column permutation pair.  One interreduction pass over a single
+reducer is checked against a fresh `normal_form` call per generator,
+each packing all the others again.
 """
 from __future__ import annotations
 
@@ -562,6 +564,17 @@ def elimination_kernel(polys, tag_prefix: str = "Y"):
     p0 = RingContext(tags, ring.characteristic, normalized_degrees(degrees))
     return p0, [Polynomial(p0, {e[nx:]: c for e, c in f.terms.items()})
                 for f in buchberger(gens, order) if not any(any(e[:nx]) for e in f.terms)]
+
+
+def interreduce_by_normal_forms(polys, order):
+    """One pass of reducing each generator against all the others."""
+    from sagbikit.groebner import normal_form
+    out = list(polys)
+    for i in range(len(out)):
+        others = [g for j, g in enumerate(out) if j != i and not g.is_zero()]
+        if others:
+            out[i] = normal_form(out[i], others, order)
+    return [g for g in out if not g.is_zero()]
 
 
 def transport_bracket_tuple_brute(bad_rep, target_matrix, g_tuple, col_labels):

@@ -37,6 +37,10 @@ Both were captured while every coefficient over Q was a Fraction, before
 `relations-xy-degree.out` was re-captured when a pass began to append each
 new element as soon as it is found: the second `x*y^5` (Y7) is gone.  The
 same loop at `--degree-bound 10`, the benchmark's job, was captured then.
+`relations-interreduce` is the one transcript that sees the interreduction
+pass: without it the last relation would read `Y1^2 - Y2^3 - Y3*Y4`, not
+`Y1^2 - Y2*Y3 - Y3*Y4`.  It was captured while the pass still called
+`normal_form` once per relation.
 To re-capture after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden.py NAME...` with the names of the
 cases whose output is meant to change (no name re-captures every case),
@@ -113,6 +117,9 @@ CASES = {
     "relations-xy-degree-10": ["relations", "--vars", "x,y", "--gen", "x+y",
                                "--gen", "x*y", "--gen", "x*y^2", "--order", "lex",
                                "--variant", "degree", "--degree-bound", "10"],
+    # the interreduction pass rewrites Y2^3 in the last relation as Y2*Y3
+    "relations-interreduce": ["relations", "--vars", "x,z", "--gen", "x*z", "--gen", "z",
+                              "--gen", "z^2", "--gen", "x^2-z", "--order", "lex"],
     "sagbi-2x4-degree": ["sagbi", "--matrix", "2x4", "--minors", "2",
                          "--order", "diag", "--variant", "deg",
                          "--degree-bound", "8"],

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -7,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_product_values, buchberger_all_pairs, divides, elimination_kernel,
-                     lcm_exponent, toric_kernel_ungraded)
+                     interreduce_by_normal_forms, lcm_exponent, toric_kernel_ungraded)
 from sagbikit.formats import parse_polynomial
 from sagbikit.groebner import (Binomial, _BinomialBasis, _PolynomialBasis, buchberger,
-                               normal_form, toric_kernel)
+                               interreduce, normal_form, toric_kernel)
 from sagbikit.minors import MatrixRing, diagonal_order, minors
 from sagbikit.orders import degrevlex_order, leading_exponent, lex_order, weight_order
 from sagbikit.rings import Polynomial, RingContext
@@ -69,6 +70,10 @@ def test_normal_form_examples(R):
     assert normal_form(parse_polynomial(R, "y"), [x], o) == parse_polynomial(R, "y")
     assert normal_form(parse_polynomial(R, "x^2-y^2"),
                        [parse_polynomial(R, "x-y")], o).is_zero()
+    # a zero divisor is skipped
+    y = parse_polynomial(R, "y")
+    assert normal_form(parse_polynomial(R, "x^2 + y"), [Polynomial.zero(R), x], o) == y
+    assert normal_form(y, [Polynomial.zero(R)], o) == y
 
 
 def test_toric_kernel_power_relation(R):
@@ -314,3 +319,64 @@ def test_packed_exponents_out_of_range_raise():
         basis.minimal_generators([Polynomial(R, {(1, 1): 1})])
     with pytest.raises(OverflowError):
         toric_kernel([(40000, 0), (0, 1), (40000, 1)], R)
+
+
+def _obeys_coeff_rule(ring, c) -> bool:
+    """Nonzero, and already in the normal form of `RingContext.coeff`."""
+    return c != 0 and type(c) is type(ring.coeff(c)) and c == ring.coeff(c)
+
+
+def _random_family(rng):
+    """A ring over Q, GF(2), GF(3) or GF(32003), an order name and up to
+    five polynomials, some of them zero or repeated."""
+    nv = rng.randint(1, 3)
+    p = rng.choice([0, 2, 3, 32003])
+    ring = RingContext([f"x{i}" for i in range(nv)], p)
+    polys = []
+    for _ in range(rng.randint(0, 5)):
+        r = rng.random()
+        if polys and r < 0.15:
+            polys.append(rng.choice(polys))
+        elif r < 0.25:
+            polys.append(Polynomial.zero(ring))
+        else:
+            polys.append(Polynomial(ring, {
+                tuple(rng.randint(0, 3) for _ in range(nv)):
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if p == 0 else rng.randrange(p)
+                for _ in range(rng.randint(1, 4))}))
+    return ring, polys, rng.choice(sorted(_POLY_ORDERS))
+
+
+def test_interreduce_equals_a_normal_form_per_generator():
+    rng = random.Random(20)
+    changed = 0
+    for _ in range(600):
+        ring, polys, order_name = _random_family(rng)
+        order = _POLY_ORDERS[order_name](ring.nvars)
+        mine = interreduce(polys, order)
+        assert mine == interreduce_by_normal_forms(polys, order)
+        assert all(_obeys_coeff_rule(ring, c) for g in mine for c in g.terms.values())
+        changed += mine != [f for f in polys if not f.is_zero()]
+    # the pass is far from the identity on these families
+    assert changed > 150
+
+
+def test_interreduce_edge_cases():
+    R = RingContext(["x", "y", "z"])
+    o = lex_order(3)
+    x, y, z = (Polynomial.variable(R, i) for i in range(3))
+    f = parse_polynomial(R, "1/2*x*y - 3/4*z")
+    zero = Polynomial.zero(R)
+    cases = [
+        ([], []),
+        ([zero, zero], []),
+        ([f], [f]),
+        ([zero, f, zero], [f]),
+        # the first copy reduces to zero by the second, which then stands alone
+        ([f, f], [f]),
+        # x - y becomes -z; y - z is then reduced by -z, not by x - y, to y
+        ([x - y, y - z, x], [-z, y, x]),
+    ]
+    for polys, expected in cases:
+        assert interreduce(polys, o) == expected
+        assert interreduce_by_normal_forms(polys, o) == expected

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (buchberger_all_pairs, elimination_kernel, minimize_by_rerun, rank_rational,
-                     schur_rectangle_dim)
+from oracles import (buchberger_all_pairs, elimination_kernel, interreduce_by_normal_forms,
+                     minimize_by_rerun, rank_rational, schur_rectangle_dim)
+from sagbikit.engine import GeneratorFamily, sagbi_general
 from sagbikit.formats import parse_polynomial, poly_to_text
-from sagbikit.groebner import buchberger, normal_form
+from sagbikit.groebner import _PolynomialBasis, buchberger, normal_form
 from sagbikit.minors import MatrixRing, diagonal_order, minors
 from sagbikit.orders import degrevlex_order, lex_order
-from sagbikit.relations import (RelationSet, _p0_order, minimize_relations,
+from sagbikit.relations import (RelationSet, Retract, _p0_order, interreduce, minimize_relations,
                                 sagbi_with_relations, verify_relations)
 from sagbikit.rings import Polynomial, RingContext
 
@@ -61,6 +62,31 @@ def test_g37_golden_relations_are_the_quadratic_pluecker_relations():
     monomials = sorted({e for g in rels for e in g.terms})
     assert rank_rational([[g.terms.get(e, 0) for e in monomials] for g in rels]) == len(rels)
     assert len(rels) == comb(36, 2) - schur_rectangle_dim(3, 2, 7) == 140
+
+
+def test_interreduce_packs_each_g36_relation_once(monkeypatch):
+    M = MatrixRing(3, 6)
+    family = GeneratorFamily([mi.polynomial for mi in minors(3, M)], diagonal_order(M))
+    retract = Retract(family)
+    sagbi_general(family, bookkeeper=retract)
+    rels, order = retract.relations, _p0_order(retract.p0)
+    assert len(rels) == 35
+    expected = interreduce_by_normal_forms(rels, order)
+    counts = {"bases": 0, "loads": 0}
+    init, load = _PolynomialBasis.__init__, _PolynomialBasis._load
+
+    def counting_init(self, *args):
+        counts["bases"] += 1
+        init(self, *args)
+
+    def counting_load(self, f):
+        counts["loads"] += 1
+        return load(self, f)
+
+    monkeypatch.setattr(_PolynomialBasis, "__init__", counting_init)
+    monkeypatch.setattr(_PolynomialBasis, "_load", counting_load)
+    assert interreduce(rels, order) == expected
+    assert counts["bases"] == 1 and counts["loads"] <= 2 * len(rels)
 
 
 def test_a233_relations_are_zero():
