@@ -7,9 +7,8 @@ from .matchings import (Matching, VertexCatalog, enumerate_vertices_exhaustive,
                         enumerate_vertices_random, extend_matching, full_support,
                         is_coherent, make_matching, matching_from_weight,
                         restrict_matching, sagbi_defect)
-from .minors import (CanonicalGroup, GroupElement, MatrixRing, Minor, B_sets, Q_matrix,
-                     act, bracket, compose, delta_multiples, determinant, diagonal_order,
-                     full_group, minors, of_orbit, pattern_stabilizer, submax_lex_order)
+from .minors import (CanonicalGroup, MatrixRing, Minor, bracket, determinant, diagonal_order,
+                     full_group, minors, pattern_stabilizer, submax_lex_order)
 from .orders import MonomialOrder, TieError, degrevlex_order, leading_term, lex_order, make_monic, weight_order, weight_selects
 from .relations import (RelationSet, Retract, minimize_relations,
                         sagbi_with_relations, verify_relations)

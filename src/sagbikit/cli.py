@@ -247,11 +247,13 @@ def cmd_matchings(args) -> int:
         catalog = enumerate_vertices_random(gens, group, trials=args.trials,
                                             stall_limit=args.stall, seed=args.seed)
     k_max = args.kmax
-    if args.minors == matrix.m:
-        # maximal minors: the diagonal matching already generates the full
-        # initial algebra, so its semigroup is the reference
+    t = min(matrix.m, matrix.n)
+    if args.minors == t:
+        # maximal minors: they are a SAGBI basis under every diagonal order
+        # (row-major lex is one, also for the transpose of a tall matrix),
+        # so the diagonal matching's semigroup is the reference
         reference = semigroup_hilbert(
-            diagonal_matching(matrix, minors(matrix.m, matrix)).selection,
+            diagonal_matching(matrix, minors(t, matrix)).selection,
             k_max, ring, args.grading).values
         ref_k = k_max
     else:

@@ -65,9 +65,12 @@ class GeneratorFamily:
         if f.ring != self.ring:
             raise ValueError("generator in wrong ring")
         monic, divisor = make_monic(self.order, f)
+        initial = leading_exponent(self.order, monic)
+        if not any(initial):
+            raise ValueError("constant generator")
         self.members.append(monic)
-        self.initials.append(leading_exponent(self.order, monic))
-        d = self.ring.degree(self.initials[-1])
+        self.initials.append(initial)
+        d = self.ring.degree(initial)
         self.norm_gcd = gcd(self.norm_gcd, d)
         self.tags.append(f"Y{len(self.members)}")
         self.degrees.append(d)

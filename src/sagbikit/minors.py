@@ -1,15 +1,16 @@
 """Variable matrices, their minors, diagonal orders, and symmetry.
 
 The symmetry group permutes rows and columns and, in the square case,
-transposes the matrix.  Exponent vectors of the matrix ring are
-interchangeable with m x n exponent matrices (row-major flattening).
+transposes the matrix; each symmetry is held as its flat index map.
+Exponent vectors of the matrix ring are interchangeable with m x n
+exponent matrices (row-major flattening).
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations
-from math import comb, factorial, prod
+from math import factorial, prod
 
 from .orders import MonomialOrder, lex_order
 from .rings import Polynomial, RingContext
@@ -108,53 +109,6 @@ def submax_lex_order(M: MatrixRing) -> MonomialOrder:
     return lex_order(M.ring.nvars, diag + rest)
 
 
-def Q_matrix(m: int) -> tuple[tuple[int, ...], ...]:
-    """d_m * I + all-ones with d_m = (m-1)^2 - 1."""
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    d = (m - 1) ** 2 - 1
-    return tuple(tuple((d if i == j else 0) + 1 for j in range(m))
-                 for i in range(m))
-
-
-def B_sets(M: MatrixRing) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Diagonal-path monomial sets controlling dimensions of matchings.
-
-    The big set consists of products X_{1,j_1}...X_{m,j_m} with
-    j_1+...+j_m <= n (1-based column labels); the small one is its
-    algebraically independent subset of m(n-m)+1 elements.
-    """
-    m, n = M.m, M.n
-    if m > n:
-        raise ValueError("need m <= n")
-    big = []
-
-    def rec(i, total, exp):
-        if i == m:
-            big.append(tuple(exp))
-            return
-        for j in range(1, n + 1):
-            if total + j > n - (m - 1 - i):
-                break
-            exp[M.cell(i, j - 1)] += 1
-            rec(i + 1, total + j, exp)
-            exp[M.cell(i, j - 1)] -= 1
-
-    rec(0, 0, [0] * M.ring.nvars)
-    small = set()
-    for i in range(m):
-        for j in range(1, n - m + 2):
-            exp = [0] * M.ring.nvars
-            for k in range(m):
-                exp[M.cell(k, 0)] += 1
-            exp[M.cell(i, 0)] -= 1
-            exp[M.cell(i, j - 1)] += 1
-            small.add(tuple(exp))
-    small = sorted(small)
-    assert len(small) == m * (n - m) + 1
-    return big, small
-
-
 def bracket(M: MatrixRing, cols) -> Polynomial:
     """Maximal minor on the given (0-based) columns, signed by their order."""
     cols = tuple(cols)
@@ -170,134 +124,40 @@ def bracket_name(cols) -> str:
     return "[" + ",".join(str(c + 1) for c in cols) + "]"
 
 
-def _sign_normalized(f: Polynomial) -> Polynomial:
-    """Fix a representative of {f, -f}: greatest exponent has coefficient > 0."""
-    if f.is_zero():
-        return f
-    top = max(f.terms)
-    return f if f.terms[top] > 0 else -f
-
-
-def of_orbit(n: int) -> list[Polynomial]:
-    """Column-permutation orbit, modulo sign, of the quadratic bracket
-    difference [1,2,3][4,5,6] - [1,2,4][3,5,6] inside the 3 x n matrix ring."""
-    if n < 6:
-        raise ValueError("need n >= 6")
-    M = MatrixRing(3, n)
-    seen = {}
-    for perm in permutations(range(n), 6):
-        a, b, c, d, e, f = perm
-        g = (bracket(M, (a, b, c)) * bracket(M, (d, e, f))
-             - bracket(M, (a, b, d)) * bracket(M, (c, e, f)))
-        g = _sign_normalized(g)
-        seen.setdefault(g.key(), g)
-    return [seen[k] for k in sorted(seen)]
-
-
 def determinant(M: MatrixRing) -> Polynomial:
     if M.m != M.n:
         raise ValueError("square matrix required")
     return minor_polynomial(M, tuple(range(M.m)), tuple(range(M.n)))
 
 
-def shape_products(M: MatrixRing, shape) -> list[Polynomial]:
-    """All products of minors with the given size profile, e.g. (4, 2) for
-    determinant times a 2-minor.  Duplicate products are merged."""
-    shape = sorted(shape, reverse=True)
-    if not shape:
-        raise ValueError("empty shape")
-    if shape[0] > min(M.m, M.n):
-        raise ValueError("shape entry exceeds the matrix size")
-    pools = [[mi.polynomial for mi in minors(t, M)] for t in shape]
-    seen: dict = {}
-    def rec(idx, acc):
-        if idx == len(pools):
-            seen.setdefault(acc.key(), acc)
-            return
-        for f in pools[idx]:
-            rec(idx + 1, acc * f if acc is not None else f)
-    rec(0, None)
-    return [seen[k] for k in sorted(seen)]
-
-
-def delta_multiples(M: MatrixRing) -> list[Polynomial]:
-    """The products X_ij * det for a 3 x 3 matrix."""
-    if (M.m, M.n) != (3, 3):
-        raise ValueError("3x3 matrix required")
-    delta = determinant(M)
-    out = []
-    for i in range(3):
-        for j in range(3):
-            exp = [0] * 9
-            exp[M.cell(i, j)] = 1
-            out.append(delta.mul_monomial(tuple(exp)))
-    return out
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Row permutation, column permutation, optional transpose (square only).
-
-    row[i] is the image of row i; likewise for columns.
-    """
-    row: tuple[int, ...]
-    col: tuple[int, ...]
-    transpose: bool = False
-
-
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    if g.transpose:
-        return GroupElement(tuple(g.row[h.col[i]] for i in range(len(h.col))),
-                            tuple(g.col[h.row[i]] for i in range(len(h.row))),
-                            not h.transpose)
-    return GroupElement(tuple(g.row[h.row[i]] for i in range(len(h.row))),
-                        tuple(g.col[h.col[i]] for i in range(len(h.col))),
-                        h.transpose)
-
-
-def act(g: GroupElement, matrix) -> tuple[tuple[int, ...], ...]:
-    """Image of an exponent matrix: cell (i, j) lands at (row[i], col[j]),
-    after transposing first when the transpose flag is set."""
-    base = matrix
-    if g.transpose:
-        if len(matrix) != len(matrix[0]):
-            raise ValueError("transpose needs a square matrix")
-        base = tuple(tuple(matrix[j][i] for j in range(len(matrix)))
-                     for i in range(len(matrix[0])))
-    m = len(base)
-    n = len(base[0])
-    out = [[0] * n for _ in range(m)]
+def _index_map(m: int, n: int, row, col, transpose: bool = False) -> tuple[int, ...]:
+    """The flat index map of a symmetry: cell (i, j), after transposing
+    first when transpose is set (square only), lands at (row[i], col[j]).
+    Entry k of the map is the flat cell that lands at k, so a row-major
+    flattening maps to tuple(flat[i] for i in idx)."""
+    idx = [0] * (m * n)
     for i in range(m):
-        gi = g.row[i]
-        bi = base[i]
         for j in range(n):
-            out[gi][g.col[j]] = bi[j]
-    return tuple(tuple(r) for r in out)
+            a, b = (j, i) if transpose else (i, j)
+            idx[row[i] * n + col[j]] = a * n + b
+    return tuple(idx)
 
 
 class CanonicalGroup:
-    """A set of symmetries with precomputed flat index maps for fast
-    canonicalization of exponent matrices.
+    """A set of symmetries of m x n exponent matrices, each held as its
+    flat index map (see _index_map), for fast canonicalization.  Equal
+    maps are kept: the count includes them.
 
     full marks the whole of S_m x S_n (with the transpose when m == n):
     its canonical form is found by sorting columns, per row permutation,
     instead of by a minimum over all index maps."""
 
-    def __init__(self, m: int, n: int, elements: list[GroupElement],
+    def __init__(self, m: int, n: int, index_maps: list[tuple[int, ...]],
                  full: bool = False):
         self.m = m
         self.n = n
-        self.elements = elements
+        self.index_maps = index_maps
         self.full = full
-        maps = []
-        for g in elements:
-            idx = [0] * (m * n)
-            for i in range(m):
-                for j in range(n):
-                    a, b = (j, i) if g.transpose else (i, j)
-                    idx[g.row[i] * n + g.col[j]] = a * n + b
-            maps.append(tuple(idx))
-        self.index_maps = maps
 
     def _placements(self, flat: tuple[int, ...]):
         """The rows of flat's matrix, and the matrices a row permutation is
@@ -345,47 +205,38 @@ class CanonicalGroup:
         return len(self) // (fixing * ways)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.index_maps)
 
 
 def full_group(m: int, n: int) -> CanonicalGroup:
-    """S_m x S_n, extended by the transpose when m == n."""
-    elems = []
+    """S_m x S_n, extended by the transpose when m == n: per row and then
+    column permutation, the plain map and then, when square, the map
+    after transposing."""
+    maps = []
     for rp in permutations(range(m)):
         for cp in permutations(range(n)):
-            elems.append(GroupElement(rp, cp, False))
+            maps.append(_index_map(m, n, rp, cp))
             if m == n:
-                elems.append(GroupElement(rp, cp, True))
-    return CanonicalGroup(m, n, elems, full=True)
+                maps.append(_index_map(m, n, rp, cp, True))
+    return CanonicalGroup(m, n, maps, full=True)
 
 
 def full_group_generators(m: int, n: int) -> CanonicalGroup:
     """Generators of full_group(m, n): a transposition and a full cycle of
     the rows, the same of the columns, and the transpose when m == n."""
     rows, cols = tuple(range(m)), tuple(range(n))
-    elems = [GroupElement(rows[1::-1] + rows[2:], cols),
-             GroupElement(rows[1:] + rows[:1], cols),
-             GroupElement(rows, cols[1::-1] + cols[2:]),
-             GroupElement(rows, cols[1:] + cols[:1])]
+    maps = [_index_map(m, n, rows[1::-1] + rows[2:], cols),
+            _index_map(m, n, rows[1:] + rows[:1], cols),
+            _index_map(m, n, rows, cols[1::-1] + cols[2:]),
+            _index_map(m, n, rows, cols[1:] + cols[:1])]
     if m == n:
-        elems.append(GroupElement(rows, cols, True))
-    return CanonicalGroup(m, n, elems)
+        maps.append(_index_map(m, n, rows, cols, True))
+    return CanonicalGroup(m, n, maps)
 
 
 def pattern_stabilizer(m: int, n: int, zero_cells: set[tuple[int, int]]) -> CanonicalGroup:
     """Row/column permutations preserving a set of zero positions."""
-    elems = []
-    for rp in permutations(range(m)):
-        for cp in permutations(range(n)):
-            if all((rp[i], cp[j]) in zero_cells for i, j in zero_cells):
-                elems.append(GroupElement(rp, cp, False))
-    return CanonicalGroup(m, n, elems)
-
-
-def matching_row_sum(t: int, m: int, n: int) -> int:
-    """Row sum of any matching of the t-minors (multihomogeneity)."""
-    return comb(m - 1, t - 1) * comb(n, t)
-
-
-def matching_col_sum(t: int, m: int, n: int) -> int:
-    return comb(m, t) * comb(n - 1, t - 1)
+    maps = [_index_map(m, n, rp, cp)
+            for rp in permutations(range(m)) for cp in permutations(range(n))
+            if all((rp[i], cp[j]) in zero_cells for i, j in zero_cells)]
+    return CanonicalGroup(m, n, maps)

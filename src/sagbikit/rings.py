@@ -150,9 +150,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self):
-        return self.terms.keys()
-
     def __len__(self):
         return len(self.terms)
 
@@ -227,10 +224,6 @@ class Polynomial:
             base = base * base if k > 1 else base
             k >>= 1
         return result
-
-    def mul_monomial(self, exp: tuple[int, ...]) -> "Polynomial":
-        return Polynomial._of(self.ring, {tuple(a + b for a, b in zip(e, exp)): v
-                                          for e, v in self.terms.items()})
 
     def substitute(self, images: list["Polynomial"]) -> "Polynomial":
         """Evaluate by mapping variable i to images[i] (a ring map on generators)."""

@@ -9,6 +9,7 @@ from math import comb
 
 import pytest
 
+from constructions import B_sets, Q_matrix
 from oracles import elimination_kernel, find_selection
 from sagbikit.engine import GeneratorFamily, sagbi_general
 from sagbikit.groebner import buchberger, normal_form
@@ -17,8 +18,8 @@ from sagbikit.hilbert import (expand_series, h_vector, krull_dim_monomial,
 from sagbikit.matchings import (enumerate_vertices_exhaustive, extend_matching,
                                 full_support, is_coherent, make_matching,
                                 sagbi_defect)
-from sagbikit.minors import (B_sets, MatrixRing, Q_matrix, determinant,
-                             diagonal_order, full_group, minors, submax_lex_order)
+from sagbikit.minors import (MatrixRing, determinant, diagonal_order, full_group,
+                             minors, submax_lex_order)
 from sagbikit.orders import leading_exponent
 from sagbikit.relations import (_p0_order, minimize_relations, sagbi_with_relations,
                                 verify_relations)

@@ -96,6 +96,20 @@ def test_matchings_random_requires_seed(capsys):
     assert code == 2 and "seed" in err
 
 
+@pytest.mark.parametrize("tall, wide, t", [("4x3", "3x4", "3"), ("4x2", "2x4", "2")])
+def test_matchings_maximal_minors_of_a_tall_matrix_get_the_full_reference(capsys, tall, wide, t):
+    # the transpose has the same maximal-minor algebra, so the same
+    # reference, to --kmax in both shapes
+    lines = []
+    for shape in (tall, wide):
+        code, out, _ = _run(capsys, ["matchings", "--matrix", shape, "--minors", t,
+                                     "--kmax", "5"])
+        assert code == 0
+        lines.append(next(l for l in out.splitlines() if l.startswith("# reference")))
+    assert lines[0] == lines[1]
+    assert len(json.loads(lines[0].split("\t")[1])) == 6
+
+
 def test_verify_a233_cli(capsys):
     code, out, _ = _run(capsys, ["verify", "--case", "A233"])
     assert code == 0

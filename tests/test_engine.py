@@ -196,6 +196,20 @@ def test_sagbi_by_degree_rejects_inhomogeneous():
         sagbi_by_degree(fam, 4)
 
 
+def test_generator_family_rejects_a_constant_generator():
+    R = RingContext(["x", "y"])
+    order = lex_order(2)
+    x = parse_polynomial(R, "x")
+    for polys in ([Polynomial.constant(R, 3)], [Polynomial.constant(R, 3), x],
+                  [x, parse_polynomial(R, "y"), Polynomial.constant(R, -1)]):
+        with pytest.raises(ValueError, match="constant generator"):
+            GeneratorFamily(polys, order)
+    family = GeneratorFamily([x], order)
+    with pytest.raises(ValueError, match="constant generator"):
+        family.append(Polynomial.constant(R, 2))
+    assert len(family) == 1 and family.norm_gcd == 1
+
+
 def test_sagbi_g36_minors_are_complete():
     M = MatrixRing(3, 6)
     fam = GeneratorFamily([mi.polynomial for mi in minors(3, M)],

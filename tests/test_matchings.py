@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from constructions import Q_matrix
 from oracles import catalog_unpruned, coherent_by_hull
 from sagbikit.formats import parse_polynomial
 from sagbikit.hilbert import expand_series, h_vector, krull_dim_monomial, semigroup_hilbert
@@ -13,9 +14,8 @@ from sagbikit.matchings import (Matching, _dfs_vertices, _diff_lists,
                                 full_support, is_coherent, make_matching,
                                 matching_from_weight, restrict_matching,
                                 sagbi_defect)
-from sagbikit.minors import (MatrixRing, Q_matrix, determinant, full_group,
-                             full_group_generators, minors, pattern_stabilizer,
-                             submax_lex_order)
+from sagbikit.minors import (MatrixRing, determinant, full_group, full_group_generators,
+                             minors, pattern_stabilizer, submax_lex_order)
 from sagbikit.orders import TieError, leading_exponent, weight_selects
 from sagbikit.rings import Polynomial, RingContext
 from sagbikit.universal import (G36_TYPES, diagonal_matching, g36_reference,

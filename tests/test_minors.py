@@ -1,17 +1,18 @@
 import random
-from math import comb
+from itertools import permutations
 
 import pytest
 
+from constructions import (B_sets, GroupElement, Q_matrix, act, compose,
+                           delta_multiples, matching_col_sum, matching_row_sum,
+                           of_orbit, shape_products)
 from oracles import cofactor_det
 from sagbikit.hilbert import krull_dim_monomial
 from sagbikit.matchings import matching_from_weight
-from sagbikit.minors import (B_sets, CanonicalGroup, GroupElement, MatrixRing,
-                             Q_matrix, act, bracket, compose,
-                             delta_multiples, determinant, diagonal_order, full_group,
-                             full_group_generators,
-                             matching_col_sum, matching_row_sum, minor_polynomial,
-                             minors, of_orbit, pattern_stabilizer, submax_lex_order)
+from sagbikit.minors import (CanonicalGroup, MatrixRing, bracket, determinant,
+                             diagonal_order, full_group, full_group_generators,
+                             minor_polynomial, minors, pattern_stabilizer,
+                             submax_lex_order)
 from sagbikit.orders import leading_exponent
 from sagbikit.rings import Polynomial
 
@@ -181,16 +182,54 @@ def test_transpose_requires_square():
         act(g, tuple(tuple(0 for _ in range(4)) for _ in range(3)))
 
 
+def _full_group_elements(m, n):
+    """The elements of full_group(m, n) in its map order: row permutation,
+    then column permutation, then transpose."""
+    return [GroupElement(rp, cp, t) for rp in permutations(range(m))
+            for cp in permutations(range(n)) for t in ((False, True) if m == n else (False,))]
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4)])
+def test_full_group_index_maps_act_as_group_elements(m, n):
+    # distinct entries, so equal images mean equal maps
+    rng = random.Random(46 + 10 * m + n)
+    E = tuple(zip(*[iter(rng.sample(range(100), m * n))] * n))
+    flat = tuple(v for row in E for v in row)
+    G = full_group(m, n)
+    elements = _full_group_elements(m, n)
+    assert len(G) == len(elements) == len(G.index_maps)
+    for idx, g in zip(G.index_maps, elements):
+        assert tuple(flat[i] for i in idx) == tuple(v for row in act(g, E) for v in row)
+    rows, cols = tuple(range(m)), tuple(range(n))
+    generators = [GroupElement(rows[1::-1] + rows[2:], cols),
+                  GroupElement(rows[1:] + rows[:1], cols),
+                  GroupElement(rows, cols[1::-1] + cols[2:]),
+                  GroupElement(rows, cols[1:] + cols[:1])]
+    generators += [GroupElement(rows, cols, True)] if m == n else []
+    images = [tuple(v for row in act(g, E) for v in row) for g in generators]
+    assert [tuple(flat[i] for i in idx)
+            for idx in full_group_generators(m, n).index_maps] == images
+
+
+def test_full_group_keeps_equal_maps():
+    # on a 1x1 matrix the transpose is the identity: two equal maps, and
+    # every orbit has one element
+    G = full_group(1, 1)
+    assert G.index_maps == [(0,), (0,)] and len(G) == 2
+    assert G.orbit_size((5,)) == 1
+
+
 def test_canonical_form_constant_on_orbits_and_idempotent():
     rng = random.Random(20)
     G = full_group(3, 3)
+    elements = _full_group_elements(3, 3)
     for _ in range(50):
         E = tuple(tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(3))
         flat = tuple(v for row in E for v in row)
         canon = G.canonical(flat)
         assert G.canonical(canon) == canon
         for idx in rng.sample(range(len(G)), 10):
-            g = G.elements[idx]
+            g = elements[idx]
             assert G.canonical(tuple(v for row in act(g, E) for v in row)) == canon
         assert canon in G.orbit(flat)
 
@@ -202,7 +241,7 @@ def test_full_group_sorting_route_matches_index_map_minimum():
     shapes = [(m, n) for m in range(1, 5) for n in range(1, 5)] + [(2, 5)]
     for m, n in shapes:
         G = full_group(m, n)
-        oracle = CanonicalGroup(m, n, G.elements)
+        oracle = CanonicalGroup(m, n, G.index_maps)
         for top in (1, 2, 5):
             for _ in range(12):
                 flat = tuple(rng.randint(0, top) for _ in range(m * n))
@@ -211,13 +250,13 @@ def test_full_group_sorting_route_matches_index_map_minimum():
 
 @pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (3, 3), (2, 4), (3, 4)])
 def test_full_group_generators_generate_the_full_group(m, n):
-    gens = full_group_generators(m, n).elements
+    gens = full_group_generators(m, n).index_maps
     reached = set(gens)
     frontier = reached
     while frontier:
-        frontier = {compose(g, h) for g in frontier for h in gens} - reached
+        frontier = {tuple(h[i] for i in g) for g in frontier for h in gens} - reached
         reached |= frontier
-    assert reached == set(full_group(m, n).elements)
+    assert reached == set(full_group(m, n).index_maps)
 
 
 def test_transpose_of_vertex_two_stays_in_orbit():
@@ -253,7 +292,6 @@ def test_matching_magic_sums():
 
 def test_shape_products_for_4x4():
     # the generator shapes for the 3-minor algebra of a 4x4 matrix
-    from sagbikit.minors import shape_products
     M = MatrixRing(4, 4)
     assert len(shape_products(M, (3,))) == 16
     assert len(shape_products(M, (4, 2))) == 36

@@ -54,7 +54,7 @@ def test_context_mismatch_raises(R):
 
 def test_no_zero_coefficients_stored(R):
     f = parse_polynomial(R, "x + y - x")
-    assert set(f.support()) == {(0, 1)}
+    assert set(f.terms) == {(0, 1)}
     assert (parse_polynomial(R, "x") - parse_polynomial(R, "x")).is_zero()
 
 

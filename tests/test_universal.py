@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from constructions import GroupElement, act
 from oracles import find_selection, transport_bracket_tuple_brute
 from sagbikit.hilbert import expand_series, semigroup_hilbert
 from sagbikit.matchings import make_matching, matching_from_weight, restrict_matching
-from sagbikit.minors import GroupElement, MatrixRing, act, bracket, minors
+from sagbikit.minors import MatrixRing, bracket, minors
 from sagbikit.universal import (G36_TYPES, VerificationError, bracket_pair,
                                 column_restrictions, diagonal_matching, drop_cells,
                                 g36_reference, random_coherent_matching,
