@@ -30,6 +30,20 @@ exceeds, so adding vectors adds integers.  For lex that key is the
 closed form c_i = (2b + 1)^(n - 1 - i) (`lex_key`), equal to
 `MonomialOrder.linear_key` of `lex_order(n)` without building its rows.
 
+Each level is split into the P residue classes of its packed sums
+modulo a prime P.  The packing is linear, so the classes are additive:
+class(g + s) = class(g) + class(s) mod P.  Equal sums fall into one
+class, so each class is deduplicated on its own, and class r of level k
+is made from class (r - g_j) mod P of level k - d_j by generator j, with
+the least-index rule unchanged inside it.  Only each generator's class
+is ever computed.  The top level is counted one class at a time and
+never stored whole, so the largest set alive is one class, not a level.
+P is chosen once per call from the multiset bound C(n + k_max - 1,
+k_max) on a level's size, for a few thousand sums per class; it must not
+divide the packing base 2b + 1, or the residue would see only the last
+digit.  Below a fixed bound P is 1: the whole level is one class, and
+the loop is the unsplit one.
+
 The subalgebra route packs every exponent vector into one integer by
 the order's linear key, so multiplying monomials adds keys and the
 leading monomial of a row is its largest key.  Its coefficients are
@@ -56,9 +70,15 @@ from operator import mul
 from typing import Iterable, Literal, Sequence
 
 from .orders import MonomialOrder
-from .rings import Polynomial, RingContext
+from .rings import Polynomial, RingContext, _is_prime
 
 Grading = Literal["normalized", "ambient"]
+
+# `semigroup_level_counts` aims at this many sums per residue class, and
+# keeps one class while the multiset bound on its top level is below
+# _CLASSES_FROM, where per-class bookkeeping costs more than it saves
+_CLASS_SIZE = 1 << 13
+_CLASSES_FROM = 1 << 16
 
 
 @dataclass
@@ -98,6 +118,8 @@ def semigroup_hilbert(exps: Iterable[tuple[int, ...]], k_max: int,
     exps = [tuple(e) for e in exps]
     if not exps:
         raise ValueError("empty exponent list")
+    if any(len(e) != ring.nvars for e in exps):
+        raise ValueError("exponent vector length mismatch")
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     degrees = [ring.degree(e) for e in exps]
@@ -138,42 +160,73 @@ def free_generators(exps: Sequence[tuple[int, ...]]) -> list[int]:
     return [j for j in range(m) if j not in dependent]
 
 
+def _class_modulus(n: int, k_max: int, base: int) -> int:
+    """The number P of residue classes `semigroup_level_counts` splits a
+    level into: 1 while the multiset bound C(n + k_max - 1, k_max) on the
+    top level's size is below _CLASSES_FROM, else the least prime
+    P >= bound / _CLASS_SIZE that does not divide the packing base."""
+    bound = comb(n + k_max - 1, k_max)
+    if bound < _CLASSES_FROM:
+        return 1
+    p = max(2, bound // _CLASS_SIZE)
+    while not _is_prime(p) or base % p == 0:
+        p += 1
+    return p
+
+
 def semigroup_level_counts(exps: Sequence[tuple[int, ...]], degrees: Sequence[int],
                            k_max: int) -> list[int]:
-    """Distinct sums of each degree 0..k_max, by the least-index level loop.
+    """Distinct sums of each degree 0..k_max, by the least-index level loop
+    run on one residue class of the packed sums modulo P at a time.
 
-    A middle level is one dict of packed sums whose insertion order lists
-    them by mu (the least generator index that reaches the sum, see the
-    module docstring), with prefix counts ends[j] = number of sums with
-    mu <= j.  Generator j extends the first ends[j] sums of level k - d_j;
-    the dict keeps only the sums the level has not seen, which have mu = j.
-    The last level is only counted, and a level more than max(degrees)
-    below the current one is dropped.  `semigroup_hilbert` runs this on
-    its core; run on a whole family it is the unsplit count.
+    The packing is linear, so class(g + s) = class(g) + class(s) mod P:
+    equal sums share a class, and class r of level k is made only from
+    class (r - g_j) mod P of level k - d_j by generator j.  Each class of a
+    middle level is a dict of packed sums whose insertion order lists them
+    by mu (the least generator index that reaches the sum, see the module
+    docstring), with prefix counts ends[j] = number of its sums with
+    mu <= j.  Generator j extends the first ends[j] sums of its source
+    class; the dict keeps only the sums the class has not seen, which have
+    mu = j.  A level is built class by class, so one small dict grows at a
+    time; the last level is only counted, one class at a time, and a level
+    more than max(degrees) below the current one is dropped.  Each
+    generator's class is taken once; no sum's residue is computed.  P is
+    chosen by `_class_modulus`; with P = 1 the whole level is one class.
+    `semigroup_hilbert` runs this on its core; run on a whole family it is
+    the unsplit count.
     """
-    c = lex_key(len(exps[0]), max(map(max, exps)) * max(k_max, 1))
-    packed = [(sum(map(mul, c, e)), d) for e, d in zip(exps, degrees)]
+    bound = max(map(max, exps)) * max(k_max, 1)
+    key = lex_key(len(exps[0]), bound)
+    P = _class_modulus(len(exps), k_max, 2 * bound + 1)
+    packed = [(g := sum(map(mul, key, e)), d, g % P) for e, d in zip(exps, degrees)]
     d_max = max(degrees)
-    # level 0 holds the empty sum, which every generator may extend
-    levels: list[tuple[dict[int, None], list[int]] | None] = [
-        ({0: None}, [1] * len(packed))]
+    # level 0 holds the empty sum, in class 0, which every generator may extend
+    levels: list[list[tuple[dict[int, None], list[int]]] | None] = [
+        [({0: None}, [1] * len(packed))] + [({}, [0] * len(packed))] * (P - 1)]
     values = [1]
     for k in range(1, k_max + 1):
         if k > d_max:
             levels[k - d_max - 1] = None
         if k == k_max:
-            values.append(len({g + s for j, (g, d) in enumerate(packed) if d <= k
-                               for s in islice(levels[k - d][0], levels[k - d][1][j])}))
+            # one set per class; the one-item list names generator j's source class
+            values.append(sum(len({g + s for j, (g, d, c) in enumerate(packed) if d <= k
+                                   for src, src_ends in [levels[k - d][(r - c) % P]]
+                                   for s in islice(src, src_ends[j])})
+                              for r in range(P)))
             break
-        level: dict[int, None] = {}
-        ends: list[int] = []
-        for j, (g, d) in enumerate(packed):
-            if d <= k:
-                src, src_ends = levels[k - d]
-                level.update(dict.fromkeys(map(g.__add__, islice(src, src_ends[j]))))
-            ends.append(len(level))
-        levels.append((level, ends))
-        values.append(len(level))
+        level = []
+        for r in range(P):
+            sums: dict[int, None] = {}
+            ends: list[int] = []
+            for j, (g, d, c) in enumerate(packed):
+                if d <= k:
+                    src, src_ends = levels[k - d][(r - c) % P]
+                    if n := src_ends[j]:
+                        sums.update({g + s: None for s in islice(src, n)})
+                ends.append(len(sums))
+            level.append((sums, ends))
+        levels.append(level)
+        values.append(sum(len(sums) for sums, _ in level))
     return values
 
 

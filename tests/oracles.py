@@ -19,13 +19,15 @@ ideal, SAGBI completeness up to a degree against a comparison of Hilbert
 values, and the transport of a bracket element against a scan of every
 row and column permutation pair.  One interreduction pass over a single
 reducer is checked against a fresh `normal_form` call per generator,
-each packing all the others again.
+each packing all the others again.  Semigroup level counts taken one
+residue class at a time are checked against the same level loop with
+each level held whole.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, islice, permutations
 from math import gcd
 
 _BLAND_AFTER = 200
@@ -79,6 +81,30 @@ def semigroup_values_bruteforce(exps: list[tuple[int, ...]], weights: list[int],
         g = reduce(gcd, degrees)
         degrees = [d // g for d in degrees]
     return brute_product_values(exps, degrees, k_max)
+
+
+def semigroup_level_counts_unpartitioned(exps: list[tuple[int, ...]], degrees: list[int],
+                                         k_max: int) -> list[int]:
+    """`hilbert.semigroup_level_counts` with each level held whole: one
+    dict of lex-packed sums in least-generating-index (mu) order with
+    prefix counts per generator, and one set for the top level."""
+    bound = max(map(max, exps)) * max(k_max, 1)
+    n = len(exps[0])
+    key = [(2 * bound + 1) ** (n - 1 - i) for i in range(n)]
+    packed = [(sum(c * v for c, v in zip(key, e)), d) for e, d in zip(exps, degrees)]
+    levels = [({0: None}, [1] * len(packed))]
+    values = [1]
+    for k in range(1, k_max + 1):
+        level: dict[int, None] = {}
+        ends: list[int] = []
+        for j, (g, d) in enumerate(packed):
+            if d <= k:
+                src, src_ends = levels[k - d]
+                level.update(dict.fromkeys(g + s for s in islice(src, src_ends[j])))
+            ends.append(len(level))
+        levels.append((level, ends))
+        values.append(len(level))
+    return values
 
 
 def strict_feasible_cold(diffs, nvars: int):

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_product_values, rank_mod_p, rank_rational,
-                     schur_rectangle_dim, semigroup_values_bruteforce,
-                     subalgebra_values_mod_p, subalgebra_values_rational)
+                     schur_rectangle_dim, semigroup_level_counts_unpartitioned,
+                     semigroup_values_bruteforce, subalgebra_values_mod_p,
+                     subalgebra_values_rational)
+from sagbikit import hilbert
 from sagbikit.formats import parse_polynomial
 from sagbikit.hilbert import (RowSpace, expand_series, free_generators, h_vector,
                               krull_dim_monomial, lex_key, normalized_degrees,
@@ -364,16 +366,92 @@ def test_split_semigroup_hilbert_matches_bruteforce_oracle(case):
         j for j in range(len(exps)) if rank_rational(exps[:j] + exps[j + 1:]) < rank]
 
 
-def test_split_equals_unsplit_on_3x4_representatives():
+@pytest.fixture(scope="module")
+def reps_3x4():
+    """The selections of the 29 orbit representatives of coherent 2-minor
+    matchings of a 3x4 matrix, and the matrix ring."""
     M = MatrixRing(3, 4)
     cat = enumerate_vertices_exhaustive([mi.polynomial for mi in minors(2, M)],
                                         full_group(3, 4))
-    assert sum(1 for o in cat.orbits if free_generators(o.representative.selection)) == 22
-    for o in cat.orbits:
-        exps = o.representative.selection
-        degrees = normalized_degrees([M.ring.degree(e) for e in exps])
-        assert (semigroup_hilbert(exps, 5, M.ring).values
+    return [o.representative.selection for o in cat.orbits], M.ring
+
+
+def test_split_equals_unsplit_on_3x4_representatives(reps_3x4):
+    reps, ring = reps_3x4
+    assert sum(1 for exps in reps if free_generators(exps)) == 22
+    for exps in reps:
+        degrees = normalized_degrees([ring.degree(e) for e in exps])
+        assert (semigroup_hilbert(exps, 5, ring).values
                 == semigroup_level_counts(exps, degrees, 5))
+
+
+def test_residue_classes_equal_whole_levels_on_3x4_representatives(reps_3x4):
+    # 18 generators at degree 7: the multiset bound C(24, 7) = 346,104
+    # splits each level into 43 classes
+    reps, ring = reps_3x4
+    assert len(reps) == 29
+    for exps in reps:
+        degrees = normalized_degrees([ring.degree(e) for e in exps])
+        assert hilbert._class_modulus(len(exps), 7, 15) == 43
+        assert (semigroup_level_counts(exps, degrees, 7)
+                == semigroup_level_counts_unpartitioned(exps, degrees, 7))
+
+
+def test_residue_classes_bound_the_memory_peak(reps_3x4):
+    # the first representative has no free generator, so its core is all
+    # 18; holding its 107,635 degree-7 sums in one set peaked at 12.3 MiB
+    reps, ring = reps_3x4
+    exps = reps[0]
+    assert free_generators(exps) == []
+    degrees = normalized_degrees([ring.degree(e) for e in exps])
+    tracemalloc.start()
+    try:
+        values = semigroup_level_counts(exps, degrees, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == semigroup_level_counts_unpartitioned(exps, degrees, 7)
+    assert peak < 8 * 2 ** 20
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(_monomial_family(), _family_with_free_generators()),
+       st.sampled_from([1, 2, 3, 7]))
+def test_residue_classes_match_bruteforce_oracle(case, class_size):
+    # a class of a few sums and no threshold on the multiset bound, so
+    # that P > 1 for any packing base and small families cross classes
+    weights, exps, grading, k_max = case
+    ring = RingContext([f"x{i}" for i in range(len(weights))], 0, weights)
+    degrees = [ring.degree(e) for e in exps]
+    if grading == "normalized":
+        degrees = normalized_degrees(degrees)
+    expected = brute_product_values(exps, degrees, k_max)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hilbert, "_CLASS_SIZE", class_size)
+        mp.setattr(hilbert, "_CLASSES_FROM", 0)
+        assert hilbert._class_modulus(len(exps), k_max, 1) > 1
+        assert semigroup_level_counts(exps, degrees, k_max) == expected
+        assert semigroup_hilbert(exps, k_max, ring, grading).values == expected
+    assert semigroup_level_counts_unpartitioned(exps, degrees, k_max) == expected
+
+
+@pytest.mark.parametrize("n, k_max, base, P", [
+    (18, 7, 15, 43),      # C(24, 7) // 2^13 = 42 is not prime
+    (18, 3, 7, 1),        # C(20, 3) = 1,140 is below the bound
+    (30, 7, 15, 1019),    # C(36, 7) // 2^13 = 1,019 is prime
+    (30, 7, 3057, 1021),  # but divides the packing base 3 * 1,019
+])
+def test_class_modulus_is_a_prime_not_dividing_the_base(n, k_max, base, P):
+    assert hilbert._class_modulus(n, k_max, base) == P
+
+
+def test_exponent_vectors_of_another_length_rejected():
+    # truncated to the ring's two variables, (1, 0) and (1, 0, 1) would collide
+    R = RingContext(["x", "y"])
+    with pytest.raises(ValueError, match="exponent vector length mismatch"):
+        semigroup_hilbert([(1, 0), (1, 0, 1)], 3, R)
+    with pytest.raises(ValueError, match="exponent vector length mismatch"):
+        semigroup_hilbert([(1,)], 3, R)
 
 
 def test_negative_k_max_rejected():
