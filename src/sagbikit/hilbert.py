@@ -38,11 +38,17 @@ is made from class (r - g_j) mod P of level k - d_j by generator j, with
 the least-index rule unchanged inside it.  Only each generator's class
 is ever computed.  The top level is counted one class at a time and
 never stored whole, so the largest set alive is one class, not a level.
-P is chosen once per call from the multiset bound C(n + k_max - 1,
-k_max) on a level's size, for a few thousand sums per class; it must not
-divide the packing base 2b + 1, or the residue would see only the last
-digit.  Below a fixed bound P is 1: the whole level is one class, and
-the loop is the unsplit one.
+P is chosen once per call, for a few thousand sums per class, from an
+estimate of the top level's size: the smaller of the multiset bound
+C(n + k_max - 1, k_max) and the number of monomials the sums can be,
+which is far smaller for many generators in few variables.  The residue
+of a packed sum is sum_i x_i base^(n - 1 - i) mod P, base = 2b + 1, so
+P must not divide the base (the residue would see only the last digit),
+and base^t must not be 1 mod P for any t < n: digits t apart would get
+equal weights, and for t = 1 the residue would be the sum's total
+degree, one value on a whole level of an equal-degree family.  Below a
+fixed bound P is 1: the whole level is one class, and the loop is the
+unsplit one.
 
 The subalgebra route packs every exponent vector into one integer by
 the order's linear key, so multiplying monomials adds keys and the
@@ -160,16 +166,42 @@ def free_generators(exps: Sequence[tuple[int, ...]]) -> list[int]:
     return [j for j in range(m) if j not in dependent]
 
 
-def _class_modulus(n: int, k_max: int, base: int) -> int:
+def _level_bound(exps: Sequence[tuple[int, ...]], degrees: Sequence[int],
+                 k_max: int) -> int:
+    """An estimate of the number of sums in level k_max: the smaller of the
+    multiset bound C(n + k_max - 1, k_max) and the number of monomials the
+    sums can be.  A sum of degree k_max is a monomial in the v variables
+    the generators use, of total degree at most T = max_j t_j k_max / d_j,
+    t_j and d_j generator j's total degree and degree: C(T + v, v) of
+    them.  When t_j / d_j is one ratio, as for an equal-degree family, the
+    sums of a level all have total T: C(T + v - 1, v - 1) of them.  Below
+    _CLASSES_FROM the multiset bound alone decides P = 1, so the
+    monomials are not counted."""
+    multisets = comb(len(exps) + k_max - 1, k_max)
+    if multisets < _CLASSES_FROM:
+        return multisets
+    totals = [sum(e) for e in exps]
+    v = sum(1 for column in zip(*exps) if any(column))
+    top = max(t * k_max // d for t, d in zip(totals, degrees))
+    if all(t * degrees[0] == totals[0] * d for t, d in zip(totals, degrees)):
+        monomials = comb(top + v - 1, v - 1)
+    else:
+        monomials = comb(top + v, v)
+    return min(multisets, monomials)
+
+
+def _class_modulus(bound: int, nvars: int, base: int) -> int:
     """The number P of residue classes `semigroup_level_counts` splits a
-    level into: 1 while the multiset bound C(n + k_max - 1, k_max) on the
-    top level's size is below _CLASSES_FROM, else the least prime
-    P >= bound / _CLASS_SIZE that does not divide the packing base."""
-    bound = comb(n + k_max - 1, k_max)
-    if bound < _CLASSES_FROM:
+    level into: 1 while the estimate `bound` of the top level's size is
+    below _CLASSES_FROM, else the least prime P >= bound / _CLASS_SIZE
+    that does not divide the packing base and modulo which base has
+    order at least nvars (see the module docstring).  A base of 1, from
+    all-zero exponents, has no such P."""
+    if bound < _CLASSES_FROM or base < 2:
         return 1
     p = max(2, bound // _CLASS_SIZE)
-    while not _is_prime(p) or base % p == 0:
+    while (not _is_prime(p) or base % p == 0
+           or any(pow(base, t, p) == 1 for t in range(1, nvars))):
         p += 1
     return p
 
@@ -191,13 +223,14 @@ def semigroup_level_counts(exps: Sequence[tuple[int, ...]], degrees: Sequence[in
     time; the last level is only counted, one class at a time, and a level
     more than max(degrees) below the current one is dropped.  Each
     generator's class is taken once; no sum's residue is computed.  P is
-    chosen by `_class_modulus`; with P = 1 the whole level is one class.
+    chosen by `_class_modulus` from `_level_bound`; with P = 1 the whole
+    level is one class.
     `semigroup_hilbert` runs this on its core; run on a whole family it is
     the unsplit count.
     """
     bound = max(map(max, exps)) * max(k_max, 1)
     key = lex_key(len(exps[0]), bound)
-    P = _class_modulus(len(exps), k_max, 2 * bound + 1)
+    P = _class_modulus(_level_bound(exps, degrees, k_max), len(key), 2 * bound + 1)
     packed = [(g := sum(map(mul, key, e)), d, g % P) for e, d in zip(exps, degrees)]
     d_max = max(degrees)
     # level 0 holds the empty sum, in class 0, which every generator may extend

@@ -387,12 +387,17 @@ def test_split_equals_unsplit_on_3x4_representatives(reps_3x4):
 
 def test_residue_classes_equal_whole_levels_on_3x4_representatives(reps_3x4):
     # 18 generators at degree 7: the multiset bound C(24, 7) = 346,104
-    # splits each level into 43 classes
+    # splits each level into 43 classes, except for the two
+    # representatives in 9 variables, which have only C(22, 8) = 319,770
+    # monomials of degree 14 and take 41
     reps, ring = reps_3x4
     assert len(reps) == 29
     for exps in reps:
         degrees = normalized_degrees([ring.degree(e) for e in exps])
-        assert hilbert._class_modulus(len(exps), 7, 15) == 43
+        nine = sum(1 for column in zip(*exps) if any(column)) == 9
+        level_bound = hilbert._level_bound(exps, degrees, 7)
+        assert level_bound == (319770 if nine else 346104)
+        assert hilbert._class_modulus(level_bound, 12, 15) == (41 if nine else 43)
         assert (semigroup_level_counts(exps, degrees, 7)
                 == semigroup_level_counts_unpartitioned(exps, degrees, 7))
 
@@ -426,23 +431,53 @@ def test_residue_classes_match_bruteforce_oracle(case, class_size):
     if grading == "normalized":
         degrees = normalized_degrees(degrees)
     expected = brute_product_values(exps, degrees, k_max)
+    level_bound = hilbert._level_bound(exps, degrees, k_max)
+    assert level_bound >= expected[k_max]
+    base = 2 * max(map(max, exps)) * max(k_max, 1) + 1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hilbert, "_CLASS_SIZE", class_size)
         mp.setattr(hilbert, "_CLASSES_FROM", 0)
-        assert hilbert._class_modulus(len(exps), k_max, 1) > 1
+        assert hilbert._class_modulus(level_bound, len(weights), base) > 1
         assert semigroup_level_counts(exps, degrees, k_max) == expected
         assert semigroup_hilbert(exps, k_max, ring, grading).values == expected
     assert semigroup_level_counts_unpartitioned(exps, degrees, k_max) == expected
 
 
-@pytest.mark.parametrize("n, k_max, base, P", [
-    (18, 7, 15, 43),      # C(24, 7) // 2^13 = 42 is not prime
-    (18, 3, 7, 1),        # C(20, 3) = 1,140 is below the bound
-    (30, 7, 15, 1019),    # C(36, 7) // 2^13 = 1,019 is prime
-    (30, 7, 3057, 1021),  # but divides the packing base 3 * 1,019
+@pytest.mark.parametrize("bound, nvars, base, P", [
+    (346104, 12, 15, 43),     # 346,104 // 2^13 = 42 is not prime
+    (1140, 12, 7, 1),         # below the bound
+    (8347680, 12, 15, 1019),  # 8,347,680 // 2^13 = 1,019 is prime
+    (8347680, 12, 3057, 1021),  # but divides the packing base 3 * 1,019
+    (75582, 6, 23, 13),       # 23 = 1 mod 11: the residue is the total degree
+    (75582, 9, 23, 17),       # 23^6 = 1 mod 13: digits 6 apart weigh alike
+    (10 ** 6, 4, 1, 1),       # a base of 1 has no residue to split by
 ])
-def test_class_modulus_is_a_prime_not_dividing_the_base(n, k_max, base, P):
-    assert hilbert._class_modulus(n, k_max, base) == P
+def test_class_modulus_is_a_prime_the_base_spreads_over(bound, nvars, base, P):
+    assert hilbert._class_modulus(bound, nvars, base) == P
+
+
+def _monomials(nvars, degree):
+    return sorted(e for e in product(range(degree + 1), repeat=nvars) if sum(e) == degree)
+
+
+def test_few_variables_bound_the_classes():
+    # 21 quintics in 3 variables at degree 30: C(50, 30) multisets, but
+    # only C(152, 2) = 11,476 monomials of degree 150, so one class
+    exps = _monomials(3, 5)
+    assert len(exps) == 21 and hilbert._level_bound(exps, [1] * 21, 30) == 11476
+    values = semigroup_level_counts(exps, [1] * 21, 30)
+    assert values == semigroup_level_counts_unpartitioned(exps, [1] * 21, 30)
+    assert values[30] == 11476
+    # 21 quadrics in 6 variables: C(35, 5) monomials of degree 30 at
+    # degree 15, C(29, 5) of degree 24 at degree 12
+    exps = _monomials(6, 2)
+    assert hilbert._level_bound(exps, [1] * 21, 15) == comb(35, 5)
+    assert hilbert._class_modulus(comb(35, 5), 6, 61) == 41
+    level_bound = hilbert._level_bound(exps, [1] * 21, 12)
+    assert level_bound == comb(29, 5) and hilbert._class_modulus(level_bound, 6, 49) > 1
+    values = semigroup_level_counts(exps, [1] * 21, 12)
+    assert values == semigroup_level_counts_unpartitioned(exps, [1] * 21, 12)
+    assert values[12] == comb(29, 5)
 
 
 def test_exponent_vectors_of_another_length_rejected():
