@@ -102,6 +102,31 @@ def test_parse_errors_carry_position(R):
         parse_polynomial(R, "x^")
 
 
+@pytest.mark.parametrize("text,line,col,message", [
+    ("x\n+ w", 2, 3, "unknown variable 'w'"),
+    ("x +\n\n  ?", 3, 3, "unexpected character '?'"),
+    ("z_1^2 -\n 4/0", 2, 4, "zero denominator"),
+    # a carriage return is a character of its line
+    ("x*\r\n y^", 2, 4, None),
+    ("\tx\t+\t#", 1, 6, "unexpected character '#'"),
+    (" ", 1, 2, None),
+    # an Arabic-Indic digit is a decimal digit: the number 1, then x
+    ("١x", 1, 2, "expected '+' or '-', found 'x'"),
+    # a superscript digit is not
+    ("x^²", 1, 3, "unexpected character '²'"),
+], ids=["newline", "blank-lines", "zero-denominator", "crlf", "tabs",
+        "whitespace-only", "arabic-indic-digit", "superscript-exponent"])
+def test_parse_error_positions(text, line, col, message):
+    """Line and column count characters from 1; None leaves the message
+    of an error at the end of the text unpinned."""
+    R = RingContext(["x", "y", "z_1"])
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(R, text)
+    assert (err.value.line, err.value.col) == (line, col)
+    if message is not None:
+        assert str(err.value) == f"line {line}, column {col}: {message}"
+
+
 def _in_field(ref: dict, p: int) -> dict:
     """A Fraction-valued polynomial read in Q (p = 0) or in GF(p), zeros dropped."""
     if p:
