@@ -372,23 +372,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "for subalgebras of polynomial rings")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("sagbi", help="compute a SAGBI basis")
-    _add_ring_args(ps)
-    _add_gen_args(ps)
-    ps.add_argument("--order", default="degrevlex")
-    ps.add_argument("--variant", choices=("gen", "deg"), default="gen")
-    ps.add_argument("--degree-bound", type=int)
-    ps.add_argument("--round-bound", type=int)
-    ps.set_defaults(func=cmd_sagbi, relations=False, _parser=ps)
-
-    pr = sub.add_parser("relations", help="SAGBI basis plus defining ideal")
-    _add_ring_args(pr)
-    _add_gen_args(pr)
-    pr.add_argument("--order", default="degrevlex")
-    pr.add_argument("--variant", choices=("general", "degree"), default="general")
-    pr.add_argument("--degree-bound", type=int)
-    pr.add_argument("--round-bound", type=int)
-    pr.set_defaults(func=cmd_sagbi, relations=True, _parser=pr)
+    # the general variant comes first, as the default
+    for name, help_text, variants, relations in (
+            ("sagbi", "compute a SAGBI basis", ("gen", "deg"), False),
+            ("relations", "SAGBI basis plus defining ideal", ("general", "degree"), True)):
+        ps = sub.add_parser(name, help=help_text)
+        _add_ring_args(ps)
+        _add_gen_args(ps)
+        ps.add_argument("--order", default="degrevlex")
+        ps.add_argument("--variant", choices=variants, default=variants[0])
+        ps.add_argument("--degree-bound", type=int)
+        ps.add_argument("--round-bound", type=int)
+        ps.set_defaults(func=cmd_sagbi, relations=relations, _parser=ps)
 
     pm = sub.add_parser("matchings", help="enumerate coherent matchings")
     _add_ring_args(pm)

@@ -11,6 +11,9 @@ Identifiers must match the ring's variable names exactly.  Over GF(p)
 a denominator must be prime to p.  The parser reads a coefficient as an
 int, or as a Fraction for an `a/b` literal, and leaves its normal form to
 `RingContext.coeff`; the printer prints that normal form as it is.
+
+Tokens carry only their offset in the text; the line and column of a
+parse error are worked out from the offset when the error is raised.
 """
 from __future__ import annotations
 
@@ -26,102 +29,85 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {col}: {message}")
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """A ParseError at text[offset]: lines and columns count from 1, and a
+    column counts the characters since the last newline."""
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - text.rfind("\n", 0, offset))
 
-    def _advance(self, n: int):
-        for ch in self.text[self.pos:self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
 
-    def tokens(self):
-        text = self.text
-        out = []
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch.isspace():
-                self._advance(1)
-                continue
-            line, col = self.line, self.col
-            if ch in "+-*/^()":
-                out.append((ch, ch, line, col))
-                self._advance(1)
-            elif ch.isdecimal():
-                j = self.pos
-                while j < len(text) and text[j].isdecimal():
-                    j += 1
-                out.append(("num", int(text[self.pos:j]), line, col))
-                self._advance(j - self.pos)
-            elif ch.isalpha() or ch == "_":
-                j = self.pos
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                out.append(("ident", text[self.pos:j], line, col))
-                self._advance(j - self.pos)
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-        out.append(("end", None, self.line, self.col))
-        return out
+def _tokens(text: str) -> list[tuple[str, object, int]]:
+    """The tokens of text as (kind, value, offset), closed by an end token
+    at offset len(text)."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        j = i + 1
+        if ch in "+-*/^()":
+            out.append((ch, ch, i))
+        elif ch.isdecimal():
+            while j < n and text[j].isdecimal():
+                j += 1
+            out.append(("num", int(text[i:j]), i))
+        elif ch.isalpha() or ch == "_":
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(("ident", text[i:j], i))
+        elif not ch.isspace():
+            raise _error(text, i, f"unexpected character {ch!r}")
+        i = j
+    out.append(("end", None, n))
+    return out
 
 
 def is_identifier(text: str) -> bool:
     """Whether text reads as one identifier of the grammar, the rule a
     variable name must meet to appear in polynomial text."""
     try:
-        toks = _Tokenizer(text).tokens()
+        toks = _tokens(text)
     except ParseError:
         return False
     return len(toks) == 2 and toks[0][:2] == ("ident", text)
 
 
 def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
-    toks = _Tokenizer(text).tokens()
+    toks = _tokens(text)
     pos = 0
 
-    def peek():
-        return toks[pos]
-
-    def take(kind=None):
+    def take():
         nonlocal pos
-        t = toks[pos]
-        if kind is not None and t[0] != kind:
-            raise ParseError(f"expected {kind}, found {t[1]!r}", t[2], t[3])
         pos += 1
-        return t
+        return toks[pos - 1]
+
+    def number():
+        kind, val, at = take()
+        if kind != "num":
+            raise _error(text, at, f"expected num, found {val!r}")
+        return val, at
 
     def parse_factor():
-        kind, val, line, col = peek()
+        kind, val, at = take()
         if kind == "num":
+            if toks[pos][0] != "/":
+                return val, None
             take()
-            if peek()[0] == "/":
-                take()
-                denom = take("num")
-                if denom[1] == 0:
-                    raise ParseError("zero denominator", denom[2], denom[3])
-                if ring.characteristic and denom[1] % ring.characteristic == 0:
-                    raise ParseError(f"denominator {denom[1]} is not invertible mod "
-                                     f"{ring.characteristic}", denom[2], denom[3])
-                return Fraction(val, denom[1]), None
-            return val, None
-        if kind == "ident":
+            denom, at = number()
+            if denom == 0:
+                raise _error(text, at, "zero denominator")
+            if ring.characteristic and denom % ring.characteristic == 0:
+                raise _error(text, at, f"denominator {denom} is not invertible mod "
+                                       f"{ring.characteristic}")
+            return Fraction(val, denom), None
+        if kind != "ident":
+            raise _error(text, at, f"expected coefficient or variable, found {val!r}")
+        if val not in ring._name_index:
+            raise _error(text, at, f"unknown variable {val!r}")
+        power = 1
+        if toks[pos][0] == "^":
             take()
-            if val not in ring._name_index:
-                raise ParseError(f"unknown variable {val!r}", line, col)
-            idx = ring.index(val)
-            power = 1
-            if peek()[0] == "^":
-                take()
-                power = take("num")[1]
-            return None, (idx, power)
-        raise ParseError(f"expected coefficient or variable, found {val!r}", line, col)
+            power = number()[0]
+        return None, (ring.index(val), power)
 
     def parse_term():
         coeff = 1
@@ -132,32 +118,23 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
                 coeff *= c
             else:
                 exp[v[0]] += v[1]
-            if peek()[0] == "*":
-                take()
-                continue
-            return tuple(exp), coeff
+            if toks[pos][0] != "*":
+                return tuple(exp), coeff
+            take()
 
     terms: dict[tuple[int, ...], object] = {}
     sign = 1
-    kind = peek()[0]
-    if kind in "+-":
-        sign = -1 if kind == "-" else 1
-        take()
+    if toks[0][0] in ("+", "-"):
+        sign = -1 if take()[0] == "-" else 1
     while True:
         exp, coeff = parse_term()
-        coeff *= sign
-        terms[exp] = terms.get(exp, 0) + coeff
-        kind, val, line, col = peek()
+        terms[exp] = terms.get(exp, 0) + sign * coeff
+        kind, val, at = take()
         if kind == "end":
-            break
-        if kind == "+":
-            sign = 1
-        elif kind == "-":
-            sign = -1
-        else:
-            raise ParseError(f"expected '+' or '-', found {val!r}", line, col)
-        take()
-    return Polynomial(ring, terms)
+            return Polynomial(ring, terms)
+        if kind not in ("+", "-"):
+            raise _error(text, at, f"expected '+' or '-', found {val!r}")
+        sign = -1 if kind == "-" else 1
 
 
 def poly_to_text(f: Polynomial) -> str:
@@ -177,4 +154,3 @@ def poly_to_text(f: Polynomial) -> str:
         else:
             parts.append((" - " if neg else " + ") + body)
     return "".join(parts)
-
