@@ -61,6 +61,11 @@ def _tokens(text: str) -> list[tuple[str, object, int]]:
     return out
 
 
+def _found(kind: str, val) -> str:
+    """A token as an error message names it."""
+    return "end of text" if kind == "end" else repr(val)
+
+
 def is_identifier(text: str) -> bool:
     """Whether text reads as one identifier of the grammar, the rule a
     variable name must meet to appear in polynomial text."""
@@ -83,7 +88,7 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
     def number():
         kind, val, at = take()
         if kind != "num":
-            raise _error(text, at, f"expected num, found {val!r}")
+            raise _error(text, at, f"expected a number, found {_found(kind, val)}")
         return val, at
 
     def parse_factor():
@@ -100,7 +105,8 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
                                        f"{ring.characteristic}")
             return Fraction(val, denom), None
         if kind != "ident":
-            raise _error(text, at, f"expected coefficient or variable, found {val!r}")
+            raise _error(text, at, "expected coefficient or variable, found "
+                               + _found(kind, val))
         if val not in ring._name_index:
             raise _error(text, at, f"unknown variable {val!r}")
         power = 1

@@ -343,6 +343,20 @@ def test_bad_input_is_one_line_usage_error(capsys, argv, needle):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x^", "line 1, column 3: expected a number, found end of text"),
+    ("x^y", "line 1, column 3: expected a number, found 'y'"),
+    ("x+", "line 1, column 3: expected coefficient or variable, found end of text"),
+    ("", "line 1, column 1: expected coefficient or variable, found end of text"),
+    (" ", "line 1, column 2: expected coefficient or variable, found end of text"),
+], ids=["after-caret", "variable-exponent", "after-plus", "empty", "blank"])
+def test_parse_error_names_what_it_found(capsys, text, message):
+    """The end of the text is named in words, not as a token's value."""
+    code, out, err = _run(capsys, ["sagbi", "--vars", "x,y", "--gen", text])
+    assert (code, out) == (2, "")
+    assert err == f"usage error: generator 1: {message}\n"
+
+
 @pytest.mark.parametrize("command, variant", [("sagbi", "deg"), ("relations", "degree")])
 def test_degree_variant_honours_round_bound(capsys, command, variant):
     code, out, _ = _run(capsys, [command, "--vars", "x,y", "--gen", "x+y",
