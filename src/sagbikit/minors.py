@@ -114,10 +114,8 @@ def bracket(M: MatrixRing, cols) -> Polynomial:
     cols = tuple(cols)
     if len(cols) != M.m or len(set(cols)) != M.m:
         raise ValueError("need m distinct columns")
-    order = sorted(range(M.m), key=lambda a: cols[a])
-    sign = _perm_sign(tuple(order))
-    f = minor_polynomial(M, tuple(range(M.m)), tuple(sorted(cols)))
-    return f if sign == 1 else -f
+    # the Leibniz expansion over the columns as given carries the sign
+    return minor_polynomial(M, range(M.m), cols)
 
 
 def bracket_name(cols) -> str:

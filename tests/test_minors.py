@@ -142,6 +142,18 @@ def test_of_orbit_counts_and_terms():
         of_orbit(5)
 
 
+def test_bracket_is_signed_by_column_order():
+    M = MatrixRing(3, 5)
+    for cols in permutations(range(5), 3):
+        inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+        f = minor_polynomial(M, range(3), sorted(cols))
+        assert bracket(M, cols) == (-f if inversions % 2 else f)
+    with pytest.raises(ValueError):
+        bracket(M, (0, 1, 1))
+    with pytest.raises(ValueError):
+        bracket(M, (0, 1))
+
+
 def test_of_orbit_seven_columns():
     assert len(of_orbit(7)) == 105
 
