@@ -134,11 +134,6 @@ def _build_order(spec: str, ring: RingContext, matrix: MatrixRing | None):
     raise UsageError(f"unknown order {spec!r}")
 
 
-def _check_kmax(args):
-    if args.kmax < 0:
-        raise UsageError(f"--kmax must be nonnegative, got {args.kmax}")
-
-
 def _check_homogeneous(gens, what: str):
     if not all(f.is_homogeneous() for f in gens):
         raise UsageError(f"{what} needs homogeneous generators")
@@ -160,11 +155,6 @@ def _job_header(cmd, args, extra=()):
 
 
 def cmd_sagbi(args) -> int:
-    for flag in ("round_bound", "degree_bound"):
-        value = getattr(args, flag)
-        if value is not None and value < 0:
-            raise UsageError(f"--{flag.replace('_', '-')} must be nonnegative, "
-                             f"got {value}")
     ring, matrix = _build_ring(args)
     gens = _build_generators(args, ring, matrix)
     order = _build_order(args.order, ring, matrix)
@@ -220,9 +210,6 @@ def cmd_matchings(args) -> int:
     ring, matrix = _build_ring(args)
     if matrix is None:
         raise UsageError("matchings needs a --matrix ring")
-    _check_kmax(args)
-    if args.workers < 1:
-        raise UsageError(f"--workers must be positive, got {args.workers}")
     gens = _build_generators(args, ring, matrix)
     _check_homogeneous(gens, "matchings")
     group = full_group(matrix.m, matrix.n)
@@ -235,9 +222,6 @@ def cmd_matchings(args) -> int:
     else:
         if args.seed is None:
             raise UsageError("random mode requires --seed")
-        for name in ("trials", "stall"):
-            if getattr(args, name) < 1:
-                raise UsageError(f"--{name} must be positive, got {getattr(args, name)}")
         # orbit sizes count coherent matchings only if the group permutes
         # the supports; its generators decide that
         generators = full_group_generators(matrix.m, matrix.n)
@@ -302,8 +286,6 @@ def cmd_matchings(args) -> int:
 
 def cmd_verify(args) -> int:
     kwargs = {}
-    if args.count < 0:
-        raise UsageError(f"--count must be nonnegative, got {args.count}")
     if args.case == "G37_sampled":
         if args.seed is None:
             raise UsageError("G37_sampled requires --seed")
@@ -325,7 +307,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    _check_kmax(args)
     ring, matrix = _build_ring(args)
     gens = _build_generators(args, ring, matrix)
     order = _build_order(args.order, ring, matrix)
@@ -473,19 +454,27 @@ def _apply_config(args, argv):
     return args
 
 
+# the least value of each integer option, checked for every subcommand
+# that has it, in this order
+_FLOORS = {"kmax": 0, "round_bound": 0, "degree_bound": 0, "count": 0,
+           "workers": 1, "trials": 1, "stall": 1}
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
         args = _apply_config(args, argv)
+        for dest, least in _FLOORS.items():
+            value = getattr(args, dest, None)
+            if value is not None and value < least:
+                raise UsageError(f"--{dest.replace('_', '-')} must be "
+                                 f"{'positive' if least else 'nonnegative'}, got {value}")
         return args.func(args)
     except (UsageError, OverflowError) as exc:
         # OverflowError: an exponent past the packed field width of the
         # Buchberger core
         sys.stderr.write(f"usage error: {exc}\n")
-        return 2
-    except ParseError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
         return 2
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")

@@ -177,16 +177,10 @@ class StrictSystem:
                 raise RuntimeError("phase-1 objective unbounded; invalid input")
             piv = column[p]
             Tp = T[p]
-            if den == 1:
-                T = [Ti if i == p else
-                     [a * piv - tq * b for a, b in zip(Ti, Tp)] if tq else
-                     [a * piv for a in Ti]
-                     for i, (Ti, tq) in enumerate(zip(T, column))]
-            else:
-                T = [Ti if i == p else
-                     [(a * piv - tq * b) // den for a, b in zip(Ti, Tp)] if tq else
-                     [a * piv // den for a in Ti]
-                     for i, (Ti, tq) in enumerate(zip(T, column))]
+            T = [Ti if i == p else
+                 [(a * piv - tq * b) // den for a, b in zip(Ti, Tp)] if tq else
+                 [a * piv // den for a in Ti]
+                 for i, (Ti, tq) in enumerate(zip(T, column))]
             den = piv
             if not pivots:
                 basis = list(basis)

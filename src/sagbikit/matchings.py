@@ -415,18 +415,8 @@ def restrict_matching(matching: Matching, minor_infos: list[Minor],
     colset = set(columns)
     colmap = {c: i for i, c in enumerate(columns)}
     Msub = MatrixRing(M.m, len(columns), M.ring.characteristic)
-
-    def remap(exp):
-        out = [0] * Msub.ring.nvars
-        for i in range(M.m):
-            for j in range(M.n):
-                v = exp[M.cell(i, j)]
-                if v:
-                    if j not in colset:
-                        raise ValueError("selected term leaves the column subset")
-                    out[Msub.cell(i, colmap[j])] = v
-        return tuple(out)
-
+    # the kept cells, in the submatrix's row-major order
+    kept = [M.cell(i, j) for i in range(M.m) for j in columns]
     sub_minors = []
     selection = []
     for minor, s in zip(minor_infos, matching.selection):
@@ -435,10 +425,12 @@ def restrict_matching(matching: Matching, minor_infos: list[Minor],
         cols2 = tuple(colmap[c] for c in minor.cols)
         sub_minors.append(Minor(minor.rows, cols2,
                                 minor_polynomial(Msub, minor.rows, cols2)))
-        selection.append(remap(s))
+        restricted = tuple(s[k] for k in kept)
+        if sum(restricted) != sum(s):
+            raise ValueError("selected term leaves the column subset")
+        selection.append(restricted)
     witness = None
     if matching.witness is not None:
-        witness = [matching.witness[M.cell(i, j)]
-                   for i in range(M.m) for j in columns]
+        witness = [matching.witness[k] for k in kept]
     family = [mi.polynomial for mi in sub_minors]
     return sub_minors, make_matching(family, selection, witness=witness)

@@ -50,23 +50,6 @@ class Minor:
     polynomial: Polynomial
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def minor_polynomial(M: MatrixRing, rows, cols) -> Polynomial:
     """Leibniz expansion; the identity-permutation (main diagonal) term is +1."""
     rows = tuple(rows)
@@ -80,7 +63,8 @@ def minor_polynomial(M: MatrixRing, rows, cols) -> Polynomial:
         exp = [0] * nv
         for a in range(t):
             exp[M.cell(rows[a], cols[perm[a]])] += 1
-        terms[tuple(exp)] = _perm_sign(perm)
+        # the sign is the parity of the inversions
+        terms[tuple(exp)] = (-1) ** sum(p > q for p, q in combinations(perm, 2))
     return Polynomial(M.ring, terms)
 
 

@@ -70,13 +70,6 @@ class MonomialOrder:
             c = [base * a + b for a, b in zip(c, r)]
         return tuple(c)
 
-    def compare(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        """-1, 0 or 1 as a <, =, > b."""
-        if len(a) != len(b) or len(a) != self.nvars:
-            raise ValueError("exponent length mismatch")
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
     def __repr__(self):
         if self.kind == "weight":
             return f"weight({list(self.weights)}, {self.tiebreak!r})"

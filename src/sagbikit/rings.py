@@ -229,8 +229,6 @@ class Polynomial:
         """Evaluate by mapping variable i to images[i] (a ring map on generators)."""
         if len(images) != self.ring.nvars:
             raise ValueError("need one image per variable")
-        if not images:
-            raise ValueError("empty image list")
         target = images[0].ring
         out = Polynomial.zero(target)
         for e, c in self.terms.items():

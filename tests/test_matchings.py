@@ -19,7 +19,7 @@ from sagbikit.minors import (MatrixRing, determinant, full_group, full_group_gen
 from sagbikit.orders import TieError, leading_exponent, weight_selects
 from sagbikit.rings import Polynomial, RingContext
 from sagbikit.universal import (G36_TYPES, diagonal_matching, g36_reference,
-                                structured_family)
+                                random_coherent_matching, structured_family)
 
 
 def test_matching_from_weight_diagonal_matching():
@@ -324,6 +324,20 @@ def test_restrict_matching_identity_and_columns():
     from sagbikit.orders import weight_selects
     for mi, s in zip(subs, small.selection):
         assert weight_selects(mi.polynomial, small.witness) == s
+    # the kept cells in the submatrix's row-major order
+    assert small.witness == [diag.witness[M.cell(i, j)] for i in range(3)
+                             for j in (1, 2, 3, 4)]
+    M7 = MatrixRing(3, 7)
+    minors7 = minors(3, M7)
+    sampled = random_coherent_matching([mi.polynomial for mi in minors7],
+                                       random.Random(5))
+    kept = (0, 2, 3, 6)
+    subs, small = restrict_matching(sampled, minors7, M7, kept)
+    assert len(subs) == 4
+    cells = [M7.cell(i, j) for i in range(3) for j in kept]
+    assert small.selection == tuple(
+        tuple(s[k] for k in cells)
+        for mi, s in zip(minors7, sampled.selection) if set(mi.cols) <= set(kept))
 
 
 def test_matching_dimension_for_maximal_minors_2xn():
