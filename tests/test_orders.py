@@ -54,13 +54,13 @@ def test_multiplicativity_ten_thousand_triples_per_kind():
             order = _random_orders(rng, n)[kind]
             a = tuple(rng.randint(0, 8) for _ in range(n))
             b = tuple(rng.randint(0, 8) for _ in range(n))
-            c = rng.integers = tuple(rng.randint(0, 8) for _ in range(n))
+            c = tuple(rng.randint(0, 8) for _ in range(n))
             ka, kb = order.key(a), order.key(b)
             if ka == kb:
                 continue
-            shifted = (order.key(tuple(x + z for x, z in zip(a, c)))
-                       > order.key(tuple(y + z for y, z in zip(b, c))))
-            assert shifted == (ka > kb)
+            sa = order.key(tuple(x + z for x, z in zip(a, c)))
+            sb = order.key(tuple(y + z for y, z in zip(b, c)))
+            assert (sa > sb) - (sa < sb) == (ka > kb) - (ka < kb)
             checks += 1
 
 
