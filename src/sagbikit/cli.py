@@ -15,14 +15,13 @@ from math import prod
 from .engine import GeneratorFamily, sagbi_by_degree, sagbi_general
 from .formats import ParseError, is_identifier, parse_polynomial, poly_to_text
 from .hilbert import h_vector, krull_dim_monomial, semigroup_hilbert, subalgebra_hilbert
-from .matchings import (_support_symmetries, enumerate_vertices_exhaustive,
-                        enumerate_vertices_random, first_defect, full_support)
-from .minors import (MatrixRing, diagonal_order, full_group, full_group_generators,
-                     minors, submax_lex_order)
+from .matchings import (enumerate_vertices_exhaustive, enumerate_vertices_random,
+                        first_defect, full_support)
+from .minors import MatrixRing, diagonal_order, full_group, minors, submax_lex_order
 from .orders import degrevlex_order, leading_exponent, lex_order, weight_order
 from .relations import minimize_relations, sagbi_with_relations, verify_relations
 from .rings import RingContext
-from .universal import VerificationError, diagonal_matching, verify_universal
+from .universal import CASES, VerificationError, diagonal_matching
 
 
 class UsageError(ValueError):
@@ -222,14 +221,14 @@ def cmd_matchings(args) -> int:
     else:
         if args.seed is None:
             raise UsageError("random mode requires --seed")
-        # orbit sizes count coherent matchings only if the group permutes
-        # the supports; its generators decide that
-        generators = full_group_generators(matrix.m, matrix.n)
-        if len(_support_symmetries(gens, generators)) < len(generators):
+        try:
+            catalog = enumerate_vertices_random(gens, group, trials=args.trials,
+                                                stall_limit=args.stall, seed=args.seed)
+        except ValueError:
+            # the group does not permute the supports, so orbit sizes
+            # would not count coherent matchings
             raise UsageError("random mode needs generators whose supports the row "
                              "and column permutations permute; use --mode exhaustive")
-        catalog = enumerate_vertices_random(gens, group, trials=args.trials,
-                                            stall_limit=args.stall, seed=args.seed)
     k_max = args.kmax
     t = min(matrix.m, matrix.n)
     if args.minors == t:
@@ -291,7 +290,7 @@ def cmd_verify(args) -> int:
             raise UsageError("G37_sampled requires --seed")
         kwargs = {"count": args.count, "seed": args.seed}
     try:
-        report = verify_universal(args.case, **kwargs)
+        report = CASES[args.case](**kwargs)
     except VerificationError as exc:
         lines = [f"FAIL {args.case}: {exc}"]
         if exc.matching is not None:
@@ -312,22 +311,16 @@ def cmd_hilbert(args) -> int:
     order = _build_order(args.order, ring, matrix)
     if args.kind == "subalgebra":
         _check_homogeneous(gens, "--kind subalgebra")
-        data = subalgebra_hilbert(gens, args.kmax, order, args.grading)
-        exps = None
+        values = subalgebra_hilbert(gens, args.kmax, order, args.grading).values
+        summary = []
     else:
         exps = [leading_exponent(order, f) for f in gens]
-        data = semigroup_hilbert(exps, args.kmax, ring, args.grading)
-    dim = krull_dim_monomial(exps) if exps is not None else None
-    lines = _job_header("hilbert", args)
-    lines.append(f"# grading\t{args.grading}")
-    lines.append("k\tH(k)")
-    for k, v in enumerate(data.values):
-        lines.append(f"{k}\t{v}")
-    if dim is not None:
-        hv = h_vector(data.values, dim)
-        lines.append(f"dim\t{dim}")
-        lines.append(f"h_vector\t{_h_vector_text(hv)}")
-    _emit(lines)
+        values = semigroup_hilbert(exps, args.kmax, ring, args.grading).values
+        dim = krull_dim_monomial(exps)
+        summary = [f"dim\t{dim}", f"h_vector\t{_h_vector_text(h_vector(values, dim))}"]
+    lines = _job_header("hilbert", args, (f"# grading\t{args.grading}", "k\tH(k)"))
+    lines.extend(f"{k}\t{v}" for k, v in enumerate(values))
+    _emit(lines + summary)
     return 0
 
 
@@ -384,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.set_defaults(func=cmd_matchings, _parser=pm)
 
     pv = sub.add_parser("verify", help="run a universal-basis verification case")
-    pv.add_argument("--case", choices=("A233", "G36", "G37_sampled"), required=True)
+    pv.add_argument("--case", choices=tuple(CASES), required=True)
     pv.add_argument("--count", type=int, default=50)
     pv.add_argument("--seed", type=int)
     pv.add_argument("--config", help="JSON file with default option values")

@@ -100,6 +100,16 @@ def normalized_degrees(degrees: Sequence[int]) -> list[int]:
     return [d // g for d in degrees]
 
 
+def _grading_degrees(degrees: list[int], k_max: int, grading: Grading) -> list[int]:
+    """The generator degrees both routes count in, after the checks they
+    share: k_max nonnegative and no generator of degree 0."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    if any(d < 1 for d in degrees):
+        raise ValueError("constant generator")
+    return normalized_degrees(degrees) if grading == "normalized" else degrees
+
+
 def lex_key(nvars: int, bound: int) -> tuple[int, ...]:
     """The lex linear key for exponents with entries at most bound: digits
     in base 2 * bound + 1, the first variable most significant."""
@@ -126,13 +136,7 @@ def semigroup_hilbert(exps: Iterable[tuple[int, ...]], k_max: int,
         raise ValueError("empty exponent list")
     if any(len(e) != ring.nvars for e in exps):
         raise ValueError("exponent vector length mismatch")
-    if k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got {k_max}")
-    degrees = [ring.degree(e) for e in exps]
-    if any(d < 1 for d in degrees):
-        raise ValueError("constant monomial in generator list")
-    if grading == "normalized":
-        degrees = normalized_degrees(degrees)
+    degrees = _grading_degrees([ring.degree(e) for e in exps], k_max, grading)
     free = set(free_generators(exps)) if k_max >= 4 else set()
     core = [j for j in range(len(exps)) if j not in free]
     if core:
@@ -385,17 +389,11 @@ def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
     polys = list(polys)
     if not polys:
         raise ValueError("empty generator list")
-    if k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got {k_max}")
     ring = polys[0].ring
     for f in polys:
         if f.is_zero() or not f.is_homogeneous():
             raise ValueError("generators must be nonzero and homogeneous")
-    degrees = [f.degree() for f in polys]
-    if any(d < 1 for d in degrees):
-        raise ValueError("constant generator")
-    if grading == "normalized":
-        degrees = normalized_degrees(degrees)
+    degrees = _grading_degrees([f.degree() for f in polys], k_max, grading)
     p = ring.characteristic
     bound = max(max(e) for f in polys for e in f.terms) * max(k_max, 1)
     c = order.linear_key(bound)

@@ -44,7 +44,8 @@ from operator import mul, sub
 
 from .hilbert import semigroup_hilbert
 from .lp import StrictSystem, strict_feasible
-from .minors import CanonicalGroup, MatrixRing, Minor, minor_polynomial
+from .minors import (CanonicalGroup, MatrixRing, Minor, full_group_generators,
+                     minor_polynomial)
 from .orders import TieError, weight_selects
 from .rings import Polynomial
 
@@ -149,10 +150,6 @@ class VertexCatalog:
     orbits: list[OrbitEntry]
     exhaustive: bool
     meta: dict = field(default_factory=dict)
-
-    @property
-    def orbit_count(self) -> int:
-        return len(self.orbits)
 
 
 def _support_symmetries(family, group: CanonicalGroup):
@@ -320,12 +317,16 @@ def enumerate_vertices_random(family, group: CanonicalGroup, *, trials: int,
     """Sample random integer weights; the total is a lower bound.
 
     The total sums whole-group orbit sizes, so it counts coherent
-    matchings only when the group permutes the family's supports.  The
-    sampling box [1, 10k] doubles k after every 64 consecutive
-    samples without a new orbit; stall_limit consecutive misses stop the
-    search early.
+    matchings only when the group permutes the family's supports; a
+    family whose supports it does not permute raises ValueError.  The
+    full group is tested on its generators.  The sampling box [1, 10k]
+    doubles k after every 64 consecutive samples without a new orbit;
+    stall_limit consecutive misses stop the search early.
     """
     family = list(family)
+    tested = full_group_generators(group.m, group.n) if group.full else group
+    if len(_support_symmetries(family, tested)) < len(tested):
+        raise ValueError("the group does not permute the family's supports")
     nvars = family[0].ring.nvars
     rng = random.Random(seed)
     found: dict[tuple[int, ...], Matching] = {}

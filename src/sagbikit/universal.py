@@ -35,7 +35,6 @@ class VerificationError(AssertionError):
 @dataclass
 class CaseReport:
     case: str
-    passed: bool
     details: list[str] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
@@ -57,9 +56,9 @@ def verify_a233() -> CaseReport:
     delta = determinant(M)
     group = full_group(3, 3)
     catalog = enumerate_vertices_exhaustive(fam, group)
-    if catalog.total != 102 or catalog.orbit_count != 5:
+    if catalog.total != 102 or len(catalog.orbits) != 5:
         raise VerificationError(
-            f"expected 102 vertices in 5 orbits, got {catalog.total}/{catalog.orbit_count}")
+            f"expected 102 vertices in 5 orbits, got {catalog.total}/{len(catalog.orbits)}")
     free = [comb(k + 8, 8) for k in range(A233_KMAX + 1)]
     details = []
     for entry in catalog.orbits:
@@ -86,8 +85,8 @@ def verify_a233() -> CaseReport:
                     f"repaired Hilbert values {values} != free algebra {free}", ext)
         details.append(f"orbit {entry.canonical}: size {entry.size}, "
                        f"{len(zeros)} additions, {len(extensions)} extensions")
-    return CaseReport(case="A233", passed=True, details=details,
-                      meta={"vertices": catalog.total, "orbits": catalog.orbit_count})
+    return CaseReport(case="A233", details=details,
+                      meta={"vertices": catalog.total, "orbits": len(catalog.orbits)})
 
 
 # ---------------------------------------------------------------- G(3,6)
@@ -134,6 +133,11 @@ def bracket_pair(M: MatrixRing, u) -> Polynomial:
             - bracket(M, (c[0], c[1], c[3])) * bracket(M, (c[2], c[4], c[5])))
 
 
+def bracket_pair_name(u) -> str:
+    """The text [u1,u2,u3][u4,u5,u6] that names `bracket_pair(M, u)`."""
+    return bracket_name([x - 1 for x in u[:3]]) + bracket_name([x - 1 for x in u[3:]])
+
+
 def drop_cells(f: Polynomial, M: MatrixRing, cells) -> Polynomial:
     """Set the variables at the given cells to zero."""
     idx = {M.cell(i, j) for i, j in cells}
@@ -173,9 +177,9 @@ def verify_g36() -> CaseReport:
                 f"{name}: stabilizer order {len(group)} != {spec_t['stabilizer_order']}")
         fam = structured_family(M, spec_t["zeros"])
         catalog = enumerate_vertices_exhaustive(fam, group)
-        if (catalog.total, catalog.orbit_count) != (spec_t["vertices"], spec_t["orbits"]):
+        if (catalog.total, len(catalog.orbits)) != (spec_t["vertices"], spec_t["orbits"]):
             raise VerificationError(
-                f"{name}: got {catalog.total} vertices/{catalog.orbit_count} orbits, "
+                f"{name}: got {catalog.total} vertices/{len(catalog.orbits)} orbits, "
                 f"expected {spec_t['vertices']}/{spec_t['orbits']}")
         defective = []
         for entry in catalog.orbits:
@@ -224,15 +228,13 @@ def verify_g36() -> CaseReport:
             values = semigroup_hilbert(ext.selection, G36_KMAX, M.ring).values
             if values != ref:
                 raise VerificationError(f"{name}: repair gives {values} != {ref}", ext)
-        g_name = (bracket_name([m - 1 for m in mapped[:3]])
-                  + bracket_name([m - 1 for m in mapped[3:]]))
-        details.append(f"{name}: {catalog.total} vertices/{catalog.orbit_count} orbits, "
+        details.append(f"{name}: {catalog.total} vertices/{len(catalog.orbits)} orbits, "
                        f"defective all-even orbit repaired by "
                        f"{len(extensions)} extension(s) of "
-                       f"{g_name} minus its straightening partner")
-        meta[name] = {"vertices": catalog.total, "orbits": catalog.orbit_count,
+                       f"{bracket_pair_name(mapped)} minus its straightening partner")
+        meta[name] = {"vertices": catalog.total, "orbits": len(catalog.orbits),
                       "extensions": len(extensions)}
-    return CaseReport(case="G36", passed=True, details=details, meta=meta)
+    return CaseReport(case="G36", details=details, meta=meta)
 
 
 # ---------------------------------------------------------------- G(3,7)
@@ -405,20 +407,12 @@ def verify_g37_sampled(count: int, seed: int) -> CaseReport:
         if not any_ok:
             raise VerificationError(
                 f"sample {sample_idx}: no coherent simultaneous augmentation", T)
-        names = ", ".join(
-            bracket_name([m - 1 for m in t[:3]]) + bracket_name([m - 1 for m in t[3:]])
-            for t in mapped_tuples)
-        details.append(f"sample {sample_idx}: defect {h} repaired by {names} "
+        details.append(f"sample {sample_idx}: defect {h} repaired by "
+                       f"{', '.join(map(bracket_pair_name, mapped_tuples))} "
                        f"({len(combos)} augmentation(s))")
-    return CaseReport(case="G37_sampled", passed=True, details=details,
+    return CaseReport(case="G37_sampled", details=details,
                       meta={"count": count, "seed": seed, "defect_histogram": hist})
 
 
-def verify_universal(case: str, **kwargs) -> CaseReport:
-    if case == "A233":
-        return verify_a233(**kwargs)
-    if case == "G36":
-        return verify_g36(**kwargs)
-    if case == "G37_sampled":
-        return verify_g37_sampled(**kwargs)
-    raise ValueError(f"unknown case {case!r}")
+# the verification cases by name, as `sagbikit verify --case` takes them
+CASES = {"A233": verify_a233, "G36": verify_g36, "G37_sampled": verify_g37_sampled}

@@ -497,6 +497,20 @@ def test_negative_k_max_rejected():
         subalgebra_hilbert([parse_polynomial(R, "x")], -1, lex_order(2))
 
 
+@pytest.mark.parametrize("k_max, exps, gens, message", [
+    (-1, [(1, 0)], ["x"], "k_max must be nonnegative, got -1"),
+    (3, [(1, 0), (0, 0)], ["x", "2"], "constant generator"),
+], ids=["negative-kmax", "constant-generator"])
+def test_both_routes_refuse_bad_input_with_one_message(k_max, exps, gens, message):
+    R = RingContext(["x", "y"])
+    polys = [parse_polynomial(R, g) for g in gens]
+    with pytest.raises(ValueError) as semigroup:
+        semigroup_hilbert(exps, k_max, R)
+    with pytest.raises(ValueError) as subalgebra:
+        subalgebra_hilbert(polys, k_max, lex_order(2))
+    assert str(semigroup.value) == str(subalgebra.value) == message
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from([0, 2, 3, 5]), st.integers(1, 5).flatmap(lambda n: st.tuples(
     st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=5),

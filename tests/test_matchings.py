@@ -14,8 +14,9 @@ from sagbikit.matchings import (Matching, _dfs_vertices, _diff_lists,
                                 full_support, is_coherent, make_matching,
                                 matching_from_weight, restrict_matching,
                                 sagbi_defect)
-from sagbikit.minors import (MatrixRing, determinant, full_group, full_group_generators,
-                             minors, pattern_stabilizer, submax_lex_order)
+from sagbikit.minors import (CanonicalGroup, MatrixRing, determinant, full_group,
+                             full_group_generators, minors, pattern_stabilizer,
+                             submax_lex_order)
 from sagbikit.orders import TieError, leading_exponent, weight_selects
 from sagbikit.rings import Polynomial, RingContext
 from sagbikit.universal import (G36_TYPES, diagonal_matching, g36_reference,
@@ -116,7 +117,7 @@ def test_enumerate_3x3_catalog():
     fam = [mi.polynomial for mi in minors(2, M)]
     G = full_group(3, 3)
     cat = enumerate_vertices_exhaustive(fam, G)
-    assert cat.total == 102 and cat.orbit_count == 5
+    assert cat.total == 102 and len(cat.orbits) == 5
     assert sum(o.size for o in cat.orbits) == cat.total
     fs = [o for o in cat.orbits if full_support(o.canonical)]
     assert len(fs) == 1
@@ -217,6 +218,17 @@ def test_random_enumeration_agrees_on_3x3():
                                                      for o in exact.orbits]
     assert sampled.total == exact.total
     assert sampled.meta["total_is_lower_bound"]
+
+
+def test_random_enumeration_refuses_a_group_that_does_not_permute_the_supports():
+    # whole-group orbit sizes would count 4 matchings; the exact total is 2
+    M = MatrixRing(2, 2)
+    family = [parse_polynomial(M.ring, "X11+X12")]
+    assert enumerate_vertices_exhaustive(family, full_group(2, 2)).total == 2
+    # the full group is tested on its generators, any other on all its maps
+    for group in (full_group(2, 2), CanonicalGroup(2, 2, full_group(2, 2).index_maps)):
+        with pytest.raises(ValueError, match="does not permute the family's supports"):
+            enumerate_vertices_random(family, group, trials=10, stall_limit=5, seed=1)
 
 
 def test_full_support():

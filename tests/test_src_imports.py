@@ -34,3 +34,25 @@ def test_helper_names_are_caught():
 def test_src_module_imports_no_test_helper(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert not set(_imported_names(tree)) & TEST_HELPERS
+
+
+def _private_package_names(tree):
+    """The underscore-prefixed names a `from` import takes from the
+    package: relatively, or from `sagbikit` by its name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "sagbikit"):
+            yield from (a.name for a in node.names if a.name.startswith("_"))
+
+
+def test_private_names_are_caught():
+    tree = ast.parse("from .matchings import _walk, walk\n"
+                     "from sagbikit.lp import _grow\nfrom argparse import _AppendAction\n")
+    assert list(_private_package_names(tree)) == ["_walk", "_grow"]
+
+
+def test_cli_imports_only_public_names():
+    # the command line is a shell over the public library API
+    path = SRC / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert list(_private_package_names(tree)) == []

