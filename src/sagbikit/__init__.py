@@ -13,6 +13,6 @@ from .orders import MonomialOrder, TieError, degrevlex_order, leading_term, lex_
 from .relations import (RelationSet, Retract, minimize_relations,
                         sagbi_with_relations, verify_relations)
 from .rings import Polynomial, RingContext
-from .universal import CASES, CaseReport, VerificationError
+from .universal import CASES, CaseReport, VerificationError, run_case
 
 __version__ = "0.1.0"

@@ -15,13 +15,13 @@ from math import prod
 from .engine import GeneratorFamily, sagbi_by_degree, sagbi_general
 from .formats import ParseError, is_identifier, parse_polynomial, poly_to_text
 from .hilbert import h_vector, krull_dim_monomial, semigroup_hilbert, subalgebra_hilbert
-from .matchings import (enumerate_vertices_exhaustive, enumerate_vertices_random,
-                        first_defect, full_support)
+from .matchings import (UnpermutedSupports, enumerate_vertices_exhaustive,
+                        enumerate_vertices_random, first_defect, full_support)
 from .minors import MatrixRing, diagonal_order, full_group, minors, submax_lex_order
 from .orders import degrevlex_order, leading_exponent, lex_order, weight_order
 from .relations import minimize_relations, sagbi_with_relations, verify_relations
 from .rings import RingContext
-from .universal import CASES, VerificationError, diagonal_matching
+from .universal import CASES, VerificationError, diagonal_matching, run_case
 
 
 class UsageError(ValueError):
@@ -77,7 +77,6 @@ def _build_generators(args, ring: RingContext, matrix: MatrixRing | None):
             raise UsageError(f"--minors {args.minors} is out of range for a "
                              f"{matrix.m}x{matrix.n} matrix")
         return [mi.polynomial for mi in minors(args.minors, matrix)]
-    texts = []
     if args.gens_file:
         with open(args.gens_file, encoding="utf-8") as fh:
             try:
@@ -224,9 +223,7 @@ def cmd_matchings(args) -> int:
         try:
             catalog = enumerate_vertices_random(gens, group, trials=args.trials,
                                                 stall_limit=args.stall, seed=args.seed)
-        except ValueError:
-            # the group does not permute the supports, so orbit sizes
-            # would not count coherent matchings
+        except UnpermutedSupports:
             raise UsageError("random mode needs generators whose supports the row "
                              "and column permutations permute; use --mode exhaustive")
     k_max = args.kmax
@@ -290,7 +287,7 @@ def cmd_verify(args) -> int:
             raise UsageError("G37_sampled requires --seed")
         kwargs = {"count": args.count, "seed": args.seed}
     try:
-        report = CASES[args.case](**kwargs)
+        report = run_case(args.case, **kwargs)
     except VerificationError as exc:
         lines = [f"FAIL {args.case}: {exc}"]
         if exc.matching is not None:

@@ -312,13 +312,17 @@ def enumerate_vertices_exhaustive(family, group: CanonicalGroup,
                                 {"mode": "exhaustive", "selections": space})
 
 
+class UnpermutedSupports(ValueError):
+    """The group does not permute a family's supports."""
+
+
 def enumerate_vertices_random(family, group: CanonicalGroup, *, trials: int,
                               stall_limit: int, seed: int) -> VertexCatalog:
     """Sample random integer weights; the total is a lower bound.
 
     The total sums whole-group orbit sizes, so it counts coherent
     matchings only when the group permutes the family's supports; a
-    family whose supports it does not permute raises ValueError.  The
+    family whose supports it does not permute raises UnpermutedSupports.  The
     full group is tested on its generators.  The sampling box [1, 10k]
     doubles k after every 64 consecutive samples without a new orbit;
     stall_limit consecutive misses stop the search early.
@@ -326,7 +330,7 @@ def enumerate_vertices_random(family, group: CanonicalGroup, *, trials: int,
     family = list(family)
     tested = full_group_generators(group.m, group.n) if group.full else group
     if len(_support_symmetries(family, tested)) < len(tested):
-        raise ValueError("the group does not permute the family's supports")
+        raise UnpermutedSupports("the group does not permute the family's supports")
     nvars = family[0].ring.nvars
     rng = random.Random(seed)
     found: dict[tuple[int, ...], Matching] = {}

@@ -343,6 +343,16 @@ def test_bad_input_is_one_line_usage_error(capsys, argv, needle):
     assert err.count("\n") == 1
 
 
+def test_only_the_random_mode_precondition_becomes_a_usage_error(monkeypatch):
+    # another ValueError from sampling is a library fault, not a usage error
+    def faulty(*args, **kwargs):
+        raise ValueError("selected exponent not in the generator's support")
+    monkeypatch.setattr(cli, "enumerate_vertices_random", faulty)
+    with pytest.raises(ValueError, match="selected exponent not in"):
+        main(["matchings", "--matrix", "2x2", "--gen", "X11+X12", "--mode", "random",
+              "--seed", "1"])
+
+
 # one job per subcommand that is valid but for the floor under test;
 # "matchings-no-ring" has a second fault, which the floor is reported before
 _FLOOR_JOBS = {

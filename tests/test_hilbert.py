@@ -491,24 +491,19 @@ def test_exponent_vectors_of_another_length_rejected():
 
 def test_negative_k_max_rejected():
     R = RingContext(["x", "y"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k_max must be nonnegative, got -1"):
         semigroup_hilbert([(1, 0)], -1, R)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k_max must be nonnegative, got -1"):
         subalgebra_hilbert([parse_polynomial(R, "x")], -1, lex_order(2))
 
 
-@pytest.mark.parametrize("k_max, exps, gens, message", [
-    (-1, [(1, 0)], ["x"], "k_max must be nonnegative, got -1"),
-    (3, [(1, 0), (0, 0)], ["x", "2"], "constant generator"),
-], ids=["negative-kmax", "constant-generator"])
-def test_both_routes_refuse_bad_input_with_one_message(k_max, exps, gens, message):
+def test_both_routes_refuse_a_constant_generator_with_one_message():
     R = RingContext(["x", "y"])
-    polys = [parse_polynomial(R, g) for g in gens]
     with pytest.raises(ValueError) as semigroup:
-        semigroup_hilbert(exps, k_max, R)
+        semigroup_hilbert([(1, 0), (0, 0)], 3, R)
     with pytest.raises(ValueError) as subalgebra:
-        subalgebra_hilbert(polys, k_max, lex_order(2))
-    assert str(semigroup.value) == str(subalgebra.value) == message
+        subalgebra_hilbert([parse_polynomial(R, g) for g in ("x", "2")], 3, lex_order(2))
+    assert str(semigroup.value) == str(subalgebra.value) == "constant generator"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -7,7 +7,7 @@ from constructions import Q_matrix
 from oracles import catalog_unpruned, coherent_by_hull
 from sagbikit.formats import parse_polynomial
 from sagbikit.hilbert import expand_series, h_vector, krull_dim_monomial, semigroup_hilbert
-from sagbikit.matchings import (Matching, _dfs_vertices, _diff_lists,
+from sagbikit.matchings import (Matching, UnpermutedSupports, _dfs_vertices, _diff_lists,
                                 _prune_table, _pruned, _support_symmetries, _walk,
                                 enumerate_vertices_exhaustive,
                                 enumerate_vertices_random, extend_matching,
@@ -225,9 +225,10 @@ def test_random_enumeration_refuses_a_group_that_does_not_permute_the_supports()
     M = MatrixRing(2, 2)
     family = [parse_polynomial(M.ring, "X11+X12")]
     assert enumerate_vertices_exhaustive(family, full_group(2, 2)).total == 2
+    assert issubclass(UnpermutedSupports, ValueError)
     # the full group is tested on its generators, any other on all its maps
     for group in (full_group(2, 2), CanonicalGroup(2, 2, full_group(2, 2).index_maps)):
-        with pytest.raises(ValueError, match="does not permute the family's supports"):
+        with pytest.raises(UnpermutedSupports, match="does not permute the family's supports"):
             enumerate_vertices_random(family, group, trials=10, stall_limit=5, seed=1)
 
 

@@ -8,7 +8,8 @@ from sagbikit.cli import main
 from sagbikit.hilbert import expand_series, semigroup_hilbert
 from sagbikit.matchings import make_matching, matching_from_weight, restrict_matching
 from sagbikit.minors import MatrixRing, bracket, minors
-from sagbikit.universal import (CASES, G36_TYPES, VerificationError, bracket_pair,
+from sagbikit import universal
+from sagbikit.universal import (CASES, G36_TYPES, CaseReport, VerificationError, bracket_pair,
                                 column_restrictions, diagonal_matching, drop_cells,
                                 g36_reference, random_coherent_matching,
                                 structured_family, transport_bracket_tuple,
@@ -174,10 +175,24 @@ def test_diagonal_matching_selects_every_main_diagonal(m, n, t):
 
 
 def test_verify_universal_dispatch(capsys):
-    assert CASES == {"A233": verify_a233, "G36": verify_g36,
-                     "G37_sampled": verify_g37_sampled}
+    assert {case: getattr(universal, name) for case, name in CASES.items()} == {
+        "A233": verify_a233, "G36": verify_g36, "G37_sampled": verify_g37_sampled}
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--case", "bogus"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "bogus" in err and all(name in err for name in CASES)
+
+
+def test_verify_calls_the_case_function_bound_when_it_runs(monkeypatch, capsys):
+    # a profiler that wraps a case rebinds its module name; the CLI must
+    # reach the wrapper, not the function bound when the module loaded
+    calls = []
+
+    def wrapped():
+        calls.append("A233")
+        return CaseReport(case="A233")
+    monkeypatch.setattr(universal, "verify_a233", wrapped)
+    assert main(["verify", "--case", "A233"]) == 0
+    assert calls == ["A233"]
+    assert capsys.readouterr().out.splitlines()[-2:] == ["# case: A233", "PASS"]
