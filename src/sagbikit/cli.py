@@ -10,18 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import prod
 
-from .engine import GeneratorFamily, sagbi_by_degree, sagbi_general
+from .cases import CASES, VerificationError, run_case
 from .formats import ParseError, is_identifier, parse_polynomial, poly_to_text
-from .hilbert import h_vector, krull_dim_monomial, semigroup_hilbert, subalgebra_hilbert
-from .matchings import (UnpermutedSupports, enumerate_vertices_exhaustive,
-                        enumerate_vertices_random, first_defect, full_support)
 from .minors import MatrixRing, diagonal_order, full_group, minors, submax_lex_order
 from .orders import degrevlex_order, leading_exponent, lex_order, weight_order
-from .relations import minimize_relations, sagbi_with_relations, verify_relations
 from .rings import RingContext
-from .universal import CASES, VerificationError, diagonal_matching, run_case
 
 
 class UsageError(ValueError):
@@ -152,7 +146,14 @@ def _job_header(cmd, args, extra=()):
     return head
 
 
+# each command imports the layers it computes with when it runs, so a
+# process loads no module its command does not use; its first library
+# call stays a name bound here (MatrixRing, RingContext or run_case),
+# which the set-up timer of bench/job.py rebinds to stop the job
+
 def cmd_sagbi(args) -> int:
+    from .engine import GeneratorFamily, sagbi_by_degree, sagbi_general
+    from .relations import minimize_relations, sagbi_with_relations, verify_relations
     ring, matrix = _build_ring(args)
     gens = _build_generators(args, ring, matrix)
     order = _build_order(args.order, ring, matrix)
@@ -205,6 +206,10 @@ def _h_vector_text(hv) -> str:
 
 
 def cmd_matchings(args) -> int:
+    from .hilbert import h_vector, krull_dim_monomial, semigroup_hilbert, subalgebra_hilbert
+    from .matchings import (SelectionSpaceExceeded, UnpermutedSupports, diagonal_matching,
+                            enumerate_vertices_exhaustive, enumerate_vertices_random,
+                            first_defect, full_support)
     ring, matrix = _build_ring(args)
     if matrix is None:
         raise UsageError("matchings needs a --matrix ring")
@@ -212,11 +217,11 @@ def cmd_matchings(args) -> int:
     _check_homogeneous(gens, "matchings")
     group = full_group(matrix.m, matrix.n)
     if args.mode == "exhaustive":
-        space = prod(len(f.terms) for f in gens)
-        if space > args.cap:
-            raise UsageError(f"selection space {space} exceeds --cap {args.cap}; "
+        try:
+            catalog = enumerate_vertices_exhaustive(gens, group, cap=args.cap)
+        except SelectionSpaceExceeded as exc:
+            raise UsageError(f"selection space {exc.space} exceeds --cap {exc.cap}; "
                              "raise --cap or use --mode random")
-        catalog = enumerate_vertices_exhaustive(gens, group, cap=args.cap)
     else:
         if args.seed is None:
             raise UsageError("random mode requires --seed")
@@ -303,6 +308,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    from .hilbert import h_vector, krull_dim_monomial, semigroup_hilbert, subalgebra_hilbert
     ring, matrix = _build_ring(args)
     gens = _build_generators(args, ring, matrix)
     order = _build_order(args.order, ring, matrix)

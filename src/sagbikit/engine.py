@@ -21,16 +21,15 @@ the defining-ideal module plugs in there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .groebner import Binomial, toric_kernel
 from .orders import MonomialOrder, leading_exponent, leading_term, make_monic
 from .rings import Polynomial, power_product
 
 
-@dataclass
-class SubductionTrace:
+class SubductionTrace(NamedTuple):
     """g = sum of coeff * (product of family members)^mult + remainder.
 
     Each step is (coefficient, factorization) with the factorization a
@@ -170,8 +169,7 @@ def tete_a_tetes(family: GeneratorFamily) -> list[Binomial]:
     return toric_kernel(family.initials, family.ring)
 
 
-@dataclass
-class SagbiResult:
+class SagbiResult(NamedTuple):
     basis: GeneratorFamily
     status: str  # "complete" or "truncated"
     rounds: int

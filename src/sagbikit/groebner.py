@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import heapq
 import struct
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .hilbert import krull_dim_monomial
 from .orders import MonomialOrder, degrevlex_order, weight_order
@@ -358,8 +358,7 @@ class _BinomialBasis(_Basis):
         return self._unpack(lead), self._unpack(self._reduce(trail))
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(NamedTuple):
     """Pure difference x^plus - x^minus; a kernel element is one in the
     presentation variables, Y^plus - Y^minus."""
     plus: tuple[int, ...]

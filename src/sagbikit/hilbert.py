@@ -69,11 +69,10 @@ relations among them (`free_generators`) and span membership tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .orders import MonomialOrder
 from .rings import Polynomial, RingContext, _is_prime
@@ -87,8 +86,7 @@ _CLASS_SIZE = 1 << 13
 _CLASSES_FROM = 1 << 16
 
 
-@dataclass
-class HilbertData:
+class HilbertData(NamedTuple):
     values: list[int]
 
 

@@ -37,21 +37,20 @@ walk.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 from operator import mul, sub
+from typing import NamedTuple
 
 from .hilbert import semigroup_hilbert
 from .lp import StrictSystem, strict_feasible
-from .minors import (CanonicalGroup, MatrixRing, Minor, full_group_generators,
-                     minor_polynomial)
-from .orders import TieError, weight_selects
+from .minors import (CanonicalGroup, MatrixRing, Minor, diagonal_order,
+                     full_group_generators, minor_polynomial)
+from .orders import TieError, leading_exponent, weight_selects
 from .rings import Polynomial
 
 
-@dataclass
-class Matching:
+class Matching(NamedTuple):
     family: list[Polynomial]
     selection: tuple[tuple[int, ...], ...]
     exponent_sum: tuple[int, ...]
@@ -75,6 +74,13 @@ def matching_from_weight(family, w) -> Matching:
     w = list(w)
     selection = tuple(weight_selects(f, w) for f in family)
     return make_matching(family, selection, witness=w)
+
+
+def diagonal_matching(M: MatrixRing, minor_list) -> Matching:
+    """The diagonal order's selection of every minor: its main diagonal."""
+    order = diagonal_order(M)
+    fam = [mi.polynomial for mi in minor_list]
+    return make_matching(fam, [leading_exponent(order, f) for f in fam])
 
 
 def term_diffs(f: Polynomial, t: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -137,19 +143,17 @@ def is_coherent(family, selection) -> list[int] | None:
                                            _homogeneous(tuple(family)))
 
 
-@dataclass
-class OrbitEntry:
+class OrbitEntry(NamedTuple):
     canonical: tuple[int, ...]
     size: int
     representative: Matching
 
 
-@dataclass
-class VertexCatalog:
+class VertexCatalog(NamedTuple):
     total: int
     orbits: list[OrbitEntry]
     exhaustive: bool
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 def _support_symmetries(family, group: CanonicalGroup):
@@ -297,14 +301,23 @@ def _catalog_from_orbits(family, leaves, symmetries, group: CanonicalGroup,
                          meta=meta)
 
 
+class SelectionSpaceExceeded(ValueError):
+    """The product of the support sizes exceeds the exhaustive cap."""
+
+    def __init__(self, space: int, cap: int):
+        self.space = space
+        self.cap = cap
+        super().__init__(f"selection space {space} exceeds cap {cap}")
+
+
 def enumerate_vertices_exhaustive(family, group: CanonicalGroup,
                                   cap: int = 1 << 20) -> VertexCatalog:
     """Classify every selection by exact feasibility, one branch per
-    symmetry class."""
+    symmetry class; a selection space over cap raises SelectionSpaceExceeded."""
     family = list(family)
     space = prod(len(f.terms) for f in family)
     if space > cap:
-        raise ValueError(f"selection space {space} exceeds cap {cap}")
+        raise SelectionSpaceExceeded(space, cap)
     symmetries = _support_symmetries(family, group)
     leaves = _dfs_vertices(family, family[0].ring.nvars,
                            _prune_table(symmetries, len(family)))

@@ -8,9 +8,9 @@ exponent matrices (row-major flattening).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations, permutations
 from math import factorial, prod
+from typing import NamedTuple
 
 from .orders import MonomialOrder, lex_order
 from .rings import Polynomial, RingContext
@@ -43,8 +43,7 @@ class MatrixRing:
         return tuple(v for row in matrix for v in row)
 
 
-@dataclass(frozen=True)
-class Minor:
+class Minor(NamedTuple):
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     polynomial: Polynomial

@@ -8,7 +8,7 @@ versions of the input generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .engine import GeneratorFamily, SagbiResult, sagbi_general
 from .groebner import Binomial, _PolynomialBasis, interreduce
@@ -59,10 +59,9 @@ class Retract:
                      if img.substitute(originals) != family.members[idx]), None)
 
 
-@dataclass
-class RelationSet:
+class RelationSet(NamedTuple):
     ring: RingContext
-    generators: list[Polynomial] = field(default_factory=list)
+    generators: list[Polynomial]
 
 
 def _p0_order(ring: RingContext) -> MonomialOrder:

@@ -9,34 +9,30 @@ VerificationError carrying the offending matching.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from itertools import product as iproduct
 from math import comb
 from operator import mul
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
+# the case table and its runner live in `cases`; they keep their names here
+from .cases import CASES, VerificationError, run_case  # noqa: F401
 from .hilbert import RowSpace, expand_series, lex_key, semigroup_hilbert, vector_row
-from .matchings import (Matching, certify, enumerate_vertices_exhaustive,
-                        extend_matching, make_matching, matching_from_weight,
-                        matching_system, term_diffs)
-from .minors import (MatrixRing, bracket, bracket_name, determinant, diagonal_order,
+from .matchings import (Matching, certify, diagonal_matching,
+                        enumerate_vertices_exhaustive, extend_matching, make_matching,
+                        matching_from_weight, matching_system, term_diffs)
+from .minors import (MatrixRing, bracket, bracket_name, determinant,
                      full_group, minors, pattern_stabilizer)
-from .orders import TieError, leading_exponent
+from .orders import TieError
 from .rings import Polynomial
 
 
-class VerificationError(AssertionError):
-    def __init__(self, message: str, matching: Matching | None = None):
-        self.matching = matching
-        super().__init__(message)
-
-
-@dataclass
-class CaseReport:
+class CaseReport(NamedTuple):
     case: str
-    details: list[str] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    details: Sequence[str] = ()
+    meta: Mapping = MappingProxyType({})
 
 
 # ---------------------------------------------------------------- A2(3,3)
@@ -239,13 +235,6 @@ def verify_g36() -> CaseReport:
 
 # ---------------------------------------------------------------- G(3,7)
 
-def diagonal_matching(M: MatrixRing, minor_list) -> Matching:
-    """The diagonal order's selection of every minor: its main diagonal."""
-    order = diagonal_order(M)
-    fam = [mi.polynomial for mi in minor_list]
-    return make_matching(fam, [leading_exponent(order, f) for f in fam])
-
-
 def random_coherent_matching(fam, rng) -> Matching:
     """Rejection-sample a generic integer weight vector, entries in 1..10^6."""
     nvars = fam[0].ring.nvars
@@ -412,11 +401,3 @@ def verify_g37_sampled(count: int, seed: int) -> CaseReport:
                        f"({len(combos)} augmentation(s))")
     return CaseReport(case="G37_sampled", details=details,
                       meta={"count": count, "seed": seed, "defect_histogram": hist})
-
-
-CASES = {"A233": "verify_a233", "G36": "verify_g36", "G37_sampled": "verify_g37_sampled"}
-
-
-def run_case(case: str, **kwargs) -> CaseReport:
-    """Run a case of `CASES`; its function is looked up now, so a rebound name wins."""
-    return globals()[CASES[case]](**kwargs)

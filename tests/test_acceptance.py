@@ -15,16 +15,16 @@ from sagbikit.engine import GeneratorFamily, sagbi_general
 from sagbikit.groebner import buchberger, normal_form
 from sagbikit.hilbert import (expand_series, h_vector, krull_dim_monomial,
                               semigroup_hilbert, subalgebra_hilbert)
-from sagbikit.matchings import (enumerate_vertices_exhaustive, extend_matching,
-                                full_support, is_coherent, make_matching,
-                                sagbi_defect)
+from sagbikit.matchings import (diagonal_matching, enumerate_vertices_exhaustive,
+                                extend_matching, full_support, is_coherent,
+                                make_matching, sagbi_defect)
 from sagbikit.minors import (MatrixRing, determinant, diagonal_order, full_group,
                              minors, submax_lex_order)
 from sagbikit.orders import leading_exponent
 from sagbikit.relations import (_p0_order, minimize_relations, sagbi_with_relations,
                                 verify_relations)
 from sagbikit.rings import RingContext
-from sagbikit.universal import (G36_TYPES, diagonal_matching, g36_reference,
+from sagbikit.universal import (G36_TYPES, g36_reference,
                                 random_coherent_matching, structured_family,
                                 verify_a233, verify_g36, verify_g37_sampled)
 

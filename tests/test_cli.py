@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sagbikit import cli
+from sagbikit import matchings, relations
 from sagbikit.cli import main
 
 
@@ -347,10 +347,20 @@ def test_only_the_random_mode_precondition_becomes_a_usage_error(monkeypatch):
     # another ValueError from sampling is a library fault, not a usage error
     def faulty(*args, **kwargs):
         raise ValueError("selected exponent not in the generator's support")
-    monkeypatch.setattr(cli, "enumerate_vertices_random", faulty)
+    monkeypatch.setattr(matchings, "enumerate_vertices_random", faulty)
     with pytest.raises(ValueError, match="selected exponent not in"):
         main(["matchings", "--matrix", "2x2", "--gen", "X11+X12", "--mode", "random",
               "--seed", "1"])
+
+
+def test_only_the_selection_space_cap_becomes_a_usage_error(monkeypatch):
+    # the cap is checked once, by the walk; another ValueError from it is
+    # a library fault and propagates
+    def faulty(*args, **kwargs):
+        raise ValueError("selected exponent not in the generator's support")
+    monkeypatch.setattr(matchings, "enumerate_vertices_exhaustive", faulty)
+    with pytest.raises(ValueError, match="selected exponent not in"):
+        main(["matchings", "--matrix", "2x2", "--gen", "X11+X12"])
 
 
 # one job per subcommand that is valid but for the floor under test;
@@ -433,14 +443,14 @@ def test_relations_over_gf2_reduce_coefficients_mod_2(capsys):
 
 
 def test_relations_checks_the_retract_images(capsys, monkeypatch):
-    computed = cli.sagbi_with_relations
+    computed = relations.sagbi_with_relations
 
     def corrupted(*args, **kwargs):
         result, retract, rels = computed(*args, **kwargs)
         retract.images[-1] = retract.images[-1].scale(2)
         return result, retract, rels
 
-    monkeypatch.setattr(cli, "sagbi_with_relations", corrupted)
+    monkeypatch.setattr(relations, "sagbi_with_relations", corrupted)
     code, out, _ = _run(capsys, ["relations", "--matrix", "3x3", "--minors", "2",
                                  "--order", "diag"])
     assert code == 1

@@ -19,11 +19,10 @@ from sagbikit.hilbert import (RowSpace, expand_series, free_generators, h_vector
                               krull_dim_monomial, lex_key, normalized_degrees,
                               semigroup_hilbert, semigroup_level_counts,
                               subalgebra_hilbert, vector_row)
-from sagbikit.matchings import enumerate_vertices_exhaustive
+from sagbikit.matchings import diagonal_matching, enumerate_vertices_exhaustive
 from sagbikit.minors import MatrixRing, diagonal_order, full_group, minors
 from sagbikit.orders import degrevlex_order, lex_order, weight_order
 from sagbikit.rings import Polynomial, RingContext
-from sagbikit.universal import diagonal_matching
 
 
 @pytest.mark.parametrize("nvars", [1, 4, 12, 21])

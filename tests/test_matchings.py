@@ -7,8 +7,9 @@ from constructions import Q_matrix
 from oracles import catalog_unpruned, coherent_by_hull
 from sagbikit.formats import parse_polynomial
 from sagbikit.hilbert import expand_series, h_vector, krull_dim_monomial, semigroup_hilbert
-from sagbikit.matchings import (Matching, UnpermutedSupports, _dfs_vertices, _diff_lists,
-                                _prune_table, _pruned, _support_symmetries, _walk,
+from sagbikit.matchings import (Matching, SelectionSpaceExceeded, UnpermutedSupports,
+                                _dfs_vertices, _diff_lists, _prune_table, _pruned,
+                                _support_symmetries, _walk, diagonal_matching,
                                 enumerate_vertices_exhaustive,
                                 enumerate_vertices_random, extend_matching,
                                 full_support, is_coherent, make_matching,
@@ -19,7 +20,7 @@ from sagbikit.minors import (CanonicalGroup, MatrixRing, determinant, full_group
                              submax_lex_order)
 from sagbikit.orders import TieError, leading_exponent, weight_selects
 from sagbikit.rings import Polynomial, RingContext
-from sagbikit.universal import (G36_TYPES, diagonal_matching, g36_reference,
+from sagbikit.universal import (G36_TYPES, g36_reference,
                                 random_coherent_matching, structured_family)
 
 
@@ -203,8 +204,10 @@ def test_generators_decide_whether_the_group_permutes_the_family(name, family, g
 def test_enumerate_cap():
     M = MatrixRing(3, 3)
     fam = [mi.polynomial for mi in minors(2, M)]
-    with pytest.raises(ValueError):
+    with pytest.raises(SelectionSpaceExceeded, match="selection space 512 exceeds cap 100") as err:
         enumerate_vertices_exhaustive(fam, full_group(3, 3), cap=100)
+    assert isinstance(err.value, ValueError)
+    assert (err.value.space, err.value.cap) == (512, 100)
 
 
 def test_random_enumeration_agrees_on_3x3():

@@ -1,7 +1,13 @@
 """The library never imports the test helpers: the oracles and the paper
 constructions in `tests/` check `src/`, so none of them may become a
-runtime dependency of it."""
+runtime dependency of it.  A command line process loads only the
+modules its command runs."""
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +62,61 @@ def test_cli_imports_only_public_names():
     path = SRC / "cli.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert list(_private_package_names(tree)) == []
+
+
+# the layers a command loads only when it computes with them
+HEAVY = ("engine", "groebner", "relations", "matchings", "lp", "universal")
+_LOADED = """
+import json, sys
+before = set(sys.modules)
+import sagbikit.cli
+argv = json.loads(sys.argv[1])
+code = sagbikit.cli.main(argv) if argv else 0
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+
+def _loaded_by(argv):
+    """The modules a fresh interpreter loads to import the CLI and, when
+    argv is given, to run that command, which must succeed."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    res = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(argv)],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    code, loaded = json.loads(res.stdout.splitlines()[-1])
+    assert code == 0, res.stderr
+    return set(loaded)
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ([], ("hilbert", *HEAVY)),
+    (["hilbert", "--matrix", "2x3", "--minors", "2", "--kmax", "2"], HEAVY),
+    (["hilbert", "--vars", "x,y", "--gen", "x^2", "--gen", "x*y", "--kind", "semigroup"],
+     HEAVY),
+    (["relations", "--vars", "x,y", "--gen", "x+y", "--gen", "x*y"],
+     ("matchings", "lp", "universal")),
+    (["sagbi", "--vars", "x,y", "--gen", "x+y", "--gen", "x*y"],
+     ("matchings", "lp", "universal")),
+    (["matchings", "--matrix", "2x3", "--minors", "2", "--kmax", "2"],
+     ("engine", "groebner", "relations", "universal")),
+    (["verify", "--case", "A233"], ("engine", "groebner", "relations")),
+], ids=["import", "hilbert", "hilbert-semigroup", "relations", "sagbi", "matchings",
+        "verify"])
+def test_a_command_loads_only_the_layers_it_runs(argv, absent):
+    loaded = _loaded_by(argv)
+    assert "sagbikit.cli" in loaded
+    assert not loaded & {f"sagbikit.{name}" for name in absent}
+    assert "dataclasses" not in loaded
+
+
+def test_every_package_export_resolves_to_its_owner():
+    # the package binds its names lazily; each must still be the object its
+    # module defines, also after every module is loaded (a submodule import
+    # sets the package attribute of the same name)
+    import sagbikit
+    for path in SRC.glob("[!_]*.py"):
+        importlib.import_module(f"sagbikit.{path.stem}")
+    for name in sagbikit.__all__:
+        owner = importlib.import_module(f"sagbikit.{sagbikit._OWNER[name]}")
+        assert getattr(sagbikit, name) is getattr(owner, name), name

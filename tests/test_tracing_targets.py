@@ -2,7 +2,9 @@
 still resolve.  `bench/tracing.py` is loaded by path, and needs nothing
 beyond the standard library.  Both the tracer and the set-up timer of
 `bench/job.py` rebind module names, so the CLI must reach each library
-call through a name, not through a function stored at import."""
+call through a name, not through a function stored at import, and a
+command's first library call must come before any module it imports
+when it runs."""
 import importlib
 import importlib.util
 import json
@@ -17,11 +19,28 @@ JOB = TRACING.parent / "job.py"
 G37_JOB = ["verify", "--case", "G37_sampled", "--count", "1", "--seed", "1"]
 
 
-def _targets():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load(path):
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
+    # registered first: the dataclasses of `bench/workloads.py` look it up
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _targets():
+    return _load(TRACING).TARGETS
+
+
+def _workload_jobs():
+    """(op name, argv) of every benchmark operation; `bench/workloads.py`
+    imports its sibling `checks` by name."""
+    sys.path.insert(0, str(TRACING.parent))
+    try:
+        workloads = _load(TRACING.parent / "workloads.py").WORKLOADS
+    finally:
+        sys.path.remove(str(TRACING.parent))
+    return [(op.name, list(op.argv)) for w in workloads.values() for op in w.ops]
 
 
 @pytest.mark.parametrize("mod_name, attr", [t[:2] for t in _targets()])
@@ -47,6 +66,9 @@ def test_traced_verify_job_records_its_case(tmp_path):
     assert "universal.verify_g37_sampled" in traced
 
 
-def test_setup_of_a_verify_job_stops_at_its_first_library_call():
-    res = _job("setup", "--", *G37_JOB)
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=name)
+    for name, argv in [*_workload_jobs(), ("A233", ["verify", "--case", "A233"])]])
+def test_setup_of_a_verify_job_stops_at_its_first_library_call(argv):
+    res = _job("setup", "--", *argv)
     assert (res.returncode, res.stdout) == (0, ""), res.stderr

@@ -6,11 +6,12 @@ from constructions import GroupElement, act
 from oracles import find_selection, transport_bracket_tuple_brute
 from sagbikit.cli import main
 from sagbikit.hilbert import expand_series, semigroup_hilbert
-from sagbikit.matchings import make_matching, matching_from_weight, restrict_matching
+from sagbikit.matchings import (diagonal_matching, make_matching, matching_from_weight,
+                                restrict_matching)
 from sagbikit.minors import MatrixRing, bracket, minors
 from sagbikit import universal
 from sagbikit.universal import (CASES, G36_TYPES, CaseReport, VerificationError, bracket_pair,
-                                column_restrictions, diagonal_matching, drop_cells,
+                                column_restrictions, drop_cells,
                                 g36_reference, random_coherent_matching,
                                 structured_family, transport_bracket_tuple,
                                 verify_a233, verify_g36, verify_g37_sampled)
