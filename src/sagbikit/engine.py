@@ -9,11 +9,15 @@ pass that appended.  The loop's one parameter is a degree window.
 Without one (`sagbi_general`) a pass, or round, takes every tete-a-tete
 up to the degree bound, and a pass that appends nothing ends the run.
 With one (`sagbi_by_degree`, homogeneous input) the window starts at 1
-and a pass takes only the tete-a-tetes inside it not yet subduced against
-the current family; the window grows by one when a pass appends nothing
-or nothing is pending, and the run is complete at the first window that
-holds every tete-a-tete with nothing pending.  A round bound stops either
-variant before a pass that would exceed it.
+and a pass takes the tete-a-tetes inside it above its floor, the last
+window that was subduced against the current family (0 after each
+recompute); when a pass appends nothing or nothing is pending the floor
+becomes the window and the window grows by one, and the run is complete
+at the first window that holds every tete-a-tete with nothing pending.
+A round bound stops either variant before a pass that would exceed it.
+Each tete-a-tete's degree is read once, when its kernel is computed:
+only an append changes the family's degree gcd, and one is followed by a
+recompute.
 
 A bookkeeper with callbacks `on_new_element(binomial, trace, divisor)`
 and `on_relation(binomial, trace)` can observe every subduction outcome;
@@ -21,7 +25,10 @@ the defining-ideal module plugs in there.
 """
 from __future__ import annotations
 
+from collections import Counter
+from functools import cache
 from math import gcd
+from operator import le, sub
 from typing import NamedTuple
 
 from .groebner import Binomial, toric_kernel
@@ -91,9 +98,6 @@ class GeneratorFamily:
     def phi_binomial(self, b: Binomial) -> Polynomial:
         return self.phi_monomial(b.plus) - self.phi_monomial(b.minus)
 
-    def binomial_degree(self, b: Binomial) -> int:
-        return sum(e * self.normalized_degree(i) for i, e in enumerate(b.plus))
-
     def factor_initial(self, target: tuple[int, ...]) -> dict[int, int] | None:
         """Write target as a sum of initial exponents, or None.
 
@@ -102,37 +106,21 @@ class GeneratorFamily:
         and the defining ideal deterministic.
         """
         inits = self.initials
-        failed: set[tuple[int, tuple[int, ...]]] = set()
-        out: list[int] = []
 
-        def rec(start: int, residual: tuple[int, ...], total: int) -> bool:
-            if total == 0:
-                return True
-            key = (start, residual)
-            if key in failed:
-                return False
+        @cache
+        def rec(start: int, residual: tuple[int, ...]) -> tuple[int, ...] | None:
+            """The smallest index tuple from start on summing to residual."""
+            if not any(residual):
+                return ()
             for u in range(start, len(inits)):
-                e = inits[u]
-                fits = True
-                for a, b in zip(e, residual):
-                    if a > b:
-                        fits = False
-                        break
-                if fits:
-                    out.append(u)
-                    if rec(u, tuple(b - a for a, b in zip(e, residual)),
-                           total - sum(e)):
-                        return True
-                    out.pop()
-            failed.add(key)
-            return False
-
-        if not rec(0, target, sum(target)):
+                if all(map(le, inits[u], residual)):
+                    rest = rec(u, tuple(map(sub, residual, inits[u])))
+                    if rest is not None:
+                        return (u,) + rest
             return None
-        factor: dict[int, int] = {}
-        for u in out:
-            factor[u] = factor.get(u, 0) + 1
-        return factor
+
+        found = rec(0, tuple(target))
+        return None if found is None else dict(Counter(found))
 
 
 def subduct(g: Polynomial, family: GeneratorFamily) -> SubductionTrace:
@@ -183,15 +171,16 @@ def _complete(family: GeneratorFamily, window: int | None, round_bound: int | No
               degree_bound: int | None, bookkeeper) -> SagbiResult:
     """The completion loop; see the module docstring for the window."""
     rounds = 0
-    binomials = None
+    kernel = None
     while True:
         if window is not None and window > degree_bound:
             return SagbiResult(family, "truncated", rounds)
-        if binomials is None:
-            binomials, done = tete_a_tetes(family), set()
+        if kernel is None:
+            g = family.norm_gcd
+            kernel = [(b.degree(family.degrees) // g, b) for b in tete_a_tetes(family)]
+            floor = 0
         limit = degree_bound if window is None else window
-        pending = [b for b in binomials if (b.plus, b.minus) not in done
-                   and (limit is None or family.binomial_degree(b) <= limit)]
+        pending = [b for d, b in kernel if floor < d and (limit is None or d <= limit)]
         if window is None or pending:
             if round_bound is not None and rounds >= round_bound:
                 return SagbiResult(family, "truncated", rounds)
@@ -199,7 +188,6 @@ def _complete(family: GeneratorFamily, window: int | None, round_bound: int | No
             size = len(family)
             for b in pending:
                 trace = subduct(family.phi_binomial(b), family)
-                done.add((b.plus, b.minus))
                 if not trace.remainder.is_zero():
                     divisor = family.append(trace.remainder)
                     if bookkeeper is not None:
@@ -207,13 +195,14 @@ def _complete(family: GeneratorFamily, window: int | None, round_bound: int | No
                 elif bookkeeper is not None:
                     bookkeeper.on_relation(b, trace)
             if len(family) > size:
-                binomials = None
+                kernel = None
                 continue
             if window is None:
-                status = "truncated" if len(pending) < len(binomials) else "complete"
+                status = "truncated" if len(pending) < len(kernel) else "complete"
                 return SagbiResult(family, status, rounds)
-        elif all(family.binomial_degree(b) <= window for b in binomials):
+        elif all(d <= window for d, _ in kernel):
             return SagbiResult(family, "complete", rounds, comp_degree=window)
+        floor = window
         window += 1
 
 

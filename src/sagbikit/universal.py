@@ -17,8 +17,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-# the case table and its runner live in `cases`; they keep their names here
-from .cases import CASES, VerificationError, run_case  # noqa: F401
+from .cases import VerificationError
 from .hilbert import RowSpace, expand_series, lex_key, semigroup_hilbert, vector_row
 from .matchings import (Matching, certify, diagonal_matching,
                         enumerate_vertices_exhaustive, extend_matching, make_matching,
@@ -327,7 +326,6 @@ def verify_g37_sampled(count: int, seed: int) -> CaseReport:
         h = h2_g37 - deg2
         if h < 0 or h > 3:
             raise VerificationError(f"sample {sample_idx}: defect {h} outside 0..3", T)
-        even_cols = []
         transported = []
         mapped_tuples = []
         for i, (sub2, esum) in enumerate(per_column):
@@ -338,7 +336,6 @@ def verify_g37_sampled(count: int, seed: int) -> CaseReport:
                     f"on column {i}", T)
             if not all_even:
                 continue
-            even_cols.append(i)
             cols = [c for c in range(7) if c != i]
             D = tuple(tuple(esum[M7.cell(r, c)] for c in cols) for r in range(3))
             u10 = sum(1 for row in D for v in row if v == 10)
@@ -350,12 +347,12 @@ def verify_g37_sampled(count: int, seed: int) -> CaseReport:
                     f"recorded type", T)
             mapped_tuples.append(mapped)
             transported.append(bracket_pair(M7, mapped))
-        if len(even_cols) != h:
+        if len(mapped_tuples) != h:
             raise VerificationError(
-                f"sample {sample_idx}: {len(even_cols)} all-even restrictions, "
+                f"sample {sample_idx}: {len(mapped_tuples)} all-even restrictions, "
                 f"defect {h}", T)
         hist[h] += 1
-        if not even_cols:
+        if not mapped_tuples:
             continue
         # all coherent augmentations by the transported elements must
         # restore the degree-2 dimension; any coherent augmentation stays

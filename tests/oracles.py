@@ -15,8 +15,9 @@ folded by canonical form leaf by leaf.  The graded toric kernel is
 checked against the same elimination with its S-pairs taken in the
 all-ones grading, in which its inputs are not homogeneous.  Defining
 ideals are checked against elimination by a Groebner basis of the graph
-ideal, SAGBI completeness up to a degree against a comparison of Hilbert
-values, and the transport of a bracket element against a scan of every
+ideal, factorizations of a monomial into initials against every
+multiplicity vector that fits inside it, SAGBI completeness up to a
+degree against a comparison of Hilbert values, and the transport of a bracket element against a scan of every
 row and column permutation pair.  One interreduction pass over a single
 reducer is checked against a fresh `normal_form` call per generator,
 each packing all the others again.  Semigroup level counts taken one
@@ -28,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, islice, permutations
+from itertools import product
 from math import gcd
 
 _BLAND_AFTER = 200
@@ -300,6 +302,22 @@ def find_selection(family, target: tuple[int, ...]) -> tuple:
     if not rec(0, tuple(target)):
         raise ValueError("no selection sums to the target vertex")
     return tuple(chosen)
+
+
+def factor_by_enumeration(initials: list[tuple[int, ...]],
+                          target: tuple[int, ...]) -> list[int] | None:
+    """The lexicographically smallest non-decreasing index sequence whose
+    initials sum to target, or None: every multiplicity vector that fits
+    inside target is tried, with no search order and no memo."""
+    bounds = [min(t // a for a, t in zip(e, target) if a) for e in initials]
+    best = None
+    for mults in product(*(range(b + 1) for b in bounds)):
+        if all(sum(k * e[i] for k, e in zip(mults, initials)) == t
+               for i, t in enumerate(target)):
+            seq = [u for u, k in enumerate(mults) for _ in range(k)]
+            if best is None or seq < best:
+                best = seq
+    return best
 
 
 def cofactor_det(rows: list[list[int]]) -> int:

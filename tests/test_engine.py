@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import is_sagbi_up_to
+from oracles import factor_by_enumeration, is_sagbi_up_to
 from sagbikit.engine import (GeneratorFamily, sagbi_by_degree, sagbi_general, subduct,
                              tete_a_tetes)
 from sagbikit.formats import parse_polynomial
@@ -167,6 +167,45 @@ def test_basis_initial_monomials_are_distinct(family, complete, bounds, size):
     basis = complete(family(), **bounds).basis
     assert len(basis) == size
     assert len(set(basis.initials)) == len(basis)
+
+
+@pytest.mark.parametrize("complete, bounds, counts", [
+    (sagbi_by_degree, {"degree_bound": 10}, (59, 7, 14)),
+    (sagbi_general, {"degree_bound": 6}, (9, 3, 4)),
+    (sagbi_general, {"degree_bound": 10}, (73, 7, 8)),
+], ids=["xy-degree-10", "xy-general-6", "xy-general-10"])
+def test_subduction_counts_of_both_variants(complete, bounds, counts):
+    # (relations, new elements, rounds); a degree pass subduces only the
+    # tete-a-tetes of its kernel above the last window subduced against it
+    bk = _CountingBookkeeper()
+    res = complete(_xy_family(), bookkeeper=bk, **bounds)
+    assert (bk.relations, bk.new_elements, res.rounds) == counts
+
+
+@st.composite
+def _initials_and_target(draw):
+    nvars = draw(st.integers(2, 3))
+    inits = draw(st.lists(st.tuples(*[st.integers(0, 2)] * nvars).filter(any),
+                          min_size=1, max_size=5))
+    sums = st.lists(st.integers(0, len(inits) - 1), max_size=3).map(
+        lambda us: tuple(sum(inits[u][i] for u in us) for i in range(nvars)))
+    return inits, draw(st.one_of(sums, st.tuples(*[st.integers(0, 4)] * nvars)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_initials_and_target())
+# (1, 0) divides (2, 0): the smallest sequence is (0,), not (1, 1)
+@example(([(2, 0), (1, 0)], (2, 0)))
+# equal initials: only the first is used
+@example(([(1, 1), (0, 1), (1, 1)], (2, 3)))
+def test_factor_initial_is_the_smallest_sequence_of_the_enumeration(case):
+    inits, target = case
+    R = RingContext(["x", "y", "z"][:len(target)])
+    family = GeneratorFamily([Polynomial.monomial(R, e) for e in inits],
+                             lex_order(len(target)))
+    factor = family.factor_initial(target)
+    seq = None if factor is None else [u for u, k in factor.items() for _ in range(k)]
+    assert seq == factor_by_enumeration(inits, target)
 
 
 _POOL = ("x", "y", "x+y", "x*y", "x^2+y^2", "x^2-x*y", "x+y^2", "x*y^2+y^3", "x^3")

@@ -4,13 +4,14 @@ import pytest
 
 from constructions import GroupElement, act
 from oracles import find_selection, transport_bracket_tuple_brute
+from sagbikit.cases import CASES
 from sagbikit.cli import main
 from sagbikit.hilbert import expand_series, semigroup_hilbert
 from sagbikit.matchings import (diagonal_matching, make_matching, matching_from_weight,
                                 restrict_matching)
 from sagbikit.minors import MatrixRing, bracket, minors
 from sagbikit import universal
-from sagbikit.universal import (CASES, G36_TYPES, CaseReport, VerificationError, bracket_pair,
+from sagbikit.universal import (G36_TYPES, CaseReport, VerificationError, bracket_pair,
                                 column_restrictions, drop_cells,
                                 g36_reference, random_coherent_matching,
                                 structured_family, transport_bracket_tuple,
