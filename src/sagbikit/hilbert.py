@@ -54,24 +54,40 @@ The subalgebra route packs every exponent vector into one integer by
 the order's linear key, so multiplying monomials adds keys and the
 leading monomial of a row is its largest key.  Its coefficients are
 ints: over Q the generators are cleared of denominators and rows are
-eliminated fraction-free, over GF(p) they are residues.  Its products
-are built level by level with the same least-index rule applied to
-multisets of generators: a product whose largest factor index is j is
-a product of level k - d_j with largest index at most j, times g_j.
-Each product goes into its level's `RowSpace` as it is made; only the
-levels below k_max are kept, as sources, and the top one is never stored.
+eliminated fraction-free, over GF(p) they are residues.  Every product
+of generators is homogeneous for the finest grading the generators
+admit: the weights w with w . (t - u) = 0 for every two terms t, u of
+one generator (`grading_weights`).  That grading splits each degree of
+the algebra into a direct sum of multidegree components (Miller and
+Sturmfels, Combinatorial Commutative Algebra, ch. 8; Sturmfels, Groebner
+Bases and Convex Polytopes, ch. 11): a product's class is the sum of
+its factors' classes, products of different classes share no monomial,
+and the rank of a level is the sum of its classes' ranks.  A level is
+built one class at a time, each in a `RowSpace` of its own that is
+dropped once the class is ranked, by the same least-index rule as the
+monomial route, applied to multisets of generators: a product whose
+largest factor index is j is a product of level k - d_j with largest
+index at most j, times g_j.  A product is kept as a source of the next
+levels only when it raised its class's rank.  Products enter in order
+of their largest index, so the kept ones with index <= j span what all
+of them do, and level k is still the sum over j of g_j times the span
+of level k - d_j's products with index <= j.  A class with a single
+product has rank 1 (a product of nonzero polynomials is nonzero), so it
+needs no elimination, and on the top level, which is only ranked, no
+multiplication either.
 
 `RowSpace` is the one exact row space: sparse integer rows over Q or
 GF(p), keyed by packed monomial or by position, each pivot kept as
 (lead coefficient, keys, values) with flat lists.  It takes the subalgebra
 route's ranks, the rank of exponent vectors (`krull_dim_monomial`), the
-relations among them (`free_generators`) and span membership tests.
+relations among vectors (`relation_basis`, behind `free_generators` and
+`grading_weights`) and span membership tests.
 """
 from __future__ import annotations
 
-from itertools import islice
+from itertools import accumulate, islice
 from math import comb, gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .orders import MonomialOrder
@@ -149,23 +165,38 @@ def semigroup_hilbert(exps: Iterable[tuple[int, ...]], k_max: int,
     return HilbertData(values=values)
 
 
-def free_generators(exps: Sequence[tuple[int, ...]]) -> list[int]:
-    """Indices of the exponent vectors outside the rational span of the others.
+def relation_basis(vectors: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    """A basis over Q of the relations sum_j c_j v_j = 0 among the vectors,
+    each an integer row {j: c_j}.
 
     Each vector is augmented by its own unit vector, keyed below every
-    exponent position, and the rows are eliminated in `RowSpace`.  A
-    pivot whose lead falls in the unit part has no exponent part left, so
-    it is a relation among the vectors; these pivots are a basis of all
-    relations.  A vector is free exactly when no basis relation involves it.
+    vector position, and the rows are eliminated in `RowSpace`.  A pivot
+    whose lead falls in the unit part has no vector part left, so it is a
+    relation; these pivots are a basis of all relations.
     """
-    m = len(exps)
+    m = len(vectors)
     space = RowSpace({**{m + i: v for i, v in enumerate(e) if v}, j: 1}
-                     for j, e in enumerate(exps))
-    dependent = set()
-    for lead, (_, keys, _) in space.pivots.items():
-        if lead < m:
-            dependent.update(keys)
-    return [j for j in range(m) if j not in dependent]
+                     for j, e in enumerate(vectors))
+    return [dict(zip(keys, vals))
+            for lead, (_, keys, vals) in space.pivots.items() if lead < m]
+
+
+def free_generators(exps: Sequence[tuple[int, ...]]) -> list[int]:
+    """Indices of the exponent vectors outside the rational span of the
+    others: those that no basis relation (`relation_basis`) involves."""
+    dependent = {j for relation in relation_basis(exps) for j in relation}
+    return [j for j in range(len(exps)) if j not in dependent]
+
+
+def grading_weights(polys: Sequence[Polynomial]) -> list[dict[int, int]]:
+    """Integer weights {variable: w_i}, a basis over Q of the w with
+    w . (t - u) = 0 for every two terms t, u of one generator: the finest
+    grading in which every generator is homogeneous.  They are the
+    relations among the coordinate columns of the differences t - t_0,
+    t_0 a generator's first term, so there are nvars - rank of them."""
+    diffs = [tuple(map(sub, t, t0)) for f in polys
+             for t0, *rest in [list(f.terms)] for t in rest]
+    return relation_basis([[d[i] for d in diffs] for i in range(polys[0].ring.nvars)])
 
 
 def _level_bound(exps: Sequence[tuple[int, ...]], degrees: Sequence[int],
@@ -296,18 +327,21 @@ class RowSpace:
     def __contains__(self, row: dict[int, int]) -> bool:
         return not self._reduce(row)
 
-    def add(self, row: dict[int, int]) -> None:
+    def add(self, row: dict[int, int]) -> bool:
+        """Add the row to the span; True when the rank grew."""
         row = self._reduce(row)
-        if row:
-            lead = max(row)
-            p = self.p
-            if p:
-                c = pow(row[lead], -1, p)
-                vals = [v * c % p for v in row.values()]
-            else:
-                c = gcd(*row.values()) * (1 if row[lead] > 0 else -1)
-                vals = [v // c for v in row.values()]
-            self.pivots[lead] = (1 if p else row[lead] // c, list(row), vals)
+        if not row:
+            return False
+        lead = max(row)
+        p = self.p
+        if p:
+            c = pow(row[lead], -1, p)
+            vals = [v * c % p for v in row.values()]
+        else:
+            c = gcd(*row.values()) * (1 if row[lead] > 0 else -1)
+            vals = [v // c for v in row.values()]
+        self.pivots[lead] = (1 if p else row[lead] // c, list(row), vals)
+        return True
 
     def _reduce(self, row: dict[int, int]) -> dict[int, int]:
         """A copy of the row reduced until its lead has no pivot, {} if
@@ -372,17 +406,13 @@ def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
     no product of at most k_max generators exceeds, so multiplying
     monomials adds packed keys and a row's leading monomial is its largest
     key.  Over Q each generator is cleared of denominators (scaling keeps
-    the rank); over GF(p) its coefficients are residues.  Ranks are taken
-    in `RowSpace`, whose pivots' leads are the initial monomials of the
-    degree-k part of the subalgebra.
-
-    Products are built level by level as in `semigroup_hilbert`: level k
-    lists its products ordered by largest factor index, with prefix
-    counts, and generator j multiplies the products of level k - d_j
-    whose factors all have index at most j.  Each product of generators
-    is thus made once, by one multiplication, and goes straight into the
-    level's `RowSpace`; level k_max is not stored, and a level more than
-    max(degrees) below the current one is freed.
+    the rank); over GF(p) its coefficients are residues.  Each level is
+    built and ranked one class of the finest grading at a time (see the
+    module docstring).  A class is one integer: its weight vector, whose
+    entries are at most B = k_max * (the largest entry of a generator's
+    vector) in size, as digits in base 2B + 1.  A class of a middle
+    level lists its sources by largest factor index, with prefix counts;
+    a level more than max(degrees) below the current one is freed.
     """
     polys = list(polys)
     if not polys:
@@ -395,31 +425,56 @@ def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
     p = ring.characteristic
     bound = max(max(e) for f in polys for e in f.terms) * max(k_max, 1)
     c = order.linear_key(bound)
+    weights = grading_weights(polys)
+    vectors = [[sum(w * e[i] for i, w in ws.items()) for ws in weights]
+               for e in (next(iter(f.terms)) for f in polys)]
+    base = 2 * max(k_max, 1) * max((abs(v) for vs in vectors for v in vs), default=0) + 1
     gens = []
-    for f in polys:
+    for f, d, vs in zip(polys, degrees, vectors):
         den = 1 if p else lcm(*(v.denominator for v in f.terms.values()))
-        gens.append({sum(map(mul, c, e)): int(v * den) for e, v in f.terms.items()})
+        gens.append(({sum(map(mul, c, e)): int(v * den) for e, v in f.terms.items()}, d,
+                     sum(v * base ** i for i, v in enumerate(vs))))
+    n = len(gens)
     d_max = max(degrees)
-    # level 0 holds the empty product, which every generator may extend
-    levels: list[tuple[list[dict[int, int]], list[int]] | None] = [
-        ([{0: 1}], [1] * len(gens))]
+    # level 0 holds the empty product in class 0, which every generator may extend
+    levels: list[dict[int, tuple[list[dict[int, int]], list[int]]] | None] = [
+        {0: ([{0: 1}], [1] * n)}]
     values = [1]
     for k in range(1, k_max + 1):
         if k > d_max:
             levels[k - d_max - 1] = None
-        space = RowSpace(p=p)
-        rows: list[dict[int, int]] = []
-        ends: list[int] = []
-        for j, (g, d) in enumerate(zip(gens, degrees)):
+        # each target class's sources, in generator order
+        targets: dict[int, list] = {}
+        for j, (g, d, cls) in enumerate(gens):
             if d <= k:
-                src, src_ends = levels[k - d]
-                for r in islice(src, src_ends[j]):
-                    space.add(row := _times(r, g, p))
-                    if k < k_max:  # the top level is only ranked
+                for s, (src, src_ends) in levels[k - d].items():
+                    if src_ends[j]:
+                        targets.setdefault(s + cls, []).append((j, g, src, src_ends[j]))
+        # a class of one product has rank 1, as a product of nonzero
+        # polynomials is nonzero; the top level is only ranked
+        if k == k_max:
+            values.append(sum(1 if len(parts) == 1 and parts[0][3] == 1 else
+                              len(RowSpace((_times(r, g, p) for _, g, src, m in parts
+                                            for r in islice(src, m)), p))
+                              for parts in targets.values()))
+            break
+        level = {}
+        for cls, parts in targets.items():
+            if len(parts) == 1 and parts[0][3] == 1:
+                j, g, src, _ = parts[0]
+                level[cls] = ([_times(src[0], g, p)], [0] * j + [1] * (n - j))
+                continue
+            space = RowSpace(p=p)
+            rows: list[dict[int, int]] = []
+            kept = [0] * n
+            for j, g, src, m in parts:
+                for r in islice(src, m):
+                    if space.add(row := _times(r, g, p)):
                         rows.append(row)
-            ends.append(len(rows))
-        levels.append((rows, ends))
-        values.append(len(space))
+                        kept[j] += 1
+            level[cls] = (rows, list(accumulate(kept)))
+        levels.append(level)
+        values.append(sum(len(rows) for rows, _ in level.values()))
     return HilbertData(values=values)
 
 

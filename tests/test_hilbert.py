@@ -3,10 +3,11 @@ import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import comb, gcd
+from math import comb, gcd, prod
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_product_values, rank_mod_p, rank_rational,
@@ -188,9 +189,11 @@ def test_mixed_degree_grading_conventions():
 
 
 def test_g36_subalgebra_route_memory_peak():
-    # the top level (1,540 degree-3 products) is ranked as it is made and
-    # never stored, and pivots are flat lists: about 7.6 MB traced, where
-    # storing the level and keeping dict pivots peaked at 28.5 MB
+    # each degree is ranked one multidegree class at a time, each class's
+    # RowSpace dropped once ranked, and only products that raised their
+    # class's rank are kept as sources: about 0.7 MB traced, where one
+    # RowSpace per degree peaked at 7.5 MB, and storing the top degree
+    # with dict pivots at 28.5 MB
     M = MatrixRing(3, 6)
     polys = [mi.polynomial for mi in minors(3, M)]
     tracemalloc.start()
@@ -200,7 +203,21 @@ def test_g36_subalgebra_route_memory_peak():
     finally:
         tracemalloc.stop()
     assert values == [1, 20, 175, 980]
-    assert peak < 10_000_000
+    assert peak < 2_000_000
+
+
+def test_g36_subalgebra_route_product_count(monkeypatch):
+    # every product of at most three of the 20 maximal minors is 1,770;
+    # multiplying only the sources that raised their class's rank makes
+    # 1,629, and ranking the 320 one-product classes of degree 3 without
+    # multiplying them out leaves 1,309
+    made = []
+    times = hilbert._times
+    monkeypatch.setattr(hilbert, "_times", lambda *args: made.append(1) or times(*args))
+    M = MatrixRing(3, 6)
+    polys = [mi.polynomial for mi in minors(3, M)]
+    assert subalgebra_hilbert(polys, 3, diagonal_order(M)).values == [1, 20, 175, 980]
+    assert len(made) == 1309
 
 
 def test_subalgebra_over_gf2_ranks_mod_2():
@@ -225,6 +242,12 @@ def _order(draw, nv):
     return weight_order(draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv)), base)
 
 
+def _coefficients(p):
+    if p:
+        return st.integers(1, p - 1)
+    return st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+
 @st.composite
 def _homogeneous_family(draw, p):
     """Generators of mixed degrees 1-3, homogeneous for unit or 1/2 variable
@@ -232,10 +255,7 @@ def _homogeneous_family(draw, p):
     p is 0; an order of any kind, a grading and k_max."""
     nv = draw(st.integers(1, 3))
     weights = draw(st.sampled_from([[1] * nv, [1 + v % 2 for v in range(nv)]]))
-    if p:
-        coeff = st.integers(1, p - 1)
-    else:
-        coeff = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    coeff = _coefficients(p)
     gens = []
     for _ in range(draw(st.integers(1, 4))):
         monomial = st.sampled_from(_monomials_of_degree(weights, draw(st.integers(1, 3))))
@@ -272,6 +292,85 @@ def test_subalgebra_hilbert_matches_rational_rank_oracle(case):
     values = subalgebra_hilbert(polys, k_max, order, grading).values
     assert values == subalgebra_values_rational(gens, _degrees(weights, gens, grading),
                                                 k_max)
+
+
+@st.composite
+def _multigraded_family(draw, p):
+    """Generators whose finest grading is neither the total degree alone
+    nor every monomial its own class: minors of mixed sizes of a 2x2 to
+    3x3 matrix whose cells carry random nonzero coefficients, at least one
+    of them of size 2 or more; or, in 3 or 4 variables of unit or 1/2
+    weights, at most nvars - 2 binomials x^a - c x^b of mixed degrees,
+    at least one, beside monomials.  An order, a grading and k_max too."""
+    coeff = _coefficients(p)
+    if draw(st.booleans()):
+        m, n = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+        M = MatrixRing(m, n)
+        cells = draw(st.lists(coeff, min_size=m * n, max_size=m * n))
+        pool = [mi.polynomial for t in range(1, min(m, n) + 1) for mi in minors(t, M)]
+        chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        chosen.append(draw(st.sampled_from([f for f in pool if len(f.terms) > 1])))
+        gens = [{e: c * prod(cells[i] for i, v in enumerate(e) if v)
+                 for e, c in f.terms.items()} for f in draw(st.permutations(chosen))]
+        weights = [1] * (m * n)
+    else:
+        nv = draw(st.integers(3, 4))
+        weights = draw(st.sampled_from([[1] * nv, [1 + v % 2 for v in range(nv)]]))
+        gens = []
+        for i in range(draw(st.integers(1, nv - 2))):
+            a, b = draw(st.lists(st.sampled_from(_monomials_of_degree(weights, 1 + i % 3)),
+                                 min_size=2, max_size=2, unique=True))
+            gens.append({a: 1, b: draw(coeff)})
+        for _ in range(draw(st.integers(0, 2))):
+            monomial = st.sampled_from(_monomials_of_degree(weights, draw(st.integers(1, 3))))
+            gens.append({draw(monomial): draw(coeff)})
+        gens = draw(st.permutations(gens))
+    grading = draw(st.sampled_from(["normalized", "ambient"]))
+    return weights, gens, draw(_order(len(weights))), grading, draw(st.integers(0, 3))
+
+
+def _differences(gens):
+    return [[x - y for x, y in zip(t, t0)] for g in gens for t0, *rest in [list(g)]
+            for t in rest]
+
+
+# x^2 + y^2 and xy share a class, so z^2 alone reaches the degree-2 class
+# of their multiples, with two sources, below the top degree
+_SHARED_CLASS = ([1, 1, 1], [{(2, 0, 0): 1, (0, 2, 0): 1}, {(1, 1, 0): 1}, {(0, 0, 2): 1}],
+                 lex_order(3), "normalized", 4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([0, 2, 3, 5]).flatmap(
+    lambda p: st.tuples(st.just(p), _multigraded_family(p))))
+@example((0, _SHARED_CLASS))
+@example((3, _SHARED_CLASS))
+def test_multigraded_families_match_rank_oracles(case):
+    # the split into classes is neither trivial nor total on these families
+    p, (weights, gens, order, grading, k_max) = case
+    ring = RingContext([f"x{i}" for i in range(len(weights))], p, weights)
+    polys = [Polynomial(ring, g) for g in gens]
+    assert 1 < len(hilbert.grading_weights(polys)) < len(weights)
+    values = subalgebra_hilbert(polys, k_max, order, grading).values
+    degrees = _degrees(weights, gens, grading)
+    if p:
+        assert values == subalgebra_values_mod_p(gens, degrees, p, k_max)
+    else:
+        assert values == subalgebra_values_rational(gens, degrees, k_max)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(_multigraded_family(0), _homogeneous_family(0)))
+def test_grading_weights_kill_every_difference(case):
+    weights, gens, _, _, _ = case
+    nvars = len(weights)
+    ring = RingContext([f"x{i}" for i in range(nvars)], 0, weights)
+    grading = hilbert.grading_weights([Polynomial(ring, g) for g in gens])
+    diffs = _differences(gens)
+    dense = [[w.get(i, 0) for i in range(nvars)] for w in grading]
+    assert all(isinstance(v, int) for w in dense for v in w)
+    assert all(sum(map(mul, w, d)) == 0 for w in dense for d in diffs)
+    assert len(grading) == nvars - rank_rational(diffs) == rank_rational(dense)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -527,7 +626,7 @@ def test_row_span_membership_matches_rational_rank(p, data):
     assert (vector_row(v) in space) == (rank(rows + [v]) == rank(rows))
     if inside:
         assert vector_row(v) in space
-    space.add(vector_row(v))
+    assert space.add(vector_row(v)) == (rank(rows + [v]) > rank(rows))
     assert len(space) == rank(rows + [v])
 
 
