@@ -36,8 +36,9 @@ class(g + s) = class(g) + class(s) mod P.  Equal sums fall into one
 class, so each class is deduplicated on its own, and class r of level k
 is made from class (r - g_j) mod P of level k - d_j by generator j, with
 the least-index rule unchanged inside it.  Only each generator's class
-is ever computed.  The top level is counted one class at a time and
-never stored whole, so the largest set alive is one class, not a level.
+is ever computed.  A middle level's classes are stored as lists in mu
+order, deduplicated in dicts only while built; the top level is never
+stored, only counted class by class: the largest set alive is a class.
 P is chosen once per call, for a few thousand sums per class, from an
 estimate of the top level's size: the smaller of the multiset bound
 C(n + k_max - 1, k_max) and the number of monomials the sums can be,
@@ -246,15 +247,14 @@ def semigroup_level_counts(exps: Sequence[tuple[int, ...]], degrees: Sequence[in
 
     The packing is linear, so class(g + s) = class(g) + class(s) mod P:
     equal sums share a class, and class r of level k is made only from
-    class (r - g_j) mod P of level k - d_j by generator j.  Each class of a
-    middle level is a dict of packed sums whose insertion order lists them
-    by mu (the least generator index that reaches the sum, see the module
-    docstring), with prefix counts ends[j] = number of its sums with
-    mu <= j.  Generator j extends the first ends[j] sums of its source
-    class; the dict keeps only the sums the class has not seen, which have
-    mu = j.  A level is built class by class, so one small dict grows at a
-    time; the last level is only counted, one class at a time, and a level
-    more than max(degrees) below the current one is dropped.  Each
+    class (r - g_j) mod P of level k - d_j by generator j.  A middle
+    level's class is built in a dict, where generator j adds the sums not
+    yet seen, those with mu = j (the least generator index reaching the
+    sum, see the module docstring), then stored as the list of its sums in
+    mu order with prefix counts ends[j] = number with mu <= j: generator j
+    extends the slice [:ends[j]] of its source class, and one small dict
+    lives at a time.  The last level is only counted, class by class, and
+    a level more than max(degrees) below the current one is dropped.  Each
     generator's class is taken once; no sum's residue is computed.  P is
     chosen by `_class_modulus` from `_level_bound`; with P = 1 the whole
     level is one class.
@@ -267,8 +267,8 @@ def semigroup_level_counts(exps: Sequence[tuple[int, ...]], degrees: Sequence[in
     packed = [(g := sum(map(mul, key, e)), d, g % P) for e, d in zip(exps, degrees)]
     d_max = max(degrees)
     # level 0 holds the empty sum, in class 0, which every generator may extend
-    levels: list[list[tuple[dict[int, None], list[int]]] | None] = [
-        [({0: None}, [1] * len(packed))] + [({}, [0] * len(packed))] * (P - 1)]
+    levels: list[list[tuple[list[int], list[int]]] | None] = [
+        [([0], [1] * len(packed))] + [([], [0] * len(packed))] * (P - 1)]
     values = [1]
     for k in range(1, k_max + 1):
         if k > d_max:
@@ -277,7 +277,7 @@ def semigroup_level_counts(exps: Sequence[tuple[int, ...]], degrees: Sequence[in
             # one set per class; the one-item list names generator j's source class
             values.append(sum(len({g + s for j, (g, d, c) in enumerate(packed) if d <= k
                                    for src, src_ends in [levels[k - d][(r - c) % P]]
-                                   for s in islice(src, src_ends[j])})
+                                   for s in src[:src_ends[j]]})
                               for r in range(P)))
             break
         level = []
@@ -288,9 +288,9 @@ def semigroup_level_counts(exps: Sequence[tuple[int, ...]], degrees: Sequence[in
                 if d <= k:
                     src, src_ends = levels[k - d][(r - c) % P]
                     if n := src_ends[j]:
-                        sums.update({g + s: None for s in islice(src, n)})
+                        sums.update({g + s: None for s in src[:n]})
                 ends.append(len(sums))
-            level.append((sums, ends))
+            level.append((list(sums), ends))
         levels.append(level)
         values.append(sum(len(sums) for sums, _ in level))
     return values

@@ -87,9 +87,11 @@ def semigroup_values_bruteforce(exps: list[tuple[int, ...]], weights: list[int],
 
 def semigroup_level_counts_unpartitioned(exps: list[tuple[int, ...]], degrees: list[int],
                                          k_max: int) -> list[int]:
-    """`hilbert.semigroup_level_counts` with each level held whole: one
-    dict of lex-packed sums in least-generating-index (mu) order with
-    prefix counts per generator, and one set for the top level."""
+    """The semigroup level counts by a route independent of
+    `hilbert.semigroup_level_counts`: no residue classes and no lists,
+    each level, the top one too, held whole as one dict of lex-packed
+    sums in least-generating-index (mu) order with prefix counts per
+    generator."""
     bound = max(map(max, exps)) * max(k_max, 1)
     n = len(exps[0])
     key = [(2 * bound + 1) ** (n - 1 - i) for i in range(n)]

@@ -502,7 +502,9 @@ def test_residue_classes_equal_whole_levels_on_3x4_representatives(reps_3x4):
 
 def test_residue_classes_bound_the_memory_peak(reps_3x4):
     # the first representative has no free generator, so its core is all
-    # 18; holding its 107,635 degree-7 sums in one set peaked at 12.3 MiB
+    # 18; holding its 107,635 degree-7 sums in one set peaked at 12.3 MiB,
+    # and storing each class of a middle level as a dict at 3.78 MiB; with
+    # the classes stored as lists it reads 2.33 MiB (Python 3.11.7)
     reps, ring = reps_3x4
     exps = reps[0]
     assert free_generators(exps) == []
@@ -514,7 +516,7 @@ def test_residue_classes_bound_the_memory_peak(reps_3x4):
     finally:
         tracemalloc.stop()
     assert values == semigroup_level_counts_unpartitioned(exps, degrees, 7)
-    assert peak < 8 * 2 ** 20
+    assert peak < 3 * 2 ** 20
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -539,6 +541,24 @@ def test_residue_classes_match_bruteforce_oracle(case, class_size):
         assert semigroup_level_counts(exps, degrees, k_max) == expected
         assert semigroup_hilbert(exps, k_max, ring, grading).values == expected
     assert semigroup_level_counts_unpartitioned(exps, degrees, k_max) == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_monomial_family(), st.sampled_from([1, 3]))
+def test_stored_semigroup_level_agrees_with_counted_top(case, class_size):
+    # level k is the counted top at k_max = k and a stored class list read
+    # back by prefix at k + 1; many classes make the prefixes cross classes
+    weights, exps, grading, _ = case
+    ring = RingContext([f"x{i}" for i in range(len(weights))], 0, weights)
+    degrees = [ring.degree(e) for e in exps]
+    if grading == "normalized":
+        degrees = normalized_degrees(degrees)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hilbert, "_CLASS_SIZE", class_size)
+        mp.setattr(hilbert, "_CLASSES_FROM", 0)
+        for k in range(5):
+            assert (semigroup_level_counts(exps, degrees, k)
+                    == semigroup_level_counts(exps, degrees, k + 1)[:k + 1])
 
 
 @pytest.mark.parametrize("bound, nvars, base, P", [
