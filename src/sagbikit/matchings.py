@@ -28,11 +28,13 @@ shrinks one of its prefixes (and maps that prefix's generators among
 themselves) shrinks the whole path.  So the kept leaves meet every
 H-orbit, and their H-orbits, expanded in `_catalog_from_orbits`, are
 exactly the coherent selections.  An H-orbit lies inside one orbit of
-the whole group, so one canonical form serves it; an orbit's
-representative is still its smallest exponent sum, and its witness is
-the one its own path gets from the root (re-walked when that path was
-pruned), so catalogs, sizes and witnesses equal those of the unpruned
-walk.
+the whole group, so one canonical form serves it: the leaves are grouped
+by canonical form and expanded one whole-group orbit at a time, so the
+expansion holds the image sums of one orbit, not one per vertex.  An
+orbit's representative is still its smallest exponent sum, and its
+witness is the one its own path gets from the root (re-walked when that
+path was pruned), so catalogs, sizes and witnesses equal those of the
+unpruned walk.
 """
 from __future__ import annotations
 
@@ -265,40 +267,38 @@ def _dfs_vertices(family, nvars, table):
 def _catalog_from_orbits(family, leaves, symmetries, group: CanonicalGroup,
                          meta: dict) -> VertexCatalog:
     """Every coherent selection is the image of a kept leaf under a
-    symmetry; the leaves' orbits are expanded, folded by canonical form
-    under the whole group, and each orbit represented by its smallest
-    exponent sum, whose witness is that of its own path."""
+    symmetry.  The leaves are grouped by the canonical form of their
+    exponent sums under the whole group, and each class is expanded on
+    its own, in canonical order, into a dict from image sum to image path
+    that is dropped before the next class: every image of a leaf lies in
+    its whole-group orbit, so two classes never share an image sum, and
+    memory holds one orbit, not every vertex.  A class's size is its
+    number of image sums, and it is represented by the smallest, whose
+    witness is that of its own path."""
     term_lists = [sorted(f.terms) for f in family]
-    path_at: dict[tuple[int, ...], tuple[int, ...]] = {}
-    orbits: dict[tuple[int, ...], list] = {}
+    classes: dict[tuple[int, ...], list] = {}
     for path, _ in leaves:
         esum = _sum_exponents([terms[k] for terms, k in zip(term_lists, path)])
-        # every image shares the leaf's canonical form
-        entry = orbits.setdefault(group.canonical(esum), [0, esum])
-        for idx, src, maps in symmetries:
-            image = tuple(m[path[s]] for s, m in zip(src, maps))
-            image_sum = tuple(esum[i] for i in idx)
-            known = path_at.get(image_sum)
-            if known is None:
-                path_at[image_sum] = image
-                entry[0] += 1
-                if image_sum < entry[1]:
-                    entry[1] = image_sum
-            elif known != image:
-                raise AssertionError("two coherent matchings share a vertex")
+        classes.setdefault(group.canonical(esum), []).append((path, esum))
     witnesses = dict(leaves)
     diff_lists = _diff_lists(family)
     nvars = family[0].ring.nvars
     entries = []
-    for canon in sorted(orbits):
-        size, esum = orbits[canon]
-        path = path_at[esum]
+    for canon in sorted(classes):
+        path_at: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for path, esum in classes[canon]:
+            for idx, src, maps in symmetries:
+                image = tuple(m[path[s]] for s, m in zip(src, maps))
+                if path_at.setdefault(tuple(esum[i] for i in idx), image) != image:
+                    raise AssertionError("two coherent matchings share a vertex")
+        path = path_at[min(path_at)]
         witness = witnesses[path] if path in witnesses else \
             _walk(diff_lists, nvars, path)[1]
         selection = [terms[k] for terms, k in zip(term_lists, path)]
-        entries.append(OrbitEntry(canon, size, make_matching(family, selection, witness)))
-    return VertexCatalog(total=len(path_at), orbits=entries, exhaustive=True,
-                         meta=meta)
+        entries.append(OrbitEntry(canon, len(path_at),
+                                  make_matching(family, selection, witness)))
+    return VertexCatalog(total=sum(e.size for e in entries), orbits=entries,
+                         exhaustive=True, meta=meta)
 
 
 class SelectionSpaceExceeded(ValueError):
