@@ -231,6 +231,9 @@ def cmd_matchings(args) -> int:
         except UnpermutedSupports:
             raise UsageError("random mode needs generators whose supports the row "
                              "and column permutations permute; use --mode exhaustive")
+        if not catalog.orbits:
+            raise UsageError(f"random mode drew no generic weight in {args.trials} "
+                             "trials; raise --trials")
     k_max = args.kmax
     t = min(matrix.m, matrix.n)
     if args.minors == t:

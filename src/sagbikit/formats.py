@@ -17,8 +17,6 @@ parse error are worked out from the offset when the error is raised.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .rings import Polynomial, RingContext
 
 
@@ -103,6 +101,7 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
             if ring.characteristic and denom % ring.characteristic == 0:
                 raise _error(text, at, f"denominator {denom} is not invertible mod "
                                        f"{ring.characteristic}")
+            from fractions import Fraction
             return Fraction(val, denom), None
         if kind != "ident":
             raise _error(text, at, "expected coefficient or variable, found "

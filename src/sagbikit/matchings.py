@@ -338,7 +338,8 @@ def enumerate_vertices_random(family, group: CanonicalGroup, *, trials: int,
     family whose supports it does not permute raises UnpermutedSupports.  The
     full group is tested on its generators.  The sampling box [1, 10k]
     doubles k after every 64 consecutive samples without a new orbit;
-    stall_limit consecutive misses stop the search early.
+    stall_limit consecutive misses stop the search early, once an orbit
+    is found (the tied weights before it do not count).
     """
     family = list(family)
     tested = full_group_generators(group.m, group.n) if group.full else group
@@ -363,7 +364,7 @@ def enumerate_vertices_random(family, group: CanonicalGroup, *, trials: int,
             found.setdefault(canon, m)
         if stall and stall % 64 == 0:
             scale = min(scale * 2, 1 << 20)
-        if stall >= stall_limit:
+        if found and stall >= stall_limit:
             break
     orbits = [OrbitEntry(canonical=c, size=group.orbit_size(found[c].exponent_sum),
                          representative=found[c]) for c in sorted(found)]
@@ -413,17 +414,23 @@ def extend_matching(matching: Matching, g: Polynomial, terms=None,
     and only for a term whose differences hold no column's negation.
     """
     family = matching.family + [g]
+    return [make_matching(family, matching.selection + (t,), w)
+            for t, _, w in _extensions(matching, g, terms, system)]
+
+
+def _extensions(matching: Matching, g: Polynomial, terms=None,
+                system: StrictSystem | None = None):
+    """`extend_matching` term by term: (t, the matching's system grown by
+    t's differences, a checked witness) for each coherent term t, so that
+    a caller can grow the child systems further."""
+    family = matching.family + [g]
     homogeneous = _homogeneous(tuple(matching.family)) and g.is_homogeneous()
     if system is None:
         system = matching_system(matching)
-    out = []
     for t in sorted(g.terms) if terms is None else terms:
-        _, w = certify(system, term_diffs(g, t), matching.witness)
+        child, w = certify(system, term_diffs(g, t), matching.witness)
         if w is not None:
-            selection = matching.selection + (t,)
-            out.append(make_matching(family, selection,
-                                     _checked(family, selection, w, homogeneous)))
-    return out
+            yield t, child, _checked(family, matching.selection + (t,), w, homogeneous)
 
 
 def restrict_matching(matching: Matching, minor_infos: list[Minor],

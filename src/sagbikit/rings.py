@@ -7,11 +7,12 @@ construction and safe to share.
 One rule says what a coefficient is, `RingContext.coeff`: over Q an int
 when it is integral and a Fraction with denominator > 1 otherwise, over
 GF(p) an int in [0, p).  Polynomial arithmetic is Python's arithmetic on
-those values, with each result passed through `coeff`.
+those values, with each result passed through `coeff`.  `fractions` is
+loaded only where the first non-integral rational is made, so a job
+whose coefficients stay integers never loads it.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, mul, sub
 from typing import Iterable, Mapping
 
@@ -74,15 +75,20 @@ class RingContext:
         an int when c is integral, else c; over GF(p) an int in [0, p)."""
         p = self.characteristic
         if p:
-            if isinstance(c, Fraction):
-                return c.numerator * pow(c.denominator, -1, p) % p
-            return c % p
+            if type(c) is int:
+                return c % p
+            return c.numerator * pow(c.denominator, -1, p) % p
         return c.numerator if c.denominator == 1 else c
 
     def cinv(self, a):
         """The inverse of a nonzero coefficient, in normal form."""
         p = self.characteristic
-        return pow(a, -1, p) if p else self.coeff(Fraction(1, a))
+        if p:
+            return pow(a, -1, p)
+        if a == 1 or a == -1:
+            return a
+        from fractions import Fraction
+        return self.coeff(Fraction(1, a))
 
     def __eq__(self, other):
         return (isinstance(other, RingContext)

@@ -11,15 +11,14 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
-from itertools import product as iproduct
-from math import comb
+from math import comb, prod
 from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .cases import VerificationError
 from .hilbert import RowSpace, expand_series, lex_key, semigroup_hilbert, vector_row
-from .matchings import (Matching, certify, diagonal_matching,
+from .matchings import (Matching, _extensions, certify, diagonal_matching,
                         enumerate_vertices_exhaustive, extend_matching, make_matching,
                         matching_from_weight, matching_system, term_diffs)
 from .minors import (MatrixRing, bracket, bracket_name, determinant,
@@ -300,6 +299,53 @@ def column_restrictions(selection, minor_list, n: int):
     return len(set(sums)), per_column
 
 
+def _coherent_augmentations(T: Matching, transported, span, sample_idx: int):
+    """The coherent simultaneous augmentations of T by one term in span of
+    each transported element, in product order, and the number of
+    combinations of the coherent single extensions.
+
+    One system of T's differences serves every single extension; it is
+    solved at most once, and not at all when T's witness clears every
+    candidate or the candidate's differences hold the negation of one of
+    T's or of each other (the LP would only find that infeasible).  Any
+    coherent augmentation stays inside the rational span of T (the
+    Hilbert bound caps the semigroup dimension at 13), so terms outside it
+    are infeasible without an LP call.  The combinations grow from the
+    first element's single extensions (`_grown`).
+    """
+    system = matching_system(T)
+
+    def singles(g):
+        return _extensions(T, g, [t for t in sorted(g.terms) if vector_row(t) in span],
+                           system)
+
+    roots = [((t,), child, w) for t, child, w in singles(transported[0])]
+    # of the other elements' single extensions only the terms are kept
+    term_choices = [[combo[0] for combo, _, _ in roots]]
+    term_choices += [[t for t, _, _ in singles(g)] for g in transported[1:]]
+    if not all(term_choices):
+        raise VerificationError(
+            f"sample {sample_idx}: no coherent extension for a repair", T)
+    return list(_grown(roots, transported, term_choices)), prod(map(len, term_choices))
+
+
+def _grown(prefixes, transported, term_choices):
+    """The coherent combinations extending the prefixes, each given as
+    (combination, system, witness), depth first in product order.  A
+    combination grows from its prefix's system, whose witness it tries
+    first, so a prefix is solved at most once and an infeasible one ends
+    its line; only the systems of the current path are held."""
+    for combo, system, witness in prefixes:
+        j = len(combo)
+        if j == len(transported):
+            yield combo
+            continue
+        for t in term_choices[j]:
+            child, w = certify(system, term_diffs(transported[j], t), witness)
+            if w is not None:
+                yield from _grown([(combo + (t,), child, w)], transported, term_choices)
+
+
 def verify_g37_sampled(count: int, seed: int) -> CaseReport:
     """Prop-style sampled check for 3x7: degree-2 defect at most 3, located
     by the all-even restrictions, and repaired by transported bracket
@@ -355,46 +401,23 @@ def verify_g37_sampled(count: int, seed: int) -> CaseReport:
         if not mapped_tuples:
             continue
         # all coherent augmentations by the transported elements must
-        # restore the degree-2 dimension; any coherent augmentation stays
-        # inside the rational span of the matching (the Hilbert bound
-        # caps the semigroup dimension at 13), so terms outside it are
-        # infeasible without an LP call
+        # restore the degree-2 dimension
         span = RowSpace(map(vector_row, T.selection))
         if len(span) != 3 * (7 - 3) + 1:
             raise VerificationError(
                 f"sample {sample_idx}: matching rank {len(span)} != 13", T)
-        # one system of T's differences serves every extension below; it
-        # is solved at most once, and not at all when T's witness clears
-        # every candidate or the candidate's differences hold the negation
-        # of one of T's or of each other (the LP would only find that
-        # infeasible)
-        system = matching_system(T)
-        term_choices = []
-        for g in transported:
-            cands = [t for t in sorted(g.terms) if vector_row(t) in span]
-            feasible = [ext.selection[-1]
-                        for ext in extend_matching(T, g, cands, system)]
-            if not feasible:
-                raise VerificationError(
-                    f"sample {sample_idx}: no coherent extension for a repair", T)
-            term_choices.append(feasible)
-        combos = list(iproduct(*term_choices))
-        any_ok = False
-        for combo in combos:
-            new = [d for g, t in zip(transported, combo) for d in term_diffs(g, t)]
-            if len(combo) > 1 and certify(system, new, T.witness)[1] is None:
-                continue
-            any_ok = True
+        coherent, n_combos = _coherent_augmentations(T, transported, span, sample_idx)
+        for combo in coherent:
             values = semigroup_hilbert(T.selection + combo, 2, M7.ring).values
             if values[2] != h2_g37:
                 raise VerificationError(
                     f"sample {sample_idx}: augmentation left degree 2 at "
                     f"{values[2]}", T)
-        if not any_ok:
+        if not coherent:
             raise VerificationError(
                 f"sample {sample_idx}: no coherent simultaneous augmentation", T)
         details.append(f"sample {sample_idx}: defect {h} repaired by "
                        f"{', '.join(map(bracket_pair_name, mapped_tuples))} "
-                       f"({len(combos)} augmentation(s))")
+                       f"({n_combos} augmentation(s))")
     return CaseReport(case="G37_sampled", details=details,
                       meta={"count": count, "seed": seed, "defect_histogram": hist})

@@ -96,6 +96,17 @@ def test_matchings_random_requires_seed(capsys):
     assert code == 2 and "seed" in err
 
 
+def test_matchings_random_ties_before_the_first_orbit_do_not_stall(capsys):
+    # the same seed's opening ties once filled --stall 20 and ended the
+    # run with an empty catalog and exit 0
+    code, out, _ = _run(capsys, ["matchings", "--matrix", "3x7", "--minors", "3",
+                                 "--mode", "random", "--seed", "1", "--trials", "200",
+                                 "--stall", "20", "--kmax", "2", "--format", "json"])
+    report = json.loads(out)
+    assert code == 0 and report["orbits"] > 0 and report["total"] > 0
+    assert report["meta"]["samples_used"] > 20
+
+
 @pytest.mark.parametrize("tall, wide, t", [("4x3", "3x4", "3"), ("4x2", "2x4", "2")])
 def test_matchings_maximal_minors_of_a_tall_matrix_get_the_full_reference(capsys, tall, wide, t):
     # the transpose has the same maximal-minor algebra, so the same
@@ -291,6 +302,10 @@ def test_non_utf8_file_is_one_line_usage_error(capsys, tmp_path, flag, needle):
     # whole-group orbit sizes would count 4 matchings; the exact total is 2
     (["matchings", "--matrix", "2x2", "--gen", "X11+X12", "--mode", "random",
       "--seed", "1"], "random mode needs generators whose supports"),
+    # seed 1 draws over 20 tied weights before its first generic one
+    (["matchings", "--matrix", "3x7", "--minors", "3", "--mode", "random",
+      "--seed", "1", "--trials", "20", "--stall", "20"],
+     "random mode drew no generic weight in 20 trials"),
     (["matchings", "--matrix", "3x3", "--minors", "2", "--workers", "0"],
      "--workers must be positive"),
     (["matchings", "--matrix", "3x3", "--minors", "2", "--workers", "-3"],
@@ -328,7 +343,7 @@ def test_non_utf8_file_is_one_line_usage_error(capsys, tmp_path, flag, needle):
         "degree-without-bound", "inhomogeneous-deg", "inhomogeneous-degree",
         "denominator-divisible-by-char", "inhomogeneous-subalgebra",
         "inhomogeneous-matchings", "negative-count", "negative-trials", "zero-stall",
-        "random-unpermuted-family", "zero-workers", "negative-workers",
+        "random-unpermuted-family", "random-all-ties", "zero-workers", "negative-workers",
         "submax-non-square-relations", "submax-non-square-hilbert",
         "packed-exponent-overflow", "sagbi-negative-round-bound",
         "sagbi-negative-degree-bound", "relations-negative-round-bound",

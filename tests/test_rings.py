@@ -46,6 +46,26 @@ def test_make_monic_registers_divisor(R):
         make_monic(lex_order(2), Polynomial.zero(R))
 
 
+@pytest.mark.parametrize("a", [1, -1])
+def test_unit_inverse_over_q_is_an_int(R, a):
+    inv = R.cinv(a)
+    assert type(inv) is int and inv == a
+
+
+def test_inverse_over_q_of_a_non_unit_is_a_fraction(R):
+    inv = R.cinv(3)
+    assert type(inv) is Fraction and inv == Fraction(1, 3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 7, 32003]), st.integers(-50, 50), st.integers(1, 50))
+def test_fraction_over_gf_p_is_numerator_times_inverse_denominator(p, a, b):
+    if b % p == 0:
+        b += 1
+    ring = RingContext(["x"], p)
+    assert ring.coeff(Fraction(a, b)) == a * pow(b, -1, p) % p
+
+
 def test_context_mismatch_raises(R):
     other = RingContext(["x", "z"])
     with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """The library never imports the test helpers: the oracles and the paper
 constructions in `tests/` check `src/`, so none of them may become a
 runtime dependency of it.  A command line process loads only the
-modules its command runs."""
+modules its command runs, and `fractions` only when a coefficient is a
+non-integral rational."""
 import ast
 import importlib
 import json
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from test_golden import CASES as GOLDEN_ARGV
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sagbikit"
 TEST_HELPERS = {"oracles", "constructions", "tests"}
@@ -66,6 +69,8 @@ def test_cli_imports_only_public_names():
 
 # the layers a command loads only when it computes with them
 HEAVY = ("engine", "groebner", "relations", "matchings", "lp", "universal")
+# what `fractions` brings in; a job whose coefficients are integers loads none
+RATIONALS = {"fractions", "decimal", "_decimal", "numbers"}
 _LOADED = """
 import json, sys
 before = set(sys.modules)
@@ -101,13 +106,19 @@ def _loaded_by(argv):
     (["matchings", "--matrix", "2x3", "--minors", "2", "--kmax", "2"],
      ("engine", "groebner", "relations", "universal")),
     (["verify", "--case", "A233"], ("engine", "groebner", "relations")),
+    (GOLDEN_ARGV["relations-2x4-gf3"], ("matchings", "lp", "universal")),
 ], ids=["import", "hilbert", "hilbert-semigroup", "relations", "sagbi", "matchings",
-        "verify"])
+        "verify", "relations-gf3"])
 def test_a_command_loads_only_the_layers_it_runs(argv, absent):
     loaded = _loaded_by(argv)
     assert "sagbikit.cli" in loaded
     assert not loaded & {f"sagbikit.{name}" for name in absent}
     assert "dataclasses" not in loaded
+    assert not loaded & RATIONALS
+
+
+def test_a_rational_literal_loads_fractions():
+    assert "fractions" in _loaded_by(GOLDEN_ARGV["relations-fractions"])
 
 
 def test_every_package_export_resolves_to_its_owner():
