@@ -243,17 +243,14 @@ def cmd_matchings(args) -> int:
         reference = semigroup_hilbert(
             diagonal_matching(matrix, minors(t, matrix)).selection,
             k_max, ring, args.grading).values
-        ref_k = k_max
     else:
         # exact linear algebra caps the reference depth
-        ref_k = min(k_max, 3)
-        order = diagonal_order(matrix)
-        reference = subalgebra_hilbert(gens, ref_k, order, args.grading).values
+        reference = subalgebra_hilbert(gens, min(k_max, 3), args.grading).values
     rows = []
     for entry in catalog.orbits:
         rep = entry.representative
         values = semigroup_hilbert(rep.selection, k_max, ring, args.grading).values
-        defect = first_defect(values, reference, ref_k)
+        defect = first_defect(values, reference)
         dim = krull_dim_monomial(rep.selection)
         hv = h_vector(values, dim)
         rows.append({
@@ -317,7 +314,7 @@ def cmd_hilbert(args) -> int:
     order = _build_order(args.order, ring, matrix)
     if args.kind == "subalgebra":
         _check_homogeneous(gens, "--kind subalgebra")
-        values = subalgebra_hilbert(gens, args.kmax, order, args.grading).values
+        values = subalgebra_hilbert(gens, args.kmax, args.grading).values
         summary = []
     else:
         exps = [leading_exponent(order, f) for f in gens]

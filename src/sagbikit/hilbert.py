@@ -52,10 +52,12 @@ fixed bound P is 1: the whole level is one class, and the loop is the
 unsplit one.
 
 The subalgebra route packs every exponent vector into one integer by
-the order's linear key, so multiplying monomials adds keys and the
-leading monomial of a row is its largest key.  Its coefficients are
-ints: over Q the generators are cleared of denominators and rows are
-eliminated fraction-free, over GF(p) they are residues.  Every product
+the same lex key, so multiplying monomials adds keys.  A rank does not
+depend on which injective additive key picks the pivots, so the route
+takes no term order: only the initial algebra depends on one.  Its
+coefficients are ints: over Q the generators are cleared of
+denominators and rows are eliminated fraction-free, over GF(p) they
+are residues.  Every product
 of generators is homogeneous for the finest grading the generators
 admit: the weights w with w . (t - u) = 0 for every two terms t, u of
 one generator (`grading_weights`).  That grading splits each degree of
@@ -91,7 +93,6 @@ from math import comb, gcd, lcm
 from operator import mul, sub
 from typing import Iterable, Literal, NamedTuple, Sequence
 
-from .orders import MonomialOrder
 from .rings import Polynomial, RingContext, _is_prime
 
 Grading = Literal["normalized", "ambient"]
@@ -117,11 +118,14 @@ def normalized_degrees(degrees: Sequence[int]) -> list[int]:
 
 def _grading_degrees(degrees: list[int], k_max: int, grading: Grading) -> list[int]:
     """The generator degrees both routes count in, after the checks they
-    share: k_max nonnegative and no generator of degree 0."""
+    share: k_max nonnegative, no generator of degree 0 and a known
+    grading."""
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     if any(d < 1 for d in degrees):
         raise ValueError("constant generator")
+    if grading not in ("normalized", "ambient"):
+        raise ValueError(f"unknown grading {grading!r}")
     return normalized_degrees(degrees) if grading == "normalized" else degrees
 
 
@@ -397,16 +401,14 @@ def _times(row: dict[int, int], gen: dict[int, int], p: int) -> dict[int, int]:
 
 
 def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
-                       order: MonomialOrder,
                        grading: Grading = "normalized") -> HilbertData:
     """H(K[F], k) = rank of the degree-k products of generators.
 
-    Exponents are packed by the order's linear key (see
-    `MonomialOrder.linear_key`), with the bound max exponent * k_max that
-    no product of at most k_max generators exceeds, so multiplying
-    monomials adds packed keys and a row's leading monomial is its largest
-    key.  Over Q each generator is cleared of denominators (scaling keeps
-    the rank); over GF(p) its coefficients are residues.  Each level is
+    Exponents are packed by `lex_key` (a rank needs no term order) with
+    the bound max exponent * k_max that no product of at most k_max
+    generators exceeds, so multiplying monomials adds packed keys.  Over Q
+    each generator is cleared of denominators (scaling keeps the rank);
+    over GF(p) its coefficients are residues.  Each level is
     built and ranked one class of the finest grading at a time (see the
     module docstring).  A class is one integer: its weight vector, whose
     entries are at most B = k_max * (the largest entry of a generator's
@@ -424,7 +426,7 @@ def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
     degrees = _grading_degrees([f.degree() for f in polys], k_max, grading)
     p = ring.characteristic
     bound = max(max(e) for f in polys for e in f.terms) * max(k_max, 1)
-    c = order.linear_key(bound)
+    c = lex_key(ring.nvars, bound)
     weights = grading_weights(polys)
     vectors = [[sum(w * e[i] for i, w in ws.items()) for ws in weights]
                for e in (next(iter(f.terms)) for f in polys)]

@@ -237,7 +237,7 @@ def _diff_lists(family):
     return [[term_diffs(f, t) for t in sorted(f.terms)] for f in family]
 
 
-def _dfs_vertices(family, nvars, table):
+def _dfs_vertices(family, table):
     """The kept leaves, as (path, witness), of the depth-first walk of the
     selections (paths of sorted-term indices) with exact feasibility
     verdicts, pruned by symmetry: a child prefix is skipped before its LP
@@ -260,7 +260,7 @@ def _dfs_vertices(family, nvars, table):
             path.pop()
 
     # the root as `_walk` starts it, so re-walked witnesses agree
-    descend(0, *_walk(diff_lists, nvars, ()))
+    descend(0, *_walk(diff_lists, family[0].ring.nvars, ()))
     return leaves
 
 
@@ -319,8 +319,7 @@ def enumerate_vertices_exhaustive(family, group: CanonicalGroup,
     if space > cap:
         raise SelectionSpaceExceeded(space, cap)
     symmetries = _support_symmetries(family, group)
-    leaves = _dfs_vertices(family, family[0].ring.nvars,
-                           _prune_table(symmetries, len(family)))
+    leaves = _dfs_vertices(family, _prune_table(symmetries, len(family)))
     return _catalog_from_orbits(family, leaves, symmetries, group,
                                 {"mode": "exhaustive", "selections": space})
 
@@ -386,15 +385,17 @@ def sagbi_defect(matching: Matching, reference_values, k_max: int,
     reference Hilbert values, or None."""
     ring = matching.family[0].ring
     return first_defect(semigroup_hilbert(matching.selection, k_max, ring, grading).values,
-                        reference_values, k_max)
+                        reference_values)
 
 
-def first_defect(values, reference_values, k_max: int) -> int | None:
-    """First degree up to k_max where semigroup Hilbert values fall short
-    of the reference ones, or None."""
-    if any(v > r for v, r in zip(values[:k_max + 1], reference_values)):
+def first_defect(values, reference_values) -> int | None:
+    """First degree where semigroup Hilbert values fall short of the
+    reference ones, or None; degrees past the shorter list are not
+    compared."""
+    pairs = list(zip(values, reference_values))
+    if any(v > r for v, r in pairs):
         raise AssertionError("semigroup exceeds the reference Hilbert values")
-    return next((k for k in range(k_max + 1) if values[k] < reference_values[k]), None)
+    return next((k for k, (v, r) in enumerate(pairs) if v < r), None)
 
 
 def matching_system(matching: Matching) -> StrictSystem:
@@ -403,19 +404,17 @@ def matching_system(matching: Matching) -> StrictSystem:
                         selection_diffs(matching.family, matching.selection))
 
 
-def extend_matching(matching: Matching, g: Polynomial, terms=None,
-                    system: StrictSystem | None = None) -> list[Matching]:
+def extend_matching(matching: Matching, g: Polynomial, terms=None) -> list[Matching]:
     """Coherent extensions of the matching by one more generator, over the
     given terms of g (all of them, sorted, by default).
 
     The matching's witness, if any, is tried first for every term; the
-    matching's system (`matching_system`, or the one given, which callers
-    extending one matching several times share) is solved at most once,
-    and only for a term whose differences hold no column's negation.
+    matching's system (`matching_system`) is solved at most once, and only
+    for a term whose differences hold no column's negation.
     """
     family = matching.family + [g]
     return [make_matching(family, matching.selection + (t,), w)
-            for t, _, w in _extensions(matching, g, terms, system)]
+            for t, _, w in _extensions(matching, g, terms)]
 
 
 def _extensions(matching: Matching, g: Polynomial, terms=None,

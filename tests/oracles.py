@@ -580,7 +580,7 @@ def is_sagbi_up_to(family, k_max: int, grading: str = "normalized"):
     from sagbikit.hilbert import semigroup_hilbert, subalgebra_hilbert
     if not family.is_homogeneous():
         raise ValueError("Hilbert comparison needs homogeneous generators")
-    sub = subalgebra_hilbert(family.members, k_max, family.order, grading)
+    sub = subalgebra_hilbert(family.members, k_max, grading)
     semi = semigroup_hilbert(family.initials, k_max, family.ring, grading)
     for k in range(k_max + 1):
         if semi.values[k] != sub.values[k]:

@@ -21,8 +21,8 @@ from sagbikit.hilbert import (RowSpace, expand_series, free_generators, h_vector
                               semigroup_hilbert, semigroup_level_counts,
                               subalgebra_hilbert, vector_row)
 from sagbikit.matchings import diagonal_matching, enumerate_vertices_exhaustive
-from sagbikit.minors import MatrixRing, diagonal_order, full_group, minors
-from sagbikit.orders import degrevlex_order, lex_order, weight_order
+from sagbikit.minors import MatrixRing, full_group, minors
+from sagbikit.orders import degrevlex_order, lex_order
 from sagbikit.rings import Polynomial, RingContext
 
 
@@ -36,32 +36,29 @@ def test_two_minors_3x3_degree_two_is_free():
     # nine algebraically independent generators: 45 = C(10, 2) products
     M = MatrixRing(3, 3)
     fam = [mi.polynomial for mi in minors(2, M)]
-    data = subalgebra_hilbert(fam, 2, diagonal_order(M))
+    data = subalgebra_hilbert(fam, 2)
     assert data.values == [1, 9, 45]
 
 
 def test_single_monomial_algebra():
     R = RingContext(["x"])
     f = parse_polynomial(R, "x")
-    assert subalgebra_hilbert([f], 5, lex_order(1)).values == [1] * 6
+    assert subalgebra_hilbert([f], 5).values == [1] * 6
     assert semigroup_hilbert([(1,)], 5, R).values == [1] * 6
 
 
-@pytest.mark.parametrize("order", [
-    lex_order(3), degrevlex_order(3, (2, 0, 1)),
-    weight_order((0, 1, 0), lex_order(3, (1, 2, 0)))], ids=["lex", "degrevlex", "weight"])
-def test_polynomial_ring_has_every_monomial(order):
+def test_polynomial_ring_has_every_monomial():
     # products of up to 8 variables have exponents 8 times a generator's,
     # so a packing bound that ignored k_max would merge monomials
     R = RingContext(["x", "y", "z"])
     gens = [Polynomial.variable(R, i) for i in range(3)]
-    assert subalgebra_hilbert(gens, 8, order).values == [comb(k + 2, 2) for k in range(9)]
+    assert subalgebra_hilbert(gens, 8).values == [comb(k + 2, 2) for k in range(9)]
 
 
 def test_g36_degree_two():
     M = MatrixRing(3, 6)
     fam = [mi.polynomial for mi in minors(3, M)]
-    data = subalgebra_hilbert(fam, 2, diagonal_order(M))
+    data = subalgebra_hilbert(fam, 2)
     assert data.values == [1, 20, 175]
     assert data.values[2] == schur_rectangle_dim(3, 2, 6)
 
@@ -77,7 +74,7 @@ def test_diagonal_matching_semigroup_matches_subalgebra():
 def test_inhomogeneous_generator_rejected():
     R = RingContext(["x", "y"])
     with pytest.raises(ValueError):
-        subalgebra_hilbert([parse_polynomial(R, "x + y^2")], 2, lex_order(2))
+        subalgebra_hilbert([parse_polynomial(R, "x + y^2")], 2)
 
 
 def test_krull_dim_examples():
@@ -172,7 +169,7 @@ def test_hilbert_inequality_random_families():
             continue
         from sagbikit.orders import leading_exponent
         inits = [leading_exponent(order, f) for f in polys]
-        sub = subalgebra_hilbert(polys, 4, order, grading="ambient").values
+        sub = subalgebra_hilbert(polys, 4, grading="ambient").values
         semi = semigroup_hilbert(inits, 4, ring, grading="ambient").values
         assert all(s <= a for s, a in zip(semi, sub))
         done += 1
@@ -198,7 +195,7 @@ def test_g36_subalgebra_route_memory_peak():
     polys = [mi.polynomial for mi in minors(3, M)]
     tracemalloc.start()
     try:
-        values = subalgebra_hilbert(polys, 3, diagonal_order(M)).values
+        values = subalgebra_hilbert(polys, 3).values
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -216,7 +213,7 @@ def test_g36_subalgebra_route_product_count(monkeypatch):
     monkeypatch.setattr(hilbert, "_times", lambda *args: made.append(1) or times(*args))
     M = MatrixRing(3, 6)
     polys = [mi.polynomial for mi in minors(3, M)]
-    assert subalgebra_hilbert(polys, 3, diagonal_order(M)).values == [1, 20, 175, 980]
+    assert subalgebra_hilbert(polys, 3).values == [1, 20, 175, 980]
     assert len(made) == 1309
 
 
@@ -224,22 +221,12 @@ def test_subalgebra_over_gf2_ranks_mod_2():
     # K[x+y, y+z, x+z] = K[x+y, y+z] in characteristic 2
     R = RingContext(["x", "y", "z"], 2)
     gens = [parse_polynomial(R, t) for t in ("x+y", "y+z", "x+z")]
-    assert subalgebra_hilbert(gens, 3, degrevlex_order(3)).values == [1, 2, 3, 4]
+    assert subalgebra_hilbert(gens, 3).values == [1, 2, 3, 4]
 
 
 def _monomials_of_degree(weights, d):
     return [e for e in product(range(d + 1), repeat=len(weights))
             if sum(w * v for w, v in zip(weights, e)) == d]
-
-
-@st.composite
-def _order(draw, nv):
-    perm = draw(st.permutations(range(nv)))
-    kind = draw(st.sampled_from(["lex", "degrevlex", "weight"]))
-    base = (degrevlex_order if kind == "degrevlex" else lex_order)(nv, perm)
-    if kind != "weight":
-        return base
-    return weight_order(draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv)), base)
 
 
 def _coefficients(p):
@@ -252,7 +239,7 @@ def _coefficients(p):
 def _homogeneous_family(draw, p):
     """Generators of mixed degrees 1-3, homogeneous for unit or 1/2 variable
     weights, with coefficients in GF(p), or fractions of either sign when
-    p is 0; an order of any kind, a grading and k_max."""
+    p is 0; a grading and k_max."""
     nv = draw(st.integers(1, 3))
     weights = draw(st.sampled_from([[1] * nv, [1 + v % 2 for v in range(nv)]]))
     coeff = _coefficients(p)
@@ -261,7 +248,7 @@ def _homogeneous_family(draw, p):
         monomial = st.sampled_from(_monomials_of_degree(weights, draw(st.integers(1, 3))))
         gens.append(draw(st.dictionaries(monomial, coeff, min_size=1, max_size=3)))
     grading = draw(st.sampled_from(["normalized", "ambient"]))
-    return weights, gens, draw(_order(nv)), grading, draw(st.integers(0, 4))
+    return weights, gens, grading, draw(st.integers(0, 4))
 
 
 def _degrees(weights, gens, grading):
@@ -275,10 +262,10 @@ def _degrees(weights, gens, grading):
 @given(st.sampled_from([2, 3, 5]).flatmap(
     lambda p: st.tuples(st.just(p), _homogeneous_family(p))))
 def test_subalgebra_hilbert_matches_mod_p_rank_oracle(case):
-    p, (weights, gens, order, grading, k_max) = case
+    p, (weights, gens, grading, k_max) = case
     ring = RingContext([f"x{i}" for i in range(len(weights))], p, weights)
     polys = [Polynomial(ring, g) for g in gens]
-    values = subalgebra_hilbert(polys, k_max, order, grading).values
+    values = subalgebra_hilbert(polys, k_max, grading).values
     assert values == subalgebra_values_mod_p(gens, _degrees(weights, gens, grading),
                                              p, k_max)
 
@@ -286,10 +273,10 @@ def test_subalgebra_hilbert_matches_mod_p_rank_oracle(case):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_homogeneous_family(0))
 def test_subalgebra_hilbert_matches_rational_rank_oracle(case):
-    weights, gens, order, grading, k_max = case
+    weights, gens, grading, k_max = case
     ring = RingContext([f"x{i}" for i in range(len(weights))], 0, weights)
     polys = [Polynomial(ring, g) for g in gens]
-    values = subalgebra_hilbert(polys, k_max, order, grading).values
+    values = subalgebra_hilbert(polys, k_max, grading).values
     assert values == subalgebra_values_rational(gens, _degrees(weights, gens, grading),
                                                 k_max)
 
@@ -301,7 +288,7 @@ def _multigraded_family(draw, p):
     3x3 matrix whose cells carry random nonzero coefficients, at least one
     of them of size 2 or more; or, in 3 or 4 variables of unit or 1/2
     weights, at most nvars - 2 binomials x^a - c x^b of mixed degrees,
-    at least one, beside monomials.  An order, a grading and k_max too."""
+    at least one, beside monomials.  A grading and k_max too."""
     coeff = _coefficients(p)
     if draw(st.booleans()):
         m, n = draw(st.integers(2, 3)), draw(st.integers(2, 3))
@@ -326,7 +313,7 @@ def _multigraded_family(draw, p):
             gens.append({draw(monomial): draw(coeff)})
         gens = draw(st.permutations(gens))
     grading = draw(st.sampled_from(["normalized", "ambient"]))
-    return weights, gens, draw(_order(len(weights))), grading, draw(st.integers(0, 3))
+    return weights, gens, grading, draw(st.integers(0, 3))
 
 
 def _differences(gens):
@@ -337,7 +324,7 @@ def _differences(gens):
 # x^2 + y^2 and xy share a class, so z^2 alone reaches the degree-2 class
 # of their multiples, with two sources, below the top degree
 _SHARED_CLASS = ([1, 1, 1], [{(2, 0, 0): 1, (0, 2, 0): 1}, {(1, 1, 0): 1}, {(0, 0, 2): 1}],
-                 lex_order(3), "normalized", 4)
+                 "normalized", 4)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -347,11 +334,11 @@ _SHARED_CLASS = ([1, 1, 1], [{(2, 0, 0): 1, (0, 2, 0): 1}, {(1, 1, 0): 1}, {(0, 
 @example((3, _SHARED_CLASS))
 def test_multigraded_families_match_rank_oracles(case):
     # the split into classes is neither trivial nor total on these families
-    p, (weights, gens, order, grading, k_max) = case
+    p, (weights, gens, grading, k_max) = case
     ring = RingContext([f"x{i}" for i in range(len(weights))], p, weights)
     polys = [Polynomial(ring, g) for g in gens]
     assert 1 < len(hilbert.grading_weights(polys)) < len(weights)
-    values = subalgebra_hilbert(polys, k_max, order, grading).values
+    values = subalgebra_hilbert(polys, k_max, grading).values
     degrees = _degrees(weights, gens, grading)
     if p:
         assert values == subalgebra_values_mod_p(gens, degrees, p, k_max)
@@ -362,7 +349,7 @@ def test_multigraded_families_match_rank_oracles(case):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.one_of(_multigraded_family(0), _homogeneous_family(0)))
 def test_grading_weights_kill_every_difference(case):
-    weights, gens, _, _, _ = case
+    weights, gens, _, _ = case
     nvars = len(weights)
     ring = RingContext([f"x{i}" for i in range(nvars)], 0, weights)
     grading = hilbert.grading_weights([Polynomial(ring, g) for g in gens])
@@ -378,12 +365,12 @@ def test_grading_weights_kill_every_difference(case):
     lambda p: st.tuples(st.just(p), _homogeneous_family(p))))
 def test_streamed_top_level_agrees_with_stored_level(case):
     # level k is the streamed top at k_max = k and a stored source at k + 1
-    p, (weights, gens, order, grading, _) = case
+    p, (weights, gens, grading, _) = case
     ring = RingContext([f"x{i}" for i in range(len(weights))], p, weights)
     polys = [Polynomial(ring, g) for g in gens]
     for k in range(4):
-        assert (subalgebra_hilbert(polys, k, order, grading).values
-                == subalgebra_hilbert(polys, k + 1, order, grading).values[:k + 1])
+        assert (subalgebra_hilbert(polys, k, grading).values
+                == subalgebra_hilbert(polys, k + 1, grading).values[:k + 1])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -612,7 +599,7 @@ def test_negative_k_max_rejected():
     with pytest.raises(ValueError, match="k_max must be nonnegative, got -1"):
         semigroup_hilbert([(1, 0)], -1, R)
     with pytest.raises(ValueError, match="k_max must be nonnegative, got -1"):
-        subalgebra_hilbert([parse_polynomial(R, "x")], -1, lex_order(2))
+        subalgebra_hilbert([parse_polynomial(R, "x")], -1)
 
 
 def test_both_routes_refuse_a_constant_generator_with_one_message():
@@ -620,8 +607,21 @@ def test_both_routes_refuse_a_constant_generator_with_one_message():
     with pytest.raises(ValueError) as semigroup:
         semigroup_hilbert([(1, 0), (0, 0)], 3, R)
     with pytest.raises(ValueError) as subalgebra:
-        subalgebra_hilbert([parse_polynomial(R, g) for g in ("x", "2")], 3, lex_order(2))
+        subalgebra_hilbert([parse_polynomial(R, g) for g in ("x", "2")], 3)
     assert str(semigroup.value) == str(subalgebra.value) == "constant generator"
+
+
+def test_both_routes_refuse_an_unknown_grading_with_one_message():
+    # a misspelt grading was read as ambient: the 2-minors of 2x3 counted
+    # 1, 0, 3, 0 in place of 1, 3, 6, 10
+    M = MatrixRing(2, 3)
+    polys = [mi.polynomial for mi in minors(2, M)]
+    assert subalgebra_hilbert(polys, 3).values == [1, 3, 6, 10]
+    with pytest.raises(ValueError) as semigroup:
+        semigroup_hilbert([(1, 0, 0, 0, 1, 0)], 3, M.ring, "normalised")
+    with pytest.raises(ValueError) as subalgebra:
+        subalgebra_hilbert(polys, 3, "normalised")
+    assert str(semigroup.value) == str(subalgebra.value) == "unknown grading 'normalised'"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -13,7 +13,7 @@ from sagbikit.matchings import (Matching, SelectionSpaceExceeded, UnpermutedSupp
                                 _prune_table, _pruned, _support_symmetries, _walk,
                                 diagonal_matching,
                                 enumerate_vertices_exhaustive,
-                                enumerate_vertices_random, extend_matching,
+                                enumerate_vertices_random, extend_matching, first_defect,
                                 full_support, is_coherent, make_matching,
                                 matching_from_weight, restrict_matching,
                                 sagbi_defect)
@@ -137,7 +137,7 @@ def test_subtree_leaves_concatenate_to_the_serial_leaves(m, n, depth):
     nvars = fam[0].ring.nvars
     diff_lists = _diff_lists(fam)
     table = _prune_table(_support_symmetries(fam, full_group(m, n)), len(fam))
-    serial = _dfs_vertices(fam, nvars, table)
+    serial = _dfs_vertices(fam, table)
     split = []
     for prefix in product(*[range(len(f.terms)) for f in fam[:depth]]):
         below = [leaf for leaf in serial if leaf[0][:depth] == prefix]
@@ -287,6 +287,16 @@ def test_sagbi_defect_cases():
     assert sagbi_defect(m4, ref34, 6) == 2
     vals = semigroup_hilbert(m4.selection, 6, m4.family[0].ring).values
     assert h_vector(vals, 12) == (1, 6, 12, 7)
+
+
+def test_first_defect_compares_up_to_the_shorter_list():
+    # the matchings report counts every orbit to --kmax but its linear
+    # algebra reference only to degree 3
+    assert first_defect([1, 9, 45, 160, 400], [1, 9, 45, 165]) == 3
+    assert first_defect([1, 9, 45, 165, 400], [1, 9, 45, 165]) is None
+    assert first_defect([1, 9, 44], [1, 9, 45, 165]) == 2
+    with pytest.raises(AssertionError, match="exceeds the reference"):
+        first_defect([1, 9, 46], [1, 9, 45, 165])
 
 
 def test_extend_matching_cases():
