@@ -22,7 +22,7 @@ from sagbikit.hilbert import (RowSpace, expand_series, free_generators, h_vector
                               subalgebra_hilbert, vector_row)
 from sagbikit.matchings import diagonal_matching, enumerate_vertices_exhaustive
 from sagbikit.minors import MatrixRing, full_group, minors
-from sagbikit.orders import degrevlex_order, lex_order
+from sagbikit.orders import degrevlex_order, leading_exponent, lex_order, weight_order
 from sagbikit.rings import Polynomial, RingContext
 
 
@@ -47,12 +47,20 @@ def test_single_monomial_algebra():
     assert semigroup_hilbert([(1,)], 5, R).values == [1] * 6
 
 
-def test_polynomial_ring_has_every_monomial():
+@pytest.mark.parametrize("order", [
+    lex_order(3), degrevlex_order(3, (2, 0, 1)),
+    weight_order((0, 1, 0), lex_order(3, (1, 2, 0)))], ids=["lex", "degrevlex", "weight"])
+def test_polynomial_ring_has_every_monomial(order):
     # products of up to 8 variables have exponents 8 times a generator's,
-    # so a packing bound that ignored k_max would merge monomials
+    # so a packing bound that ignored k_max would merge monomials; the
+    # variables are their own initial terms under every order, so the
+    # semigroup of those initial terms counts the same
     R = RingContext(["x", "y", "z"])
     gens = [Polynomial.variable(R, i) for i in range(3)]
-    assert subalgebra_hilbert(gens, 8).values == [comb(k + 2, 2) for k in range(9)]
+    expected = [comb(k + 2, 2) for k in range(9)]
+    assert subalgebra_hilbert(gens, 8).values == expected
+    inits = [leading_exponent(order, g) for g in gens]
+    assert semigroup_hilbert(inits, 8, R).values == expected
 
 
 def test_g36_degree_two():
@@ -167,7 +175,6 @@ def test_hilbert_inequality_random_families():
                 polys.append(f)
         if not polys:
             continue
-        from sagbikit.orders import leading_exponent
         inits = [leading_exponent(order, f) for f in polys]
         sub = subalgebra_hilbert(polys, 4, grading="ambient").values
         semi = semigroup_hilbert(inits, 4, ring, grading="ambient").values
