@@ -412,7 +412,7 @@ def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
     built and ranked one class of the finest grading at a time (see the
     module docstring).  A class is one integer: its weight vector, whose
     entries are at most B = k_max * (the largest entry of a generator's
-    vector) in size, as digits in base 2B + 1.  A class of a middle
+    vector) in size, packed by `lex_key` with bound B.  A class of a middle
     level lists its sources by largest factor index, with prefix counts;
     a level more than max(degrees) below the current one is freed.
     """
@@ -430,12 +430,12 @@ def subalgebra_hilbert(polys: Sequence[Polynomial], k_max: int,
     weights = grading_weights(polys)
     vectors = [[sum(w * e[i] for i, w in ws.items()) for ws in weights]
                for e in (next(iter(f.terms)) for f in polys)]
-    base = 2 * max(k_max, 1) * max((abs(v) for vs in vectors for v in vs), default=0) + 1
+    key = lex_key(len(weights), max(k_max, 1) * max(abs(v) for vs in vectors for v in vs))
     gens = []
     for f, d, vs in zip(polys, degrees, vectors):
         den = 1 if p else lcm(*(v.denominator for v in f.terms.values()))
         gens.append(({sum(map(mul, c, e)): int(v * den) for e, v in f.terms.items()}, d,
-                     sum(v * base ** i for i, v in enumerate(vs))))
+                     sum(map(mul, key, vs))))
     n = len(gens)
     d_max = max(degrees)
     # level 0 holds the empty product in class 0, which every generator may extend

@@ -9,11 +9,10 @@ clears them, and otherwise the extended system is solved warm from the
 matching's own solved system.  That one is solved at most once however
 many extensions ask for it, and not at all when every extension is
 cleared by the witness or refused by its columns alone (a difference
-whose negation is also one).  The depth-first walk of all selections
-carries one system per level, and `extend_matching` and the sampled
-G(3,7) checks extend one system per matching; in the walk an infeasible
-partial selection prunes its subtree (every extension of an infeasible
-system is infeasible).
+whose negation is also one).  One depth-first walk, `coherent_paths`,
+repeats that step along paths of choices, one system per level, and an
+infeasible prefix ends its subtree: the vertex DFS, the re-walk of a
+pruned path, `extend_matching` and the sampled G(3,7) augmentations.
 
 The walk also prunes by symmetry (orderly generation).  H is the set of
 elements of the given group whose cell map permutes the generators'
@@ -220,17 +219,38 @@ def _pruned(path, actions) -> bool:
     return False
 
 
+def coherent_paths(system: StrictSystem, witness, choices, table=None):
+    """(path, system, witness), depth first in index order, for every path
+    of indices, one into each list of choices (a list of difference
+    columns), along which `certify` keeps the system feasible.  A prefix
+    grows from its parent's system and witness, so it is solved at most
+    once; given a prune table, a prefix that `_pruned(prefix,
+    table[len(prefix)])` refuses is skipped before its LP.  Only the
+    first list of choices, which one prefix reaches, may be an iterator."""
+    return _paths_below((), system, witness, choices, table)
+
+
+# not a closure, which would hold choices and table in a reference cycle
+def _paths_below(path, system, witness, choices, table):
+    if len(path) == len(choices):
+        yield path, system, witness
+        return
+    actions = table[len(path) + 1] if table else ()
+    for k, diffs in enumerate(choices[len(path)]):
+        child_path = path + (k,)
+        if not _pruned(child_path, actions):
+            child, w = certify(system, diffs, witness)
+            if w is not None:
+                yield from _paths_below(child_path, child, w, choices, table)
+
+
 def _walk(diff_lists, nvars, path):
     """The system and witness at a path of term indices, reached from the
-    root with the walk's own `certify` steps; the witness is None once a
-    step is infeasible.  A leaf's witness depends on its path alone."""
+    root by `coherent_paths`; (None, None) once a step is infeasible.  A
+    leaf's witness depends on its path alone."""
     # the zero witness clears no difference, so the first step is solved
-    system, witness = StrictSystem(nvars), [0] * nvars
-    for diffs, k in zip(diff_lists, path):
-        system, witness = certify(system, diffs[k], witness)
-        if witness is None:
-            break
-    return system, witness
+    steps = [[diffs[k]] for diffs, k in zip(diff_lists, path)]
+    return next(coherent_paths(StrictSystem(nvars), [0] * nvars, steps), (None,) * 3)[1:]
 
 
 def _diff_lists(family):
@@ -238,30 +258,13 @@ def _diff_lists(family):
 
 
 def _dfs_vertices(family, table):
-    """The kept leaves, as (path, witness), of the depth-first walk of the
-    selections (paths of sorted-term indices) with exact feasibility
-    verdicts, pruned by symmetry: a child prefix is skipped before its LP
-    when an action of table[L] maps it to a smaller prefix (`_pruned`)."""
+    """The kept leaves, as (path, witness), of `coherent_paths` over the
+    selections (paths of sorted-term indices), pruned by symmetry with the
+    prune table (`_pruned`)."""
     diff_lists = _diff_lists(family)
-    leaves: list[tuple[tuple[int, ...], list[int]]] = []
-    path: list[int] = []
-
-    def descend(level, system, witness):
-        if level == len(family):
-            leaves.append((tuple(path), list(witness)))
-            return
-        actions = table[level + 1]
-        for k, new_diffs in enumerate(diff_lists[level]):
-            path.append(k)
-            if not _pruned(path, actions):
-                child, w = certify(system, new_diffs, witness)
-                if w is not None:
-                    descend(level + 1, child, w)
-            path.pop()
-
     # the root as `_walk` starts it, so re-walked witnesses agree
-    descend(0, *_walk(diff_lists, family[0].ring.nvars, ()))
-    return leaves
+    root = _walk(diff_lists, family[0].ring.nvars, ())
+    return [(path, list(w)) for path, _, w in coherent_paths(*root, diff_lists, table)]
 
 
 def _catalog_from_orbits(family, leaves, symmetries, group: CanonicalGroup,
@@ -282,7 +285,6 @@ def _catalog_from_orbits(family, leaves, symmetries, group: CanonicalGroup,
         classes.setdefault(group.canonical(esum), []).append((path, esum))
     witnesses = dict(leaves)
     diff_lists = _diff_lists(family)
-    nvars = family[0].ring.nvars
     entries = []
     for canon in sorted(classes):
         path_at: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -292,8 +294,7 @@ def _catalog_from_orbits(family, leaves, symmetries, group: CanonicalGroup,
                 if path_at.setdefault(tuple(esum[i] for i in idx), image) != image:
                     raise AssertionError("two coherent matchings share a vertex")
         path = path_at[min(path_at)]
-        witness = witnesses[path] if path in witnesses else \
-            _walk(diff_lists, nvars, path)[1]
+        witness = witnesses.get(path) or _walk(diff_lists, family[0].ring.nvars, path)[1]
         selection = [terms[k] for terms, k in zip(term_lists, path)]
         entries.append(OrbitEntry(canon, len(path_at),
                                   make_matching(family, selection, witness)))
@@ -406,12 +407,10 @@ def matching_system(matching: Matching) -> StrictSystem:
 
 def extend_matching(matching: Matching, g: Polynomial, terms=None) -> list[Matching]:
     """Coherent extensions of the matching by one more generator, over the
-    given terms of g (all of them, sorted, by default).
-
-    The matching's witness, if any, is tried first for every term; the
-    matching's system (`matching_system`) is solved at most once, and only
-    for a term whose differences hold no column's negation.
-    """
+    given terms of g (all of them, sorted, by default): one step of
+    `coherent_paths` from the matching's system (`matching_system`) and
+    witness, which solves the system at most once, and only for a term
+    whose differences hold no column's negation."""
     family = matching.family + [g]
     return [make_matching(family, matching.selection + (t,), w)
             for t, _, w in _extensions(matching, g, terms)]
@@ -426,10 +425,11 @@ def _extensions(matching: Matching, g: Polynomial, terms=None,
     homogeneous = _homogeneous(tuple(matching.family)) and g.is_homogeneous()
     if system is None:
         system = matching_system(matching)
-    for t in sorted(g.terms) if terms is None else terms:
-        child, w = certify(system, term_diffs(g, t), matching.witness)
-        if w is not None:
-            yield t, child, _checked(family, matching.selection + (t,), w, homogeneous)
+    terms = sorted(g.terms) if terms is None else list(terms)
+    for (k,), child, w in coherent_paths(system, matching.witness,
+                                         [(term_diffs(g, t) for t in terms)]):
+        yield terms[k], child, _checked(family, matching.selection + (terms[k],), w,
+                                        homogeneous)
 
 
 def restrict_matching(matching: Matching, minor_infos: list[Minor],

@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .cases import VerificationError
 from .hilbert import RowSpace, expand_series, lex_key, semigroup_hilbert, vector_row
-from .matchings import (Matching, _extensions, certify, diagonal_matching,
+from .matchings import (Matching, _extensions, coherent_paths, diagonal_matching,
                         enumerate_vertices_exhaustive, extend_matching, make_matching,
                         matching_from_weight, matching_system, term_diffs)
 from .minors import (MatrixRing, bracket, bracket_name, determinant,
@@ -304,14 +304,13 @@ def _coherent_augmentations(T: Matching, transported, span, sample_idx: int):
     each transported element, in product order, and the number of
     combinations of the coherent single extensions.
 
-    One system of T's differences serves every single extension; it is
-    solved at most once, and not at all when T's witness clears every
-    candidate or the candidate's differences hold the negation of one of
-    T's or of each other (the LP would only find that infeasible).  Any
-    coherent augmentation stays inside the rational span of T (the
-    Hilbert bound caps the semigroup dimension at 13), so terms outside it
-    are infeasible without an LP call.  The combinations grow from the
-    first element's single extensions (`_grown`).
+    One system of T's differences serves every single extension and is
+    solved at most once (`matchings.certify`).  Any coherent augmentation
+    stays inside the rational span of T (the Hilbert bound caps the
+    semigroup dimension at 13), so terms outside it are infeasible without
+    an LP call.  The combinations grow from the first element's single
+    extensions by `coherent_paths` over the terms, not the systems, of the
+    later elements' ones.
     """
     system = matching_system(T)
 
@@ -319,31 +318,17 @@ def _coherent_augmentations(T: Matching, transported, span, sample_idx: int):
         return _extensions(T, g, [t for t in sorted(g.terms) if vector_row(t) in span],
                            system)
 
-    roots = [((t,), child, w) for t, child, w in singles(transported[0])]
-    # of the other elements' single extensions only the terms are kept
-    term_choices = [[combo[0] for combo, _, _ in roots]]
-    term_choices += [[t for t, _, _ in singles(g)] for g in transported[1:]]
-    if not all(term_choices):
+    roots = list(singles(transported[0]))
+    term_choices = [[t for t, _, _ in singles(g)] for g in transported[1:]]
+    if not roots or not all(term_choices):
         raise VerificationError(
             f"sample {sample_idx}: no coherent extension for a repair", T)
-    return list(_grown(roots, transported, term_choices)), prod(map(len, term_choices))
-
-
-def _grown(prefixes, transported, term_choices):
-    """The coherent combinations extending the prefixes, each given as
-    (combination, system, witness), depth first in product order.  A
-    combination grows from its prefix's system, whose witness it tries
-    first, so a prefix is solved at most once and an infeasible one ends
-    its line; only the systems of the current path are held."""
-    for combo, system, witness in prefixes:
-        j = len(combo)
-        if j == len(transported):
-            yield combo
-            continue
-        for t in term_choices[j]:
-            child, w = certify(system, term_diffs(transported[j], t), witness)
-            if w is not None:
-                yield from _grown([(combo + (t,), child, w)], transported, term_choices)
+    choices = [[term_diffs(g, t) for t in ts]
+               for g, ts in zip(transported[1:], term_choices)]
+    coherent = [(t, *(ts[k] for ts, k in zip(term_choices, path)))
+                for t, child, w in roots
+                for path, _, _ in coherent_paths(child, w, choices)]
+    return coherent, len(roots) * prod(map(len, term_choices))
 
 
 def verify_g37_sampled(count: int, seed: int) -> CaseReport:

@@ -5,13 +5,14 @@ from itertools import product
 import pytest
 
 from constructions import Q_matrix
-from oracles import catalog_unpruned, coherent_by_hull
+from oracles import catalog_unpruned, coherent_by_hull, dfs_vertices_unpruned
 from sagbikit.formats import parse_polynomial
 from sagbikit.hilbert import expand_series, h_vector, krull_dim_monomial, semigroup_hilbert
+from sagbikit.lp import StrictSystem
 from sagbikit.matchings import (Matching, SelectionSpaceExceeded, UnpermutedSupports,
                                 _catalog_from_orbits, _dfs_vertices, _diff_lists,
                                 _prune_table, _pruned, _support_symmetries, _walk,
-                                diagonal_matching,
+                                coherent_paths, diagonal_matching,
                                 enumerate_vertices_exhaustive,
                                 enumerate_vertices_random, extend_matching, first_defect,
                                 full_support, is_coherent, make_matching,
@@ -150,6 +151,27 @@ def test_subtree_leaves_concatenate_to_the_serial_leaves(m, n, depth):
     assert split == serial
     # the pruning keeps fewer leaves than there are vertices
     assert 0 < len(serial) < enumerate_vertices_exhaustive(fam, full_group(m, n)).total
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 4)])
+def test_coherent_paths_match_the_unpruned_oracle_walk(m, n):
+    # from the zero witness and without a table the walk is the oracle's,
+    # leaf for leaf in order; with the prune table it is `_dfs_vertices`
+    fam = _minors_family(m, n)
+    nvars = fam[0].ring.nvars
+    diff_lists = _diff_lists(fam)
+    term_lists = [sorted(f.terms) for f in fam]
+    oracle = []
+    dfs_vertices_unpruned(fam, nvars, lambda s, w: oracle.append((s, w)))
+    walked = [(tuple(terms[k] for terms, k in zip(term_lists, path)), witness)
+              for path, _, witness in
+              coherent_paths(StrictSystem(nvars), [0] * nvars, diff_lists)]
+    assert walked == oracle
+    table = _prune_table(_support_symmetries(fam, full_group(m, n)), len(fam))
+    pruned = [(path, witness) for path, _, witness in
+              coherent_paths(StrictSystem(nvars), [0] * nvars, diff_lists, table)]
+    assert pruned == _dfs_vertices(fam, table)
+    assert 0 < len(pruned) < len(walked)
 
 
 def _catalog_rows(catalog):

@@ -45,6 +45,41 @@ def test_src_module_imports_no_test_helper(path):
     assert not set(_imported_names(tree)) & TEST_HELPERS
 
 
+def _bound_names(tree):
+    """The names the import statements bind, but for `__future__` features."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _unread_imports(tree):
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return set(_bound_names(tree)) - read
+
+
+def test_unread_imports_are_caught():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                     "from math import comb as c, gcd\nimport sys\n"
+                     "x: int = gcd(sys.maxsize, 2)\n")
+    assert _unread_imports(tree) == {"os", "c"}
+
+
+# the package binds its export `minors` at import, so that importing the
+# submodule of that name does not leave the module as the attribute
+UNREAD_IMPORTS = {"__init__.py": {"minors"}}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_src_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _unread_imports(tree) == UNREAD_IMPORTS.get(path.name, set())
+
+
 def _private_package_names(tree):
     """The underscore-prefixed names a `from` import takes from the
     package: relatively, or from `sagbikit` by its name."""

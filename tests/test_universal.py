@@ -7,6 +7,7 @@ from oracles import find_selection, transport_bracket_tuple_brute
 from sagbikit.cases import CASES
 from sagbikit.cli import main
 from sagbikit.hilbert import expand_series, semigroup_hilbert
+from sagbikit.lp import StrictSystem
 from sagbikit.matchings import (diagonal_matching, make_matching, matching_from_weight,
                                 restrict_matching)
 from sagbikit.minors import MatrixRing, bracket, minors
@@ -59,6 +60,20 @@ def test_transport_bracket_tuple_identity():
 def test_verify_a233_passes():
     report = verify_a233()
     assert report.meta == {"vertices": 102, "orbits": 5}
+
+
+def test_verification_solves_each_system_at_most_once(monkeypatch):
+    # T's shared system and each augmentation prefix's system are pivoted
+    # at most once; the bounds are the counts of a walk that does so
+    grown = []
+    grow = StrictSystem._grow
+    monkeypatch.setattr(StrictSystem, "_grow",
+                        lambda self, base: grown.append(self) or grow(self, base))
+    verify_a233()
+    a233 = len(grown)
+    verify_g37_sampled(20, 11)
+    assert a233 <= 69 and len(grown) - a233 <= 44
+    assert len(set(map(id, grown))) == len(grown)
 
 
 def test_verify_g37_small_sample():
